@@ -24,6 +24,7 @@ from .states import (
 )
 from .variational import (
     SolverConfig,
+    _as_density,
     rains_bound,
     relative_entropy_of_entanglement,
     witness_violation,
@@ -235,7 +236,6 @@ def bounds_report(rho, config: SolverConfig | None = None,
     lower = {"hashing": 0.0 if ppt else hashing_lower_bound(rho)}
     notes = {"hashing": "exact"}
     _, violation = witness_violation(rho)
-    lower["witness"] = 0.0
     notes["witness"] = ("exact; violation %.6g" % violation if violation > 0.0
                         else "exact; no violation found")
     upper = {"log_negativity": log_negativity(rho)}
@@ -255,8 +255,7 @@ def bounds_report(rho, config: SolverConfig | None = None,
 
 
 def _as_bipartite(rho) -> DensityOperator:
-    if not isinstance(rho, DensityOperator):
-        rho = rho.to_density() if hasattr(rho, "to_density") else DensityOperator(rho)
+    rho = _as_density(rho, "bounds")
     if len(rho.dims) != 2:
         raise ValidationError("bipartite",
                               detail=f"expected two subsystems, got dims {rho.dims}")

@@ -3,9 +3,10 @@
 Subcommands: ``measure`` evaluates a single entanglement measure on a
 state file, ``bounds`` emits the aggregated distillability report,
 ``convert`` answers pure-state conversion queries, ``gaussian`` operates
-on covariance files, and ``batch`` runs a manifest of measure jobs on a
-worker pool.  All numeric output is rounded to 12 significant digits and
-every run is reproducible: the random seed defaults to 0.
+on covariance files, and ``batch`` runs a manifest of measure jobs one
+after another, in manifest order.  All numeric output is rounded to 12
+significant digits and every run is reproducible: the random seed defaults
+to 0.
 
 Exit codes: 0 on success, 2 on validation failures (the diagnostic names
 the violated invariant), 3 when ``--strict`` is set and a solver result
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import bounds_report
@@ -252,12 +251,7 @@ def _batch_payload(config: RunConfig) -> list:
                        "measure": entry.get("measure"), **out}
             return out
 
-    threads = os.environ.get("ENTMEAS_THREADS")
-    workers = max(1, int(threads)) if threads else min(8, os.cpu_count() or 1)
-    if not manifest:
-        return []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, manifest))
+    return [one(entry) for entry in manifest]
 
 
 def _dispatch(config: RunConfig):

@@ -13,7 +13,7 @@ and is fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -36,7 +36,6 @@ def _hermitize(matrix, size: int, what: str) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
-@dataclass
 class SdpProblem:
     """Builder for a block-structured semidefinite program.
 
@@ -45,11 +44,6 @@ class SdpProblem:
     block_dims : sequence of int
         Side lengths of the PSD blocks; the total must not exceed 400.
     """
-
-    block_dims: tuple
-    _objective: list = field(default_factory=list, repr=False)
-    _rows: list = field(default_factory=list, repr=False)
-    _rhs: list = field(default_factory=list, repr=False)
 
     def __init__(self, block_dims):
         self.block_dims = tuple(int(n) for n in block_dims)

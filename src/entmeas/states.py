@@ -31,6 +31,8 @@ def _as_matrix(data, name: str = "matrix") -> np.ndarray:
     mat = np.asarray(data, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError("shape", detail=f"{name} must be square, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError("non-finite", detail=f"{name} has NaN or infinite entries")
     return mat
 
 
@@ -106,6 +108,8 @@ class PureState:
 
     def __init__(self, vector, dims: Sequence[int]):
         vec = np.asarray(vector, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(vec)):
+            raise ValidationError("non-finite", detail="vector has NaN or infinite entries")
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValidationError("normalization", abs(nrm - 1.0), NORM_TOL)

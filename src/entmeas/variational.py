@@ -40,9 +40,6 @@ __all__ = [
     "SolverConfig",
     "BaseNormResult",
     "BsaResult",
-    "SdpProblem",
-    "SdpSolution",
-    "sdp_solve",
     "minimize_over_ppt_states",
     "relative_entropy_of_entanglement",
     "werner_regularized_ree",
@@ -200,6 +197,23 @@ def _basis_with_pt(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return basis, basis_pt
 
 
+def _add_operator_equation(prob: SdpProblem, terms: dict, rhs,
+                           dims: tuple[int, int]) -> None:
+    """Add the n^2 rows of the operator equation ``sum_j s_j T_j(X_j) = R``.
+
+    ``terms`` maps a block index j to ``(s_j, transposed)``; ``T_j`` is the
+    partial transpose on B when ``transposed`` and the identity otherwise.
+    ``rhs`` is the Hermitian operator R, or None for zero.  One row is added
+    per element of the orthonormal basis of ``_basis_with_pt``.
+    """
+    basis, basis_pt = _basis_with_pt(dims)
+    for a in range(basis.shape[0]):
+        row = {j: sign * (basis_pt[a] if transposed else basis[a])
+               for j, (sign, transposed) in terms.items()}
+        value = 0.0 if rhs is None else float(np.real(np.vdot(rhs, basis[a])))
+        prob.add_equality(row, value)
+
+
 def _clean_state(mat: np.ndarray) -> np.ndarray:
     """Project a near-state onto the density matrices (clip and renormalize)."""
     mat = _hermitize(mat)
@@ -242,14 +256,13 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int],
     if float(np.linalg.eigvalsh(_pt(vertex, dims))[0]) >= -_PPT_TOL:
         return float(w[0]), vertex
 
-    basis, basis_pt = _basis_with_pt(dims)
     prob = SdpProblem((n, n))
     prob.set_objective(0, g)
-    for a in range(n * n):
-        prob.add_equality({0: basis_pt[a], 1: -basis[a]}, 0.0)
+    _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
     prob.add_equality({0: np.eye(n)}, 1.0)
     sol = sdp_solve(prob, max_iterations=max_iterations)
 
+    basis, basis_pt = _basis_with_pt(dims)
     y = sol.y
     s1 = g - np.einsum("i,ikl->kl", y[:-1], basis_pt) - y[-1] * np.eye(n)
     s2 = np.einsum("i,ikl->kl", y[:-1], basis)
@@ -502,22 +515,16 @@ def robustness(state, noise: str = "global",
     rho, dims = _bipartite(state, "robustness")
     cfg = config or _DEFAULT_CONFIG
     n = rho.shape[0]
-    basis, basis_pt = _basis_with_pt(dims)
-    eye = np.eye(n)
 
-    if noise == "global":
-        prob = SdpProblem((n, n))
-        prob.set_objective(0, eye)
-        for a in range(n * n):
-            rhs = -float(np.real(np.vdot(rho, basis_pt[a])))
-            prob.add_equality({0: basis_pt[a], 1: -basis[a]}, rhs)
-    else:
-        prob = SdpProblem((n, n, n))
-        prob.set_objective(0, eye)
-        for a in range(n * n):
-            prob.add_equality({0: basis_pt[a], 1: -basis[a]}, 0.0)
-            rhs = -float(np.real(np.vdot(rho, basis_pt[a])))
-            prob.add_equality({0: basis_pt[a], 2: -basis[a]}, rhs)
+    # block 0 is the unnormalized noise t*sigma, the last block the PPT
+    # mixture (rho + t*sigma)^{T_B}; separable noise adds sigma^{T_B} >= 0
+    prob = SdpProblem((n,) * (2 if noise == "global" else 3))
+    prob.set_objective(0, np.eye(n))
+    if noise == "separable":
+        _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
+    last = len(prob.block_dims) - 1
+    _add_operator_equation(prob, {0: (1.0, True), last: (-1.0, False)},
+                           -_pt(rho, dims), dims)
     sol = sdp_solve(prob, max_iterations=min(cfg.max_iterations, 100))
     status = _solver_result_guard(sol, "robustness")
 
@@ -560,15 +567,15 @@ class BaseNormResult:
     gap: float
 
 
-def _cone_blocks(cone: ConeSpec, n: int):
-    """Block count, member expression sign, and PT-coupling flag of a cone."""
-    if cone.kind == "all-PSD":
-        return 1, 1.0, False, False
-    if cone.kind == "negated-PSD":
-        return 1, -1.0, False, False
-    if cone.kind == "PPT-operators":
-        return 1, 1.0, True, False
-    return 2, 1.0, False, True
+# per cone kind: PSD block count, sign of the member expression, and whether
+# the member is the partial transpose of its first block; a second block
+# holds the partial transpose of the first, keeping both positive
+_CONE_BLOCKS = {
+    "all-PSD": (1, 1.0, False),
+    "negated-PSD": (1, -1.0, False),
+    "PPT-operators": (1, 1.0, True),
+    "separable-outer": (2, 1.0, False),
+}
 
 
 def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
@@ -605,29 +612,23 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
             raise ValidationError(
                 "dims-mismatch", detail="operator shape does not match dims")
     n = mat.shape[0]
-    basis, basis_pt = _basis_with_pt(dims)
     eye = np.eye(n)
 
-    nx, sign_x, pt_x, couple_x = _cone_blocks(cone_x, n)
-    ny, sign_y, pt_y, couple_y = _cone_blocks(cone_y, n)
-    block_dims = (n,) * (nx + ny)
+    nx, sign_x, pt_x = _CONE_BLOCKS[cone_x.kind]
+    ny, sign_y, pt_y = _CONE_BLOCKS[cone_y.kind]
     y_off = nx
 
     def build(objective_blocks):
-        prob = SdpProblem(block_dims)
+        prob = SdpProblem((n,) * (nx + ny))
         for idx, c in objective_blocks.items():
             prob.set_objective(idx, c)
-        for a in range(n * n):
-            ex = basis_pt[a] if pt_x else basis[a]
-            ey = basis_pt[a] if pt_y else basis[a]
-            terms = {0: sign_x * ex, y_off: -sign_y * ey}
-            prob.add_equality(terms, float(np.real(np.vdot(mat, basis[a]))))
-        if couple_x:
-            for a in range(n * n):
-                prob.add_equality({0: basis_pt[a], 1: -basis[a]}, 0.0)
-        if couple_y:
-            for a in range(n * n):
-                prob.add_equality({y_off: basis_pt[a], y_off + 1: -basis[a]}, 0.0)
+        _add_operator_equation(
+            prob, {0: (sign_x, pt_x), y_off: (-sign_y, pt_y)}, mat, dims)
+        if nx == 2:
+            _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
+        if ny == 2:
+            _add_operator_equation(
+                prob, {y_off: (1.0, True), y_off + 1: (-1.0, False)}, None, dims)
         return prob
 
     cx = (sign_x / cone_x.normalization) * eye
@@ -698,14 +699,11 @@ def best_separable_approximation(state,
     rho, dims = _bipartite(state, "best_separable_approximation", BSA_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
     n = rho.shape[0]
-    basis, basis_pt = _basis_with_pt(dims)
 
     prob = SdpProblem((n, n, n))
     prob.set_objective(0, -np.eye(n))
-    for a in range(n * n):
-        prob.add_equality({0: basis_pt[a], 1: -basis[a]}, 0.0)
-        rhs = float(np.real(np.vdot(rho, basis[a])))
-        prob.add_equality({0: basis[a], 2: basis[a]}, rhs)
+    _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
+    _add_operator_equation(prob, {0: (1.0, False), 2: (1.0, False)}, rho, dims)
     sol = sdp_solve(prob, max_iterations=min(cfg.max_iterations, 100))
     status = _solver_result_guard(sol, "best_separable_approximation")
 

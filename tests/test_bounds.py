@@ -210,6 +210,15 @@ class TestBoundsReport:
         rep = bounds_report(BELL, config=FAST, skip=("rains", "ree"))
         assert set(rep.upper) == {"log_negativity"}
 
+    def test_witness_violation_is_a_note_not_a_bound(self):
+        rep = bounds_report(BELL, config=FAST, skip=("rains", "ree"))
+        assert "witness" not in rep.lower
+        assert rep.notes["witness"] == "exact; violation 0.5"
+
+    def test_raw_array_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="state-type"):
+            bounds_report(np.eye(4) / 4)
+
     def test_rejects_unknown_skip_names(self):
         with pytest.raises(ValidationError, match="skip-names"):
             bounds_report(BELL, skip=("squashed",))

@@ -292,6 +292,33 @@ class TestBatchCommand:
         assert len(out) == 3
 
 
+class TestNonFiniteInput:
+    @pytest.fixture
+    def nan_file(self, tmp_path):
+        row = "[" + ", ".join(["[NaN, 0.0]"] * 4) + "]"
+        path = tmp_path / "nan.json"
+        path.write_text('{"dims": [2, 2], "matrix": [' + ", ".join([row] * 4) + "]}")
+        return str(path)
+
+    def test_measure_refuses_nan_state(self, nan_file, capsys):
+        code = main(["measure", "--state", nan_file, "--measure", "logneg"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith("error: non-finite")
+
+    def test_batch_isolates_nan_entry(self, files, nan_file, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"state": files["bell"], "measure": "logneg"},
+            {"state": nan_file, "measure": "logneg"},
+        ]))
+        code, out = run_json(["batch", "--manifest", str(manifest)], capsys)
+        assert code == 0
+        assert out[0]["value"] == 1.0
+        assert out[1]["state"] == nan_file
+        assert "non-finite" in out[1]["error"]
+
+
 class TestRunConfig:
     def test_defaults_are_reproducible(self):
         config = RunConfig(command="measure")

@@ -63,6 +63,20 @@ class TestValidation:
         with pytest.raises(ValidationError, match="normalization"):
             PureState([1.0, 1.0], [2])
 
+    def test_rejects_non_finite_vector(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            PureState([np.nan, 0.0, 0.0, 1.0], [2, 2])
+        with pytest.raises(ValidationError, match="non-finite"):
+            PureState([np.inf, 0.0], [2])
+
+    def test_rejects_non_finite_matrix(self):
+        mat = np.eye(4) / 4
+        mat[1, 2] = mat[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityOperator(mat, [2, 2])
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityOperator(np.full((4, 4), np.nan), [2, 2])
+
     def test_kraus_completeness(self):
         half = np.eye(2) / np.sqrt(2)
         with pytest.raises(ValidationError, match="kraus-completeness"):
