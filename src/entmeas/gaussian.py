@@ -84,23 +84,29 @@ class CovarianceMatrix:
             raise ValidationError(
                 "cov-shape",
                 detail=f"side must be even and in [2, {2 * MODE_LIMIT}], got {side}")
-        asym = float(np.max(np.abs(mat - mat.T)))
+        # NaN, infinite and overflowing entries all leave sym non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym = float(np.max(np.abs(mat - mat.T)))
+            sym = (mat + mat.T) / 2
+        if not np.all(np.isfinite(sym)):
+            raise ValidationError("non-finite",
+                                  detail="covariance has NaN, infinite or overflowing entries")
         if asym > SYMMETRY_TOLERANCE:
             raise ValidationError("cov-symmetry", residual=asym,
                                   limit=SYMMETRY_TOLERANCE)
-        object.__setattr__(self, "matrix", (mat + mat.T) / 2)
+        object.__setattr__(self, "matrix", sym)
         if self.first_moments is not None:
             mean = np.asarray(self.first_moments, dtype=float).reshape(-1)
             if mean.shape != (side,):
                 raise ValidationError(
                     "cov-moments",
                     detail=f"first moments must have length {side}, got {mean.shape}")
+            if not np.all(np.isfinite(mean)):
+                raise ValidationError("non-finite",
+                                      detail="first moments have NaN or infinite entries")
             object.__setattr__(self, "first_moments", mean)
         if self.physical:
-            low = self.uncertainty_margin()
-            if low < -UNCERTAINTY_TOLERANCE:
-                raise ValidationError("cov-uncertainty", residual=low,
-                                      limit=-UNCERTAINTY_TOLERANCE)
+            _require_physical(self)
 
     @property
     def n_modes(self) -> int:
@@ -451,8 +457,8 @@ def _require_physical(gamma) -> CovarianceMatrix:
     gamma = _as_cov(gamma)
     low = gamma.uncertainty_margin()
     if low < -UNCERTAINTY_TOLERANCE:
-        raise ValidationError("cov-uncertainty", residual=low,
-                              limit=-UNCERTAINTY_TOLERANCE)
+        raise ValidationError("cov-uncertainty", residual=-low,
+                              limit=UNCERTAINTY_TOLERANCE)
     return gamma
 
 

@@ -134,6 +134,7 @@ class SolverConfig:
 
 
 _DEFAULT_CONFIG = SolverConfig()
+_RAINS_CONFIG = SolverConfig(restarts=20)
 
 
 def _as_density(state, context: str) -> DensityOperator:
@@ -316,9 +317,11 @@ def relative_entropy_of_entanglement(state, target_set: str = "PPT",
                                      config: SolverConfig | None = None) -> MeasureResult:
     """Relative entropy distance from the PPT-state spectrahedron, in bits.
 
-    Runs Frank-Wolfe on ``sigma -> S(rho || sigma)`` over PPT states with
-    exact line searches and periodic reweighting of the collected atoms.
-    The returned gap is a rigorous certificate: the value exceeds the true
+    Runs fully-corrective Frank-Wolfe on ``sigma -> S(rho || sigma)`` over
+    PPT states: each step adds the oracle's vertex to the collected atoms
+    and reoptimizes the weights of all of them (SLSQP on the simplex),
+    keeping the new point only when the objective does not rise.  The
+    returned gap is a rigorous certificate: the value exceeds the true
     PPT-set minimum by at most ``gap``.
 
     Parameters
@@ -358,24 +361,20 @@ def relative_entropy_of_entanglement(state, target_set: str = "PPT",
     sigma = np.eye(n, dtype=complex) / n
     if float(np.linalg.eigvalsh(_pt(rho, dims))[0]) >= -_PPT_TOL:
         sigma = rho.copy()
-    atoms = [sigma.copy()]
+    atoms = sigma[None]
     weights = np.array([1.0])
 
     best_value = max(0.0, f_exact(sigma))
     best_sigma = sigma.copy()
     lower = -math.inf
     trace_vals: list[float] = []
-    gap = math.inf
-    status = "best_effort"
     iterations = 0
-    stall = 0
 
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
         current = f_reg(sigma)
         trace_vals.append(current)
         exact_here = f_exact(sigma)
-        stall = 0 if exact_here < best_value - 1e-10 else stall + 1
         if exact_here < best_value:
             best_value = max(0.0, exact_here)
             best_sigma = sigma.copy()
@@ -387,55 +386,42 @@ def relative_entropy_of_entanglement(state, target_set: str = "PPT",
                     - float(np.real(np.vdot(sigma, grad))))
         gap = max(0.0, best_value - lower)
         if gap <= cfg.gap_tolerance:
-            status = "converged"
-            break
-        # the certificate tightens much more slowly than the objective;
-        # once the value stops moving, further iterations only buy gap
-        if stall >= 15:
             break
 
-        direction = vertex - sigma
-        line = scipy.optimize.minimize_scalar(
-            lambda t: f_reg(sigma + t * direction), bounds=(0.0, 1.0),
-            method="bounded", options={"xatol": 1e-12})
-        step = float(line.x) if line.fun <= current else 0.0
-        sigma = sigma + step * direction
-        atoms.append(vertex)
-        weights = np.append(weights * (1.0 - step), step)
+        # fully-corrective step: reweight every atom, the new vertex included,
+        # starting from the current weights
+        atoms = np.concatenate([atoms, vertex[None]])
+        weights = np.append(weights, 0.0)
 
-        if it % 10 == 0 and len(atoms) > 1:
-            stack = np.array(atoms)
+        def fun(w):
+            return f_reg(np.tensordot(w, atoms, axes=1))
 
-            def fun(w):
-                return f_reg(np.tensordot(w, stack, axes=1))
+        def jac(w):
+            g = _ree_gradient(rho, np.tensordot(w, atoms, axes=1))
+            # SLSQP misreads a strided view, so hand it a contiguous copy
+            return np.einsum("aij,ij->a", atoms.conj(), g).real.copy()
 
-            def jac(w):
-                g = _ree_gradient(rho, np.tensordot(w, stack, axes=1))
-                return np.array([float(np.real(np.vdot(a, g))) for a in stack])
-
-            res = scipy.optimize.minimize(
-                fun, weights, jac=jac, method="SLSQP",
-                bounds=[(0.0, 1.0)] * len(atoms),
-                constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
-                              "jac": lambda w: np.ones_like(w)}],
-                options={"maxiter": 60, "ftol": 1e-14})
-            if res.success and res.fun <= f_reg(sigma):
-                weights = np.clip(res.x, 0.0, None)
-                weights = weights / weights.sum()
-                sigma = np.tensordot(weights, stack, axes=1)
-            keep = weights > 1e-12
-            if keep.sum() >= 1:
-                atoms = [a for a, k in zip(atoms, keep) if k]
-                weights = weights[keep]
-                weights = weights / weights.sum()
+        res = scipy.optimize.minimize(
+            fun, weights, jac=jac, method="SLSQP",
+            bounds=[(0.0, 1.0)] * len(weights),
+            constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
+                          "jac": lambda w: np.ones_like(w)}],
+            options={"maxiter": 60, "ftol": 1e-14})
+        candidate = np.clip(res.x, 0.0, None)
+        candidate = candidate / candidate.sum()
+        trial = np.tensordot(candidate, atoms, axes=1)
+        if f_reg(trial) <= current:
+            weights, sigma = candidate, trial
+        keep = weights > 1e-12
+        atoms = atoms[keep]
+        weights = weights[keep] / weights[keep].sum()
 
     exact_final = f_exact(sigma)
     if exact_final < best_value:
         best_value = max(0.0, exact_final)
         best_sigma = sigma.copy()
     gap = max(0.0, best_value - lower)
-    if gap <= cfg.gap_tolerance:
-        status = "converged"
+    status = "converged" if gap <= cfg.gap_tolerance else "best_effort"
 
     payload = {
         "closest_state": best_sigma,
@@ -918,7 +904,8 @@ def _rains_objective(rho: np.ndarray, sigma: np.ndarray,
     return rho_logrho - cross + max(0.0, log_neg)
 
 
-def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
+def rains_bound(state, config: SolverConfig | None = None,
+                ree: MeasureResult | None = None) -> MeasureResult:
     """Rains bound: minimize ``S(rho||sigma) + E_N(sigma)`` over states.
 
     The objective is not convex, so the search is multi-start local
@@ -933,6 +920,10 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
     config : SolverConfig, optional
         ``restarts`` defaults to 20 for this measure when no config is
         supplied.
+    ree : MeasureResult, optional
+        A relative-entropy result already computed for this state, whose
+        closest PPT state seeds the search.  When omitted, the relative
+        entropy of entanglement is computed here with ``config``.
 
     Returns
     -------
@@ -940,17 +931,14 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
         Always ``status == "best_effort"``.
     """
     rho, dims = _bipartite(state, "rains_bound", RAINS_DIM_LIMIT)
-    cfg = config or SolverConfig(restarts=20)
+    cfg = config or _RAINS_CONFIG
     n = rho.shape[0]
     eigs = np.linalg.eigvalsh(rho)
     eigs = eigs[eigs > 1e-15]
     rho_logrho = float(np.sum(eigs * np.log2(eigs)))
 
-    ree = relative_entropy_of_entanglement(
-        DensityOperator(rho, dims),
-        config=SolverConfig(max_iterations=cfg.max_iterations,
-                            gap_tolerance=max(cfg.gap_tolerance, 1e-5),
-                            restarts=1, seed=cfg.seed))
+    if ree is None:
+        ree = relative_entropy_of_entanglement(DensityOperator(rho, dims), config=cfg)
     closest = ree.witness_payload["closest_state"]
 
     def objective(sigma):

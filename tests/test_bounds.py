@@ -19,6 +19,7 @@ from entmeas.bounds import (
     uu_twirl_two_qubit,
     werner_state,
 )
+from entmeas import bounds, variational
 from entmeas.closed_form import binary_entropy, log_negativity
 from entmeas.variational import SolverConfig
 from conftest import rand_unitary
@@ -240,6 +241,32 @@ class TestBoundsReport:
                          ppt=True, notes={})
         with pytest.raises(ValidationError, match="ppt-distillable"):
             BoundsReport(lower={"hashing": 0.0}, upper={}, ppt=True, notes={})
+
+
+class TestOneReePerReport:
+    @pytest.fixture
+    def ree_calls(self, monkeypatch):
+        calls = []
+        original = variational.relative_entropy_of_entanglement
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(variational, "relative_entropy_of_entanglement", counted)
+        monkeypatch.setattr(bounds, "relative_entropy_of_entanglement", counted)
+        return calls
+
+    def test_report_computes_ree_once(self, ree_calls):
+        rep = bounds_report(BELL, config=FAST)
+        assert len(ree_calls) == 1
+        assert {"ree", "rains"} <= set(rep.upper)
+
+    def test_skipping_ree_keeps_rains(self, ree_calls):
+        rep = bounds_report(BELL, config=FAST, skip=("ree",))
+        assert "ree" not in rep.upper
+        assert rep.upper["rains"] == pytest.approx(1.0, abs=1e-3)
+        assert len(ree_calls) == 1
 
 
 class TestSandwichProperty:

@@ -318,6 +318,16 @@ class TestNonFiniteInput:
         assert out[1]["state"] == nan_file
         assert "non-finite" in out[1]["error"]
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_gaussian_refuses_non_finite_covariance(self, entry, tmp_path, capsys):
+        cov = covariance_to_dict(two_mode_squeezed(0.5))
+        cov["cov"][0][0] = entry
+        path = tmp_path / "cov.json"
+        path.write_text(json.dumps(cov))
+        code = main(["gaussian", "--cov", str(path), "--op", "validate"])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error: non-finite")
+
 
 class TestRunConfig:
     def test_defaults_are_reproducible(self):

@@ -63,6 +63,25 @@ class TestCovarianceMatrix:
         with pytest.raises(ValidationError, match="cov-uncertainty"):
             CovarianceMatrix(0.5 * np.eye(2))
 
+    def test_uncertainty_message_reports_positive_residual(self):
+        for call in (lambda: CovarianceMatrix(0.5 * np.eye(2)),
+                     lambda: gaussian_entropy(
+                         CovarianceMatrix(0.5 * np.eye(2), physical=False))):
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert info.value.residual == pytest.approx(0.5)
+            assert "residual 5.000e-01 exceeds tolerance 1.0e-09" in str(info.value)
+
+    @pytest.mark.parametrize("matrix, mean", [
+        (np.full((2, 2), np.nan), None),
+        (np.diag([np.inf, 1.0]), None),
+        (np.full((2, 2), 1e308), None),
+        (np.eye(2), [np.nan, 0.0]),
+    ])
+    def test_rejects_non_finite_entries(self, matrix, mean):
+        with pytest.raises(ValidationError, match="non-finite"):
+            CovarianceMatrix(matrix, first_moments=mean)
+
     def test_unphysical_flag_skips_uncertainty(self):
         cov = CovarianceMatrix(0.5 * np.eye(2), physical=False)
         assert cov.uncertainty_margin() < -1e-9

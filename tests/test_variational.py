@@ -34,6 +34,7 @@ from entmeas.variational import (
     werner_regularized_ree,
     witness_violation,
 )
+from conftest import rand_unitary
 
 BELL = max_entangled(2).to_density()
 SEPARABLE = DensityOperator(np.diag([0.5, 0.2, 0.2, 0.1]), (2, 2))
@@ -173,6 +174,39 @@ class TestRelativeEntropyOfEntanglement:
         assert res.value >= res.witness_payload["lower_bound"] - 1e-12
         assert res.gap == pytest.approx(
             res.value - res.witness_payload["lower_bound"], abs=1e-12)
+
+    def test_default_config_certifies_random_entangled_states(self):
+        rng = np.random.default_rng(2005)
+        states = []
+        while len(states) < 2:
+            rho = rand_rho(rng)
+            if np.linalg.eigvalsh(pt_matrix(rho.matrix))[0] < -0.01:
+                states.append(rho)
+        for rho in states:
+            res = relative_entropy_of_entanglement(rho)
+            assert res.status == "converged"
+            assert res.gap <= 1e-6
+
+    def test_certificate_brackets_bell_diagonal_closed_form(self):
+        rng = np.random.default_rng(11)
+        bell_basis = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
+                               [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
+        for lam in ((0.7, 0.15, 0.1, 0.05), (0.85, 0.05, 0.05, 0.05)):
+            mat = (bell_basis.T * np.array(lam)) @ bell_basis
+            u = np.kron(rand_unitary(rng, 2), rand_unitary(rng, 2))
+            res = relative_entropy_of_entanglement(
+                DensityOperator(u @ mat @ u.conj().T, (2, 2)))
+            closed = 1.0 - binary_entropy(max(lam))
+            assert res.value - res.gap - 1e-9 <= closed <= res.value + 1e-9
+
+    def test_certificate_brackets_pure_state_entropy(self):
+        rng = np.random.default_rng(12)
+        for p in (0.75, 0.6):
+            u = np.kron(rand_unitary(rng, 2), rand_unitary(rng, 2))
+            psi = PureState(u @ np.sqrt([p, 0.0, 0.0, 1.0 - p]), (2, 2))
+            res = relative_entropy_of_entanglement(psi)
+            closed = binary_entropy(p)
+            assert res.value - res.gap - 1e-9 <= closed <= res.value + 1e-9
 
     def test_rejects_unknown_set_and_large_dims(self):
         with pytest.raises(ValidationError, match="target-set"):
