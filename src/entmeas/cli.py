@@ -9,8 +9,9 @@ significant digits and every run is reproducible: the random seed defaults
 to 0.
 
 Exit codes: 0 on success, 2 on validation failures (the diagnostic names
-the violated invariant), 3 when ``--strict`` is set and a solver result
-is not certified.
+the violated invariant) and on numerical solver failures (``error:
+solver: ...``), 3 when ``--strict`` is set and a solver result is not
+certified.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bounds import bounds_report
 from .closed_form import (
@@ -244,14 +247,20 @@ def _batch_payload(config: RunConfig) -> list:
             result = _measure_payload(entry["state"], entry["measure"], cfg)
             return {"state": entry["state"], "measure": entry["measure"], **result}
         except (ValidationError, UnsupportedCaseError, OSError,
-                json.JSONDecodeError) as exc:
-            out = {"error": str(exc)}
+                json.JSONDecodeError, np.linalg.LinAlgError) as exc:
+            out = {"error": _error_text(exc)}
             if isinstance(entry, dict):
                 out = {"state": entry.get("state"),
                        "measure": entry.get("measure"), **out}
             return out
 
     return [one(entry) for entry in manifest]
+
+
+def _error_text(exc: Exception) -> str:
+    if isinstance(exc, np.linalg.LinAlgError):
+        return f"solver: {exc}"
+    return str(exc)
 
 
 def _dispatch(config: RunConfig):
@@ -343,10 +352,9 @@ def run(config: RunConfig) -> tuple[int, str]:
     except json.JSONDecodeError as exc:
         return 2, (f"error: malformed JSON at line {exc.lineno}, "
                    f"column {exc.colno}: {exc.msg}")
-    except (ValidationError, UnsupportedCaseError) as exc:
-        return 2, f"error: {exc}"
-    except OSError as exc:
-        return 2, f"error: {exc}"
+    except (ValidationError, UnsupportedCaseError, OSError,
+            np.linalg.LinAlgError) as exc:
+        return 2, f"error: {_error_text(exc)}"
     text = _render(payload, config.fmt)
     if config.strict and _has_uncertified(payload):
         return 3, text

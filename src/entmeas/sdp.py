@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for small semidefinite programs.
+"""Primal-dual interior-point solver for small semidefinite programs.
 
 Solves problems in the standard equality form
 
@@ -9,14 +9,26 @@ Solves problems in the standard equality form
 over complex Hermitian blocks, where ``<A, B> = Re tr(A B)``.  The solver
 follows the HKM search direction with a Mehrotra predictor-corrector step
 and is fully deterministic.
+
+Each block's constraints are held as one sparse ``(m, n^2)`` matrix, built
+once per solve.  The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` is
+assembled from it as ``Re(A (S^-T kron X) A^H)``, in O(nnz n^2) rather than
+the O(m^2 n^2) of a dense build (the structure-exploiting build of
+Fujisawa, Kojima & Nakata, Math. Prog. 79 (1997)); it is factored once per
+iteration for both the predictor and the corrector.  Before iterating, a
+Cholesky factor of the Gram matrix ``Re(A A^H)`` tests the rows for full
+rank, which makes the equalities consistent for any right-hand side; only
+rank-deficient rows go on to a least-squares consistency test.  A returned
+``"optimal"`` is rechecked against the problem data by ``_verify``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import ValidationError
 
@@ -24,6 +36,8 @@ MAX_TOTAL_DIM = 400
 _HERM_TOL = 1e-10
 _DIVERGE = 1e9
 _CERT_TOL = 1e-6
+_BEST_TOL = 1e-7
+_RANK_RCOND = 1e-12
 
 
 def _hermitize(matrix, size: int, what: str) -> np.ndarray:
@@ -85,7 +99,7 @@ class SdpProblem:
         self._rhs.append(float(rhs))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SdpSolution:
     """Solver outcome.
 
@@ -117,19 +131,81 @@ class SdpSolution:
     dual_blocks: tuple
 
 
-def _stack_constraints(problem: SdpProblem):
-    dims = problem.block_dims
-    m = problem.num_constraints
-    stacked = [np.zeros((m, n, n), dtype=complex) for n in dims]
-    for i, row in enumerate(problem._rows):
-        for j, mat in row.items():
-            stacked[j][i] = mat
-    return stacked, np.asarray(problem._rhs, dtype=float)
+def _block_rows(problem: SdpProblem, block: int):
+    """Indices of the constraints with a term on ``block``, and those terms."""
+    n = problem.block_dims[block]
+    index = [i for i, row in enumerate(problem._rows) if block in row]
+    stack = np.array([problem._rows[i][block] for i in index], dtype=complex)
+    return np.array(index, dtype=int), stack.reshape(len(index), n, n)
 
 
-def _linear_consistency(stacked, b) -> bool:
+class _BlockOperator:
+    """The constraints of one block as a sparse ``(m, n*n)`` matrix ``A``.
+
+    Row i holds the row-major flattened coefficient of constraint i on the
+    block, so that ``<A_i, Z> = Re (A vec(Z^T))_i``.  Built once per solve,
+    with its conjugate and transpose, which the iterations reuse.
+    """
+
+    def __init__(self, problem: SdpProblem, block: int):
+        n = problem.block_dims[block]
+        m = problem.num_constraints
+        index, stack = _block_rows(problem, block)
+        rows, cols = np.nonzero(stack.reshape(index.size, n * n))
+        vals = stack.reshape(index.size, n * n)[rows, cols]
+        rows = index[rows]
+        self.n = n
+        self.mat = scipy.sparse.csr_matrix(
+            (vals, cols, np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])),
+            shape=(m, n * n))
+        self._conj = self.mat.conj()
+        self._adj = self.mat.T.tocsr()
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """The vector ``Re tr(A_i Z)`` over all rows."""
+        return np.real(self.mat @ z.T.reshape(-1))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """The matrix ``sum_i y_i A_i``."""
+        return (self._adj @ y).reshape(self.n, self.n)
+
+    def schur(self, x: np.ndarray, sinv: np.ndarray) -> np.ndarray:
+        """The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` of this block.
+
+        For Hermitian ``A_k`` it equals ``Re(A (S^-T kron X) A^H)``; the two
+        sparse products cost O(nnz n^2) instead of the O(m^2 n^2) of a
+        dense build.
+        """
+        n = self.n
+        kron = (sinv.T[:, None, :, None] * x[None, :, None, :]).reshape(n * n, n * n)
+        half = self.mat @ kron
+        return np.real(self._conj @ half.T).T
+
+    def gram(self) -> np.ndarray:
+        """The real Gram matrix ``Re(A A^H)`` of the rows."""
+        return np.real((self.mat @ self._adj.conj()).toarray())
+
+
+def _full_row_rank(ops) -> bool:
+    """True when the constraint rows are linearly independent.
+
+    Full row rank makes ``A(X) = b`` consistent for every right-hand side.
+    The test is a Cholesky factor of the Gram matrix ``Re(A A^H)`` with a
+    reciprocal condition estimate well above round-off.
+    """
+    gram = sum(op.gram() for op in ops)
+    try:
+        factor = scipy.linalg.cholesky(gram, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    rcond, info = scipy.linalg.lapack.dpocon(
+        factor, float(np.abs(gram).sum(axis=0).max()), uplo="L")
+    return info == 0 and rcond > _RANK_RCOND
+
+
+def _linear_consistency(ops, b) -> bool:
     """True when the equality system has some Hermitian solution at all."""
-    columns = [a.reshape(a.shape[0], -1) for a in stacked]
+    columns = [op.mat.toarray() for op in ops]
     design = np.hstack([np.concatenate([c.real, c.imag], axis=1) for c in columns])
     if design.size == 0:
         return bool(np.allclose(b, 0.0, atol=1e-9))
@@ -138,6 +214,43 @@ def _linear_consistency(stacked, b) -> bool:
         return float(residual[0]) <= (1e-8 * (1.0 + float(np.linalg.norm(b)))) ** 2
     sol = np.linalg.lstsq(design, b, rcond=None)[0]
     return float(np.linalg.norm(design @ sol - b)) <= 1e-8 * (1.0 + float(np.linalg.norm(b)))
+
+
+def _verify(problem: SdpProblem, sol: SdpSolution,
+            feasibility_tolerance: float = 5e-9,
+            gap_tolerance: float = 1e-9) -> bool:
+    """Recheck a solution against the problem data alone.
+
+    Recomputes from the stored constraint rows, not from the solver's
+    operators, the relative primal and dual residuals, the smallest
+    eigenvalue of every primal and dual block, the relative duality gap and
+    the two reported objectives, and applies the solver's acceptance test.
+    """
+    b = np.asarray(problem._rhs, dtype=float)
+    xs, ss, y = sol.blocks, sol.dual_blocks, sol.y
+    primal = np.zeros(b.size)
+    adjoints = []
+    for j, n in enumerate(problem.block_dims):
+        index, stack = _block_rows(problem, j)
+        primal[index] += np.real(stack.reshape(index.size, -1) @ xs[j].T.reshape(-1))
+        adjoints.append(np.tensordot(y[index], stack, axes=1))
+    cmats = problem._objective
+    norm_b = float(np.linalg.norm(b))
+    norm_c = max(float(np.linalg.norm(c)) for c in cmats)
+    err_p = float(np.linalg.norm(b - primal)) / (1.0 + norm_b)
+    err_d = max(float(np.linalg.norm(c - ay - s))
+                for c, ay, s in zip(cmats, adjoints, ss)) / (1.0 + norm_c)
+    pobj = sum(float(np.real(np.vdot(c, x))) for c, x in zip(cmats, xs))
+    dobj = float(b @ y)
+    scale = 1.0 + abs(pobj) + abs(dobj)
+    rel_gap = sum(float(np.real(np.vdot(x, s))) for x, s in zip(xs, ss)) / scale
+    cone = all(
+        float(w[0]) >= -feasibility_tolerance * max(1.0, float(w[-1]))
+        for w in (np.linalg.eigvalsh(mat) for mat in (*xs, *ss)))
+    return (err_p <= feasibility_tolerance and err_d <= feasibility_tolerance
+            and rel_gap <= gap_tolerance and cone
+            and abs(sol.value - pobj) <= gap_tolerance * scale
+            and abs(sol.dual_value - dobj) <= gap_tolerance * scale)
 
 
 def _chol(mat: np.ndarray) -> np.ndarray:
@@ -152,21 +265,21 @@ def _chol(mat: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("block lost positive definiteness")
 
 
-def _max_step(chol_l: np.ndarray, direction: np.ndarray) -> float:
-    """Largest a with M + a*D >= 0, given the Cholesky factor of M."""
-    half = scipy.linalg.solve_triangular(chol_l, direction, lower=True,
+def _inverse_factor(mat: np.ndarray) -> np.ndarray:
+    """``L^-1`` for the Cholesky factor ``L`` of a positive definite matrix."""
+    chol_l = _chol(mat)
+    return scipy.linalg.solve_triangular(chol_l, np.eye(mat.shape[0]), lower=True,
                                          check_finite=False)
-    w = scipy.linalg.solve_triangular(chol_l, half.conj().T, lower=True,
-                                      check_finite=False).conj().T
+
+
+def _max_step(inv_l: np.ndarray, direction: np.ndarray) -> float:
+    """Largest a with M + a*D >= 0, given ``L^-1`` for the Cholesky factor of M."""
+    w = inv_l @ direction @ inv_l.conj().T
     w = (w + w.conj().T) / 2.0
     lo = float(np.linalg.eigvalsh(w)[0])
     if lo >= -1e-14:
         return 10.0
     return -1.0 / lo
-
-
-def _trace_inner(aflat: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    return np.real(aflat @ mat.T.reshape(-1))
 
 
 def sdp_solve(problem: SdpProblem, max_iterations: int = 100,
@@ -188,22 +301,30 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100,
     -------
     SdpSolution
         ``status == "optimal"`` carries a certified duality gap no larger
-        than 1e-7; ``"infeasible"``, ``"unbounded"``, and
-        ``"max-iterations"`` flag the respective failure modes.
+        than 1e-7 and has passed the recheck of ``_verify``; a solution that
+        fails it is returned as ``"max-iterations"``.  ``"infeasible"``,
+        ``"unbounded"``, and ``"max-iterations"`` flag the respective
+        failure modes.
     """
     dims = problem.block_dims
     nblocks = len(dims)
-    stacked, b = _stack_constraints(problem)
+    b = np.asarray(problem._rhs, dtype=float)
     cmats = [c.copy() for c in problem._objective]
     m = b.size
     if m == 0:
         raise ValidationError("constraint", detail="at least one constraint is required")
-    aflat = [a.reshape(m, -1) for a in stacked]
+    ops = [_BlockOperator(problem, j) for j in range(nblocks)]
 
     def fail(status, iterations):
         return SdpSolution(status, float("nan"), float("nan"), float("inf"),
                            iterations, tuple(x.copy() for x in xs), y.copy(),
                            tuple(s.copy() for s in ss))
+
+    def checked(sol, feas_tol, gap_tol):
+        # "optimal" only stands when the independent recheck agrees
+        if _verify(problem, sol, feas_tol, gap_tol):
+            return sol
+        return dataclasses.replace(sol, status="max-iterations")
 
     norm_b = float(np.linalg.norm(b))
     norm_c = max(float(np.linalg.norm(c)) for c in cmats)
@@ -212,7 +333,9 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100,
     y = np.zeros(m)
     total_n = sum(dims)
 
-    if not _linear_consistency(stacked, b):
+    # independent rows are consistent for any rhs; only a rank-deficient
+    # system needs the least-squares test
+    if not _full_row_rank(ops) and not _linear_consistency(ops, b):
         return fail("infeasible", 0)
 
     # best iterate seen so far, by worst-of-three merit; lets the solver
@@ -221,10 +344,11 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100,
     stall = 0
 
     def finalize(iterations):
-        if best is not None and best["merit"] <= 1e-7:
-            return SdpSolution("optimal", best["pobj"], best["dobj"],
-                               best["gap"], iterations, best["xs"], best["y"],
-                               best["ss"])
+        if best is not None and best["merit"] <= _BEST_TOL:
+            return checked(SdpSolution("optimal", best["pobj"], best["dobj"],
+                                       best["gap"], iterations, best["xs"],
+                                       best["y"], best["ss"]),
+                           _BEST_TOL, _BEST_TOL)
         pobj = sum(float(np.real(np.vdot(x, c))) for c, x in zip(cmats, xs))
         dobj = float(b @ y)
         gap = max(abs(pobj - dobj),
@@ -237,8 +361,8 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100,
     for it in range(1, max_iterations + 1):
         pobj = sum(float(np.real(np.vdot(x, c))) for c, x in zip(cmats, xs))
         dobj = float(b @ y)
-        adj_y = [np.einsum("i,ikl->kl", y, a) for a in stacked]
-        rp = b - np.sum([_trace_inner(af, x) for af, x in zip(aflat, xs)], axis=0)
+        adj_y = [op.adjoint(y) for op in ops]
+        rp = b - sum(op.apply(x) for op, x in zip(ops, xs))
         rds = [c - ay - s for c, ay, s in zip(cmats, adj_y, ss)]
         gap_abs = sum(float(np.real(np.vdot(x, s))) for x, s in zip(xs, ss))
         err_p = float(np.linalg.norm(rp)) / (1.0 + norm_b)
@@ -258,8 +382,9 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100,
         if err_p <= feasibility_tolerance and err_d <= feasibility_tolerance \
                 and rel_gap <= gap_tolerance:
             gap = max(gap_abs, abs(pobj - dobj))
-            return SdpSolution("optimal", pobj, dobj, gap, it - 1,
-                               tuple(xs), y.copy(), tuple(ss))
+            return checked(SdpSolution("optimal", pobj, dobj, gap, it - 1,
+                                       tuple(xs), y.copy(), tuple(ss)),
+                           feasibility_tolerance, gap_tolerance)
         # ten iterations without merit progress means the iterates are
         # wandering at the numerical floor of this instance
         if stall >= 10:
@@ -277,68 +402,53 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100,
 
         mu = gap_abs / total_n
         try:
-            chol_x = [_chol(x) for x in xs]
-            chol_s = [_chol(s) for s in ss]
+            inv_x = [_inverse_factor(x) for x in xs]
+            inv_s = [_inverse_factor(s) for s in ss]
         except np.linalg.LinAlgError:
             return finalize(it - 1)
-        sinvs = [scipy.linalg.cho_solve((ls, True), np.eye(n), check_finite=False)
-                 for ls, n in zip(chol_s, dims)]
+        sinvs = [l.conj().T @ l for l in inv_s]
         sinvs = [(si + si.conj().T) / 2.0 for si in sinvs]
 
-        # Schur complement M_ik = Re tr(A_i X A_k S^-1), built blockwise
-        schur = np.zeros((m, m))
-        g1 = np.zeros(m)
-        g2 = np.zeros(m)
-        t3 = np.zeros(m)
-        xasinv = []
-        for j in range(nblocks):
-            t = xs[j] @ stacked[j] @ sinvs[j]
-            xasinv.append(t)
-            schur += np.real(aflat[j] @ t.transpose(0, 2, 1).reshape(m, -1).T)
-            g1 += _trace_inner(aflat[j], sinvs[j])
-            g2 += _trace_inner(aflat[j], xs[j])
-            t3 += _trace_inner(aflat[j], xs[j] @ rds[j] @ sinvs[j])
+        schur = sum(op.schur(x, si) for op, x, si in zip(ops, xs, sinvs))
         schur = (schur + schur.T) / 2.0
+        # one factorization serves the predictor and the corrector
+        try:
+            factor = scipy.linalg.cho_factor(
+                schur + 1e-13 * np.eye(m) * max(1.0, schur.diagonal().max()),
+                check_finite=False)
+        except np.linalg.LinAlgError:
+            factor = None
+        base = [x + x @ rd @ si for x, rd, si in zip(xs, rds, sinvs)]
 
-        def solve_schur(rhs):
-            try:
-                factor = scipy.linalg.cho_factor(
-                    schur + 1e-13 * np.eye(m) * max(1.0, schur.diagonal().max()),
-                    check_finite=False)
-                return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-            except np.linalg.LinAlgError:
-                return np.linalg.lstsq(schur, rhs, rcond=None)[0]
+        def directions(sigma_mu, corr_mats):
+            # A(dX) = rp for dX = sigma_mu S^-1 - X - X dS S^-1 - corr and
+            # dS = rd - A^T(dy) is M dy = rp + A(X + X rd S^-1 - sigma_mu S^-1 + corr)
+            rhs = rp + sum(op.apply(bm - sigma_mu * si + cm)
+                           for op, bm, si, cm in zip(ops, base, sinvs, corr_mats))
+            if factor is None:
+                dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+            else:
+                dy = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            dss = [rd - op.adjoint(dy) for rd, op in zip(rds, ops)]
+            dxs = [sigma_mu * si - x - x @ ds @ si - cm
+                   for x, ds, si, cm in zip(xs, dss, sinvs, corr_mats)]
+            return dy, [(dx + dx.conj().T) / 2.0 for dx in dxs], dss
 
-        def directions(sigma_mu, corr):
-            rhs = rp - sigma_mu * g1 + g2 + t3
-            if corr is not None:
-                rhs = rhs + corr
-            dy = solve_schur(rhs)
-            dss = [rd - np.einsum("i,ikl->kl", dy, a) for rd, a in zip(rds, stacked)]
-            dxs = []
-            for j in range(nblocks):
-                dx = sigma_mu * sinvs[j] - xs[j] - xs[j] @ dss[j] @ sinvs[j]
-                if corr is not None:
-                    dx = dx - corr_mats[j]
-                dxs.append((dx + dx.conj().T) / 2.0)
-            return dy, dxs, dss
+        def step_lengths(dxs, dss):
+            ap = min(1.0, tau * min(_max_step(l, dx) for l, dx in zip(inv_x, dxs)))
+            ad = min(1.0, tau * min(_max_step(l, ds) for l, ds in zip(inv_s, dss)))
+            return ap, ad
 
-        dy_a, dxs_a, dss_a = directions(0.0, None)
-        ap = min(1.0, tau * min(_max_step(chol_x[j], dxs_a[j]) for j in range(nblocks)))
-        ad = min(1.0, tau * min(_max_step(chol_s[j], dss_a[j]) for j in range(nblocks)))
+        dy_a, dxs_a, dss_a = directions(0.0, [0.0] * nblocks)
+        ap, ad = step_lengths(dxs_a, dss_a)
         gap_aff = sum(
             float(np.real(np.vdot(xs[j] + ap * dxs_a[j], ss[j] + ad * dss_a[j])))
             for j in range(nblocks))
         sigma = min(1.0, max(0.0, (gap_aff / gap_abs)) ** 3) if gap_abs > 0 else 0.1
 
         corr_mats = [dxs_a[j] @ dss_a[j] @ sinvs[j] for j in range(nblocks)]
-        corr = np.zeros(m)
-        for j in range(nblocks):
-            corr += _trace_inner(aflat[j], corr_mats[j])
-        dy, dxs, dss = directions(sigma * mu, corr)
-
-        ap = min(1.0, tau * min(_max_step(chol_x[j], dxs[j]) for j in range(nblocks)))
-        ad = min(1.0, tau * min(_max_step(chol_s[j], dss[j]) for j in range(nblocks)))
+        dy, dxs, dss = directions(sigma * mu, corr_mats)
+        ap, ad = step_lengths(dxs, dss)
         for j in range(nblocks):
             xs[j] = xs[j] + ap * dxs[j]
             ss[j] = ss[j] + ad * dss[j]

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,11 +289,53 @@ class TestBatchCommand:
         assert "error" in out[0]
         assert out[1]["value"] == 1.0
 
-    def test_thread_cap_env(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("ENTMEAS_THREADS", "1")
-        code, out = run_json(["batch", "--manifest", files["manifest"]], capsys)
+
+
+class TestDeterminism:
+    def test_repeated_measure_runs_are_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        rho = g @ g.conj().T
+        path = tmp_path / "rho3x3.json"
+        save_state(DensityOperator(rho / np.trace(rho), (3, 3)), path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        cmd = [sys.executable, "-m", "entmeas.cli", "measure", "--state", str(path),
+               "--measure", "robustness", "--format", "json"]
+        first, second = (subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+                         for _ in range(2))
+        assert first.returncode == 0, first.stderr
+        assert json.loads(first.stdout)["value"] > 0.0
+        assert first.stdout == second.stdout
+
+
+class TestSolverErrorBoundary:
+    @pytest.fixture
+    def failing_solver(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("block lost positive definiteness")
+        monkeypatch.setattr("entmeas.variational.sdp_solve", fail)
+
+    def test_measure_exits_2(self, files, capsys, failing_solver):
+        code = main(["measure", "--state", files["bell"], "--measure", "robustness"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith("error: solver: block lost positive definiteness")
+
+    def test_batch_isolates_the_failing_entry(self, files, tmp_path, capsys,
+                                              failing_solver):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"state": files["bell"], "measure": "robustness"},
+            {"state": files["bell"], "measure": "logneg"},
+        ]))
+        code, out = run_json(["batch", "--manifest", str(manifest)], capsys)
         assert code == 0
-        assert len(out) == 3
+        assert out[0]["error"].startswith("solver: ")
+        assert out[0]["measure"] == "robustness"
+        assert out[1]["value"] == pytest.approx(1.0)
 
 
 class TestNonFiniteInput:

@@ -1,10 +1,19 @@
 """Interior-point SDP solver: known optima, oracle cross-checks, statuses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from entmeas import ValidationError
-from entmeas.sdp import SdpProblem, sdp_solve
+from entmeas import ValidationError, sdp
+from entmeas.sdp import (
+    SdpProblem,
+    _BlockOperator,
+    _full_row_rank,
+    _verify,
+    sdp_solve,
+)
+from entmeas.variational import _add_operator_equation
 from conftest import rand_unitary
 
 
@@ -194,3 +203,108 @@ class TestOracleCrossCheck:
             ref = cvxpy.Problem(objective, cons)
             ref.solve(solver=cvxpy.SCS, eps=1e-9)
             assert abs(mine.value - ref.value) < 1e-5
+
+
+def positive(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g @ g.conj().T + 0.1 * np.eye(n)
+
+
+def dense_schur(problem, block, x, sinv):
+    """Reference ``Re tr(A_i X A_k S^-1)`` from a dense stack of the rows."""
+    n = problem.block_dims[block]
+    stack = np.array([row.get(block, np.zeros((n, n))) for row in problem._rows])
+    return np.einsum("iab,bc,kcd,da->ik", stack, x, stack, sinv).real
+
+
+def ppt_problem(dims):
+    n = dims[0] * dims[1]
+    prob = SdpProblem((n, n))
+    _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
+    prob.add_equality({0: np.eye(n)}, 1.0)
+    return prob
+
+
+class TestSparseSchur:
+    def test_matches_dense_build_on_random_constraints(self, rng):
+        n = 4
+        prob = SdpProblem([n, n])
+        for _ in range(9):
+            prob.add_equality({0: herm(rng, n), 1: herm(rng, n)}, 0.0)
+        prob.add_equality({1: herm(rng, n)}, 0.0)
+        for block in (0, 1):
+            x, sinv = positive(rng, n), positive(rng, n)
+            got = _BlockOperator(prob, block).schur(x, sinv)
+            ref = dense_schur(prob, block, x, sinv)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_matches_dense_build_on_operator_equations(self, rng, dims):
+        prob = ppt_problem(dims)
+        n = dims[0] * dims[1]
+        for block in (0, 1):
+            x, sinv = positive(rng, n), positive(rng, n)
+            got = _BlockOperator(prob, block).schur(x, sinv)
+            ref = dense_schur(prob, block, x, sinv)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestRankPreflight:
+    def test_duplicated_consistent_equality_is_solved(self, rng):
+        c = herm(rng, 3)
+        prob = SdpProblem([3])
+        prob.set_objective(0, c)
+        prob.add_equality({0: np.eye(3)}, 1.0)
+        prob.add_equality({0: np.eye(3)}, 1.0)
+        # the repeated row fails the rank test, so the least-squares
+        # consistency test decides
+        assert not _full_row_rank([_BlockOperator(prob, 0)])
+        sol = sdp_solve(prob)
+        assert sol.status == "optimal"
+        assert abs(sol.value - np.linalg.eigvalsh(c)[0]) < 1e-7
+
+    def test_independent_rows_pass_the_rank_test(self):
+        prob = ppt_problem((2, 3))
+        assert _full_row_rank([_BlockOperator(prob, j) for j in (0, 1)])
+
+
+class TestVerify:
+    @pytest.fixture
+    def solved(self, rng):
+        prob = SdpProblem([3, 3])
+        prob.set_objective(0, herm(rng, 3))
+        prob.set_objective(1, herm(rng, 3))
+        prob.add_equality({0: np.eye(3)}, 1.0)
+        prob.add_equality({1: np.eye(3)}, 2.0)
+        prob.add_equality({0: herm(rng, 3), 1: herm(rng, 3)}, 0.1)
+        sol = sdp_solve(prob)
+        assert sol.status == "optimal"
+        return prob, sol
+
+    def test_accepts_the_solver_solution(self, solved):
+        assert _verify(*solved)
+
+    def test_refuses_a_block_with_a_negative_eigenvalue(self, solved):
+        prob, sol = solved
+        w, v = np.linalg.eigh(sol.blocks[1])
+        w[0] = -1e-3
+        bad = (sol.blocks[0], (v * w) @ v.conj().T)
+        assert not _verify(prob, dataclasses.replace(sol, blocks=bad))
+
+    def test_refuses_a_negative_dual_slack(self, solved):
+        prob, sol = solved
+        bad = (sol.dual_blocks[0] - 1e-3 * np.eye(3), sol.dual_blocks[1])
+        assert not _verify(prob, dataclasses.replace(sol, dual_blocks=bad))
+
+    def test_refuses_a_perturbed_multiplier(self, solved):
+        prob, sol = solved
+        y = sol.y.copy()
+        y[2] += 1e-4
+        assert not _verify(prob, dataclasses.replace(sol, y=y))
+
+    def test_solver_withholds_optimal_when_the_recheck_fails(self, monkeypatch):
+        prob = SdpProblem([2])
+        prob.set_objective(0, np.diag([1.0, 2.0]))
+        prob.add_equality({0: np.eye(2)}, 1.0)
+        monkeypatch.setattr(sdp, "_verify", lambda *args: False)
+        assert sdp_solve(prob).status == "max-iterations"
