@@ -240,13 +240,12 @@ def bounds_report(rho, config: SolverConfig | None = None,
                         else "exact; no violation found")
     upper = {"log_negativity": log_negativity(rho)}
     notes["log_negativity"] = "exact"
-    ree = None
     if "ree" not in skip:
         ree = relative_entropy_of_entanglement(rho, config=config)
         upper["ree"] = ree.value
         notes["ree"] = ree.status
     if "rains" not in skip:
-        rains = rains_bound(rho, config=config, ree=ree)
+        rains = rains_bound(rho, config=config)
         upper["rains"] = rains.value
         notes["rains"] = rains.status
     if ppt:

@@ -253,6 +253,21 @@ def _verify(problem: SdpProblem, sol: SdpSolution,
             and abs(sol.dual_value - dobj) <= gap_tolerance * scale)
 
 
+def dual_bound(problem: SdpProblem, y: np.ndarray) -> float:
+    """Lower bound ``b.y + sum_j min(0, lambda_min(C_j - sum_i y_i A_ij))``.
+
+    Rigorous for any dual vector ``y``, however early the solver stopped,
+    when every feasible block has trace at most 1; the slacks are
+    recomputed from the stored constraint rows.
+    """
+    bound = float(np.dot(problem._rhs, y))
+    for j, objective in enumerate(problem._objective):
+        index, stack = _block_rows(problem, j)
+        slack = objective - np.tensordot(y[index], stack, axes=1)
+        bound += min(0.0, float(np.linalg.eigvalsh((slack + slack.conj().T) / 2.0)[0]))
+    return bound
+
+
 def _chol(mat: np.ndarray) -> np.ndarray:
     jitter = 0.0
     eye = np.eye(mat.shape[0])

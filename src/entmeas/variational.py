@@ -1,11 +1,12 @@
 """Entanglement measures defined through optimization.
 
 This module hosts the measures that have no closed form on general inputs:
-the relative entropy of entanglement (Frank-Wolfe over the PPT spectrahedron),
-the robustness and base-norm family (semidefinite programs), the best
-separable approximation, a numerical convex-roof entanglement of formation,
-the geometric measure, the Rains bound, partial-transpose witness extraction,
-and squashed-entanglement evaluation on supplied extensions.
+the relative entropy of entanglement and the Rains bound (one barrier
+method, each certified by an SDP), the robustness and base-norm family
+(semidefinite programs), the best separable approximation, a numerical
+convex-roof entanglement of formation, the geometric measure,
+partial-transpose witness extraction, and squashed-entanglement evaluation
+on supplied extensions.
 
 Separable-set constraints are realized over PPT operators throughout.  For
 dimensions (2, 2) and (2, 3) the two sets coincide, so the results are exact;
@@ -21,18 +22,16 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .closed_form import binary_entropy
 from .errors import ValidationError
-from .sdp import SdpProblem, SdpSolution, sdp_solve
+from .sdp import SdpProblem, SdpSolution, dual_bound, sdp_solve
 from .states import (
     DensityOperator,
     MeasureResult,
     PureState,
     conditional_mutual_information,
     partial_trace,
-    relative_entropy,
 )
 
 __all__ = [
@@ -57,7 +56,6 @@ CONE_KINDS = ("PPT-operators", "separable-outer", "all-PSD", "negated-PSD")
 
 # dimensions at which the PPT set equals the separable set
 _EXACT_PPT_DIMS = {(2, 2), (2, 3)}
-_LOG_FLOOR = 1e-9
 _PPT_TOL = 1e-12
 _LN2 = math.log(2.0)
 
@@ -110,11 +108,11 @@ class SolverConfig:
     Attributes
     ----------
     max_iterations : int
-        Outer iteration cap.
+        Outer iteration cap; Newton steps for the REE and the Rains bound.
     gap_tolerance : float
         Certified-gap target for solvers that produce certificates.
     restarts : int
-        Number of random restarts for multi-start searches.
+        Number of random restarts for multi-start searches; REE and Rains ignore it.
     seed : int
         Seed for all randomized initializations.
     """
@@ -134,7 +132,6 @@ class SolverConfig:
 
 
 _DEFAULT_CONFIG = SolverConfig()
-_RAINS_CONFIG = SolverConfig(restarts=20)
 
 
 def _as_density(state, context: str) -> DensityOperator:
@@ -262,67 +259,191 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int],
     _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
     prob.add_equality({0: np.eye(n)}, 1.0)
     sol = sdp_solve(prob, max_iterations=max_iterations)
-
-    basis, basis_pt = _basis_with_pt(dims)
-    y = sol.y
-    s1 = g - np.einsum("i,ikl->kl", y[:-1], basis_pt) - y[-1] * np.eye(n)
-    s2 = np.einsum("i,ikl->kl", y[:-1], basis)
-    slack = min(0.0, float(np.linalg.eigvalsh(_hermitize(s1))[0]))
-    slack += min(0.0, float(np.linalg.eigvalsh(_hermitize(s2))[0]))
-    bound = float(y[-1]) + slack
-    return bound, _clean_state(sol.blocks[0])
+    return dual_bound(prob, sol.y), _clean_state(sol.blocks[0])
 
 
-def _log_frac_kernel(eigs: np.ndarray) -> np.ndarray:
-    """Divided-difference table of the natural logarithm."""
-    diff = eigs[:, None] - eigs[None, :]
-    logs = np.log(eigs)
+def _minimize_over_rains_set(objective: np.ndarray, dims: tuple[int, int]) -> float:
+    """Rigorous lower bound on ``min tr(G sigma)`` over ``||sigma^Gamma||_1 <= 1``.
+
+    Blocks sigma, P, N and a slack s, with ``sigma^Gamma = P - N`` and
+    ``tr P + tr N + s = 1``; each has trace at most 1.
+    """
+    n = dims[0] * dims[1]
+    eye = np.eye(n)
+    prob = SdpProblem((n, n, n, 1))
+    prob.set_objective(0, objective)
+    _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False), 2: (1.0, False)},
+                           None, dims)
+    prob.add_equality({1: eye, 2: eye, 3: np.ones((1, 1))}, 1.0)
+    return dual_bound(prob, sdp_solve(prob).y)
+
+
+# Barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11): growing t
+# by 8 took 59-69 Newton steps on 2x2 states, by 32 31-42, by 64 hit the cap.
+_T_GROWTH = 32.0
+_CENTERED = 1e-9  # Newton decrement lambda^2 / 2 that ends a centering,
+_RESOLVED = 1e-12  # or this share of t f + barrier, below which the line
+# search sees only rounding: without it a 4x4 state ran to the step cap
+
+
+def _log_differences(w: np.ndarray) -> np.ndarray:
+    """First divided differences ``log[w_i, w_k]`` of the natural logarithm."""
+    x, y = w[:, None], w[None, :]
+    diff = x - y
     with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = (logs[:, None] - logs[None, :]) / diff
-    same = np.abs(diff) < 1e-14 * np.maximum(eigs[:, None], eigs[None, :])
-    inv = 1.0 / eigs
-    kernel[same] = ((inv[:, None] + inv[None, :]) / 2.0)[same]
-    return kernel
+        ratio = np.where(np.abs(diff) < 0.5 * y, np.log1p(diff / y),
+                         np.log(x) - np.log(y)) / diff
+    return np.where(diff == 0.0, 2.0 / (x + y), ratio)
 
 
-def _ree_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Gradient in bits of sigma -> S(rho || sigma + floor I)."""
-    n = sigma.shape[0]
-    w, v = np.linalg.eigh(_hermitize(sigma) + _LOG_FLOOR * np.eye(n))
-    w = np.clip(w, _LOG_FLOOR / 2.0, None)
+def _log_second_differences(w: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """Second divided differences ``log[w_i, w_k, w_j]``, indexed ``[i, k, j]``.
+
+    Arguments within 1e-8 relative take the limits ``(f[x, y] - f[x, x]) /
+    (y - x)`` and ``f''(x) / 2``, as at the fully degenerate start ``I/n``.
+    """
+    wi, wk, wj = w[:, None, None], w[None, :, None], w[None, None, :]
+    near = 1e-8 * np.maximum(np.maximum(wi, wk), wj)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        apart = (d1[:, :, None] - d1[None, :, :]) / (wi - wj)
+        paired = (d1[:, :, None] - 1.0 / wi) / (wk - wi)
+    return np.where(np.abs(wi - wj) <= near,
+                    np.where(np.abs(wi - wk) <= near, -0.5 / wi ** 2, paired), apart)
+
+
+def _evaluate(rho: np.ndarray, terms, x: np.ndarray):
+    """The terms' eigendecompositions at ``x``, ``f = -tr(rho log M_0)`` and
+    the barrier ``-sum_j log det M_j``; None off the interior."""
+    eigs = [np.linalg.eigh(offset + (x @ flat).reshape(offset.shape))
+            for offset, flat in terms]
+    if not all(w[0] > 0.0 for w, _ in eigs):
+        return None
+    w, v = eigs[0]
+    weights = np.real(np.sum(v.conj() * (rho @ v), axis=0))
+    barrier = -sum(float(np.sum(np.log(wj))) for wj, _ in eigs)
+    return eigs, -float(weights @ np.log(w)), barrier
+
+
+def _newton_system(rho: np.ndarray, terms, eigs, t: float):
+    """Gradient and Hessian of ``t f + barrier``, and each term's stack
+    rotated into its eigenbasis (``V^H B_a V``).
+
+    The barrier Hessian is the Gram matrix of ``M^-1/2 B_a M^-1/2``; that of
+    f is ``-(T + T^T)``, ``T_ab = sum_ikj F_ikj rho_ji B_a,ik B_b,kj``, with
+    F the second divided differences of log (Daleckii-Krein).
+    """
+    grad, hess, rotated = 0.0, 0.0, []
+    for j, ((_, flat), (w, v)) in enumerate(zip(terms, eigs)):
+        m = w.size
+        rot = flat @ np.kron(v.conj(), v)
+        rotated.append(rot)
+        inv = 1.0 / w
+        scaled = rot * np.sqrt(np.outer(inv, inv)).ravel()
+        grad = grad - rot[:, ::m + 1].real @ inv
+        hess = hess + (scaled @ scaled.conj().T).real
+        if j == 0:
+            d1 = _log_differences(w)
+            rho_t = v.conj().T @ rho @ v
+            kernel = np.zeros((m, m, m, m), dtype=complex)
+            kernel[:, range(m), range(m), :] = (
+                _log_second_differences(w, d1) * rho_t.T[:, None, :])
+            tmat = rot @ kernel.reshape(m * m, m * m) @ rot.T
+            grad = grad - t * (rot @ (d1 * rho_t.T).ravel()).real
+            hess = hess - t * (tmat + tmat.T).real
+    return grad, hess, rotated
+
+
+def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], terms, x: np.ndarray,
+                    nu: float, cfg: SolverConfig, linear_minimum, equality=None):
+    """Minimize ``S(rho || M_0(x))`` by a barrier method, then certify it.
+
+    The terms ``(offset, flat)`` give the matrices
+    ``M_j(x) = offset + (x @ flat).reshape(m, m)`` with barrier
+    ``-log det M_j`` (parameter ``nu`` in all); ``equality @ x`` stays fixed.
+    Damped Newton steps center ``t f + barrier``, ``f = -tr(rho log M_0)``;
+    t grows from 1 until ``nu / (t ln 2)`` is half the gap tolerance, unless
+    the steps reach ``cfg.max_iterations`` first.  With
+    ``L = linear_minimum(G)`` below ``min tr(G sigma)`` on the feasible set,
+    ``S + L - <G, sigma>`` at the gradient G of f bounds the minimum below.
+
+    Returns sigma and a MeasureResult whose payload holds the certified
+    ``"lower_bound"`` and S at the point kept after each centering
+    (``"objective_trace"``).  A PPT input, feasible for every caller, is its
+    own minimizer with S = 0.
+    """
+    if float(np.linalg.eigvalsh(_pt(rho, dims))[0]) >= -_PPT_TOL:
+        return rho.copy(), MeasureResult(0.0, "converged", witness_payload={
+            "lower_bound": 0.0, "objective_trace": [0.0]})
+    eigs, f, barrier = _evaluate(rho, terms, x)
+    # half the tolerance: the bound needs exact centering, and the SDP has its error
+    t, t_end = 1.0, 2.0 * nu / (_LN2 * cfg.gap_tolerance)
+    steps, best, trace = 0, (math.inf, x), []
+    while True:
+        while steps < cfg.max_iterations:
+            grad, hess, rotated = _newton_system(rho, terms, eigs, t)
+            try:
+                factor = scipy.linalg.cho_factor(hess)
+            except np.linalg.LinAlgError:
+                break
+            dx = -scipy.linalg.cho_solve(factor, grad)
+            if equality is not None:
+                toward = scipy.linalg.cho_solve(factor, equality)
+                dx -= toward * (equality @ dx) / (equality @ toward)
+            decrement = -float(grad @ dx)
+            merit = t * f + barrier
+            if decrement / 2.0 <= max(_CENTERED, _RESOLVED * abs(merit)):
+                break
+            steps += 1
+            # cap the step at 0.99 of the way to the boundary, then backtrack (Armijo)
+            step = 1.0
+            for rot, (w, _) in zip(rotated, eigs):
+                root = 1.0 / np.sqrt(w)
+                low = float(np.linalg.eigvalsh(
+                    (dx @ rot).reshape(w.size, w.size) * np.outer(root, root))[0])
+                step = min(step, -0.99 / low) if low < 0.0 else step
+            while step >= 1e-10:
+                trial = _evaluate(rho, terms, x + step * dx)
+                if trial and t * trial[1] + trial[2] <= merit - 0.25 * step * decrement:
+                    break
+                step /= 2.0
+            else:
+                break  # no decrease left at this t
+            x = x + step * dx
+            eigs, f, barrier = trial
+        if f <= best[0]:
+            best = (f, x)
+        trace.append(best[0])
+        if t >= t_end or steps >= cfg.max_iterations:
+            break
+        t = min(t * _T_GROWTH, t_end)
+
+    [(w, v)], f, _ = _evaluate(rho, terms[:1], best[1])
+    sigma = (v * w) @ v.conj().T
     rho_t = v.conj().T @ rho @ v
-    grad = -(v @ (rho_t * _log_frac_kernel(w)) @ v.conj().T) / _LN2
-    return _hermitize(grad)
-
-
-def _ree_objective(rho: np.ndarray, sigma: np.ndarray,
-                   rho_logrho: float, regularize: bool) -> float:
-    n = sigma.shape[0]
-    mat = _hermitize(sigma)
-    if regularize:
-        mat = mat + _LOG_FLOOR * np.eye(n)
-    w, v = np.linalg.eigh(mat)
-    if not regularize and float(w[0]) < 1e-15:
-        keep = w > 1e-15
-        overlap = float(np.real(np.trace(rho))) - float(
-            np.real(np.einsum("ij,jk,ki->", rho, v[:, keep], v[:, keep].conj().T)))
-        if overlap > 1e-12:
-            return math.inf
-        w = np.clip(w, 1e-15, None)
-    cross = float(np.real(np.einsum("ij,jk,k,ik->", rho, v, np.log2(w), v.conj())))
-    return rho_logrho - cross
+    grad = _hermitize(-(v @ (_log_differences(w) * rho_t) @ v.conj().T))
+    spectrum = np.linalg.eigvalsh(rho)
+    spectrum = spectrum[spectrum > 1e-15]
+    entropy = float(np.sum(spectrum * np.log(spectrum)))
+    value = max(0.0, (entropy + f) / _LN2)
+    lower = (entropy + f + linear_minimum(grad)
+             - float(np.real(np.vdot(sigma, grad)))) / _LN2
+    gap = max(0.0, value - lower)
+    return sigma, MeasureResult(
+        value, "converged" if gap <= cfg.gap_tolerance else "best_effort", gap=gap,
+        iterations=steps, witness_payload={
+            "lower_bound": lower,
+            "objective_trace": [(entropy + kept) / _LN2 for kept in trace]})
 
 
 def relative_entropy_of_entanglement(state, target_set: str = "PPT",
                                      config: SolverConfig | None = None) -> MeasureResult:
     """Relative entropy distance from the PPT-state spectrahedron, in bits.
 
-    Runs fully-corrective Frank-Wolfe on ``sigma -> S(rho || sigma)`` over
-    PPT states: each step adds the oracle's vertex to the collected atoms
-    and reoptimizes the weights of all of them (SLSQP on the simplex),
-    keeping the new point only when the objective does not rise.  The
-    returned gap is a rigorous certificate: the value exceeds the true
-    PPT-set minimum by at most ``gap``.
+    Minimizes ``S(rho || sigma)`` over PPT states by a path-following
+    barrier method on ``-log det sigma - log det sigma^Gamma`` with
+    ``tr sigma = 1``, then one linear minimization over PPT states (an SDP)
+    at the gradient certifies it: the value exceeds the true PPT-set minimum
+    by at most ``gap``.
 
     Parameters
     ----------
@@ -333,13 +454,16 @@ def relative_entropy_of_entanglement(state, target_set: str = "PPT",
         The payload records whether this is exact for the separable set
         (dimensions (2, 2) and (2, 3)) or a lower bound.
     config : SolverConfig, optional
+        ``max_iterations`` caps the Newton steps; ``restarts`` and ``seed``
+        are not used.
 
     Returns
     -------
     MeasureResult
         ``status == "converged"`` when the certified gap reached the
-        configured tolerance, otherwise ``"best_effort"`` with the last gap.
-        ``witness_payload["closest_state"]`` holds the best PPT state found.
+        configured tolerance, otherwise ``"best_effort"``; ``iterations``
+        counts Newton steps.  ``witness_payload["closest_state"]`` holds the
+        best PPT state found (a PPT input is its own, with value 0).
     """
     if target_set not in ("PPT", "separable-outer"):
         raise ValidationError(
@@ -347,92 +471,18 @@ def relative_entropy_of_entanglement(state, target_set: str = "PPT",
     rho, dims = _bipartite(state, "relative_entropy_of_entanglement", REE_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
     n = rho.shape[0]
-
-    eigs = np.linalg.eigvalsh(rho)
-    eigs = eigs[eigs > 1e-15]
-    rho_logrho = float(np.sum(eigs * np.log2(eigs)))
-
-    def f_reg(sigma):
-        return _ree_objective(rho, sigma, rho_logrho, regularize=True)
-
-    def f_exact(sigma):
-        return _ree_objective(rho, sigma, rho_logrho, regularize=False)
-
-    sigma = np.eye(n, dtype=complex) / n
-    if float(np.linalg.eigvalsh(_pt(rho, dims))[0]) >= -_PPT_TOL:
-        sigma = rho.copy()
-    atoms = sigma[None]
-    weights = np.array([1.0])
-
-    best_value = max(0.0, f_exact(sigma))
-    best_sigma = sigma.copy()
-    lower = -math.inf
-    trace_vals: list[float] = []
-    iterations = 0
-
-    for it in range(1, cfg.max_iterations + 1):
-        iterations = it
-        current = f_reg(sigma)
-        trace_vals.append(current)
-        exact_here = f_exact(sigma)
-        if exact_here < best_value:
-            best_value = max(0.0, exact_here)
-            best_sigma = sigma.copy()
-
-        grad = _ree_gradient(rho, sigma)
-        linear_bound, vertex = minimize_over_ppt_states(grad, dims)
-        # convexity: f* >= f(sigma) + <grad, v* - sigma> >= f(sigma) + L - <grad, sigma>
-        lower = max(lower, current + linear_bound
-                    - float(np.real(np.vdot(sigma, grad))))
-        gap = max(0.0, best_value - lower)
-        if gap <= cfg.gap_tolerance:
-            break
-
-        # fully-corrective step: reweight every atom, the new vertex included,
-        # starting from the current weights
-        atoms = np.concatenate([atoms, vertex[None]])
-        weights = np.append(weights, 0.0)
-
-        def fun(w):
-            return f_reg(np.tensordot(w, atoms, axes=1))
-
-        def jac(w):
-            g = _ree_gradient(rho, np.tensordot(w, atoms, axes=1))
-            # SLSQP misreads a strided view, so hand it a contiguous copy
-            return np.einsum("aij,ij->a", atoms.conj(), g).real.copy()
-
-        res = scipy.optimize.minimize(
-            fun, weights, jac=jac, method="SLSQP",
-            bounds=[(0.0, 1.0)] * len(weights),
-            constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
-                          "jac": lambda w: np.ones_like(w)}],
-            options={"maxiter": 60, "ftol": 1e-14})
-        candidate = np.clip(res.x, 0.0, None)
-        candidate = candidate / candidate.sum()
-        trial = np.tensordot(candidate, atoms, axes=1)
-        if f_reg(trial) <= current:
-            weights, sigma = candidate, trial
-        keep = weights > 1e-12
-        atoms = atoms[keep]
-        weights = weights[keep] / weights[keep].sum()
-
-    exact_final = f_exact(sigma)
-    if exact_final < best_value:
-        best_value = max(0.0, exact_final)
-        best_sigma = sigma.copy()
-    gap = max(0.0, best_value - lower)
-    status = "converged" if gap <= cfg.gap_tolerance else "best_effort"
-
-    payload = {
-        "closest_state": best_sigma,
-        "lower_bound": lower,
-        "objective_trace": trace_vals,
-        "separable_set": "exact" if tuple(sorted(dims)) in _EXACT_PPT_DIMS
-        else "ppt-lower-bound",
-        "target_set": target_set,
-    }
-    return MeasureResult(best_value, status, gap=gap, iterations=iterations,
-                         witness_payload=payload)
+    basis, basis_pt = _basis_with_pt(dims)
+    flat, flat_pt = basis.reshape(n * n, n * n), basis_pt.reshape(n * n, n * n)
+    zero = np.zeros((n, n), dtype=complex)
+    trace_row = np.real(np.einsum("aii->a", basis))
+    sigma, result = _barrier_newton(
+        rho, dims, [(zero, flat), (zero, flat_pt)], trace_row / n, 2 * n, cfg,
+        lambda grad: minimize_over_ppt_states(grad, dims)[0], equality=trace_row)
+    result.witness_payload.update(
+        closest_state=sigma, target_set=target_set,
+        separable_set="exact" if tuple(sorted(dims)) in _EXACT_PPT_DIMS
+        else "ppt-lower-bound")
+    return result
 
 
 def werner_regularized_ree(d: int, p: float) -> float:
@@ -893,100 +943,49 @@ def geometric_measure(psi: PureState,
                          iterations=sweeps_total, witness_payload=payload)
 
 
-def _rains_objective(rho: np.ndarray, sigma: np.ndarray,
-                     dims: tuple[int, int], rho_logrho: float) -> float:
-    n = sigma.shape[0]
-    w, v = np.linalg.eigh(_hermitize(sigma) + 1e-12 * np.eye(n))
-    w = np.clip(w, 1e-15, None)
-    cross = float(np.real(np.einsum("ij,jk,k,ik->", rho, v, np.log2(w), v.conj())))
-    log_neg = math.log2(float(np.abs(
-        np.linalg.eigvalsh(_pt(sigma, dims))).sum()))
-    return rho_logrho - cross + max(0.0, log_neg)
+def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
+    """Rains bound ``min S(rho || sigma)`` over ``sigma >= 0, ||sigma^Gamma||_1 <= 1``.
 
-
-def rains_bound(state, config: SolverConfig | None = None,
-                ree: MeasureResult | None = None) -> MeasureResult:
-    """Rains bound: minimize ``S(rho||sigma) + E_N(sigma)`` over states.
-
-    The objective is not convex, so the search is multi-start local
-    minimization over a factored square-root parameterization; the closest
-    PPT state from the relative-entropy solver is always included as a
-    start, which keeps the result within the certified distance value.
+    A convex problem (Rains, IEEE Trans. Inf. Theory 47, 2921 (2001)),
+    solved like the relative entropy of entanglement with
+    ``sigma = (P - N)^Gamma`` and the barrier
+    ``-log det sigma - log det P - log det N - log(1 - tr P - tr N)``, and
+    certified by one linear minimization over the same set (an SDP).
 
     Parameters
     ----------
     state : DensityOperator or PureState
         Bipartite input with total dimension <= 16.
     config : SolverConfig, optional
-        ``restarts`` defaults to 20 for this measure when no config is
-        supplied.
-    ree : MeasureResult, optional
-        A relative-entropy result already computed for this state, whose
-        closest PPT state seeds the search.  When omitted, the relative
-        entropy of entanglement is computed here with ``config``.
+        ``max_iterations`` caps the Newton steps; ``restarts`` and ``seed``
+        are not used.
 
     Returns
     -------
     MeasureResult
-        Always ``status == "best_effort"``.
+        ``"converged"`` when the certified gap reached the configured
+        tolerance, otherwise ``"best_effort"``; ``iterations`` counts Newton
+        steps.  ``witness_payload["minimizing_state"]`` holds sigma (a PPT
+        input is its own, with value 0).
     """
     rho, dims = _bipartite(state, "rains_bound", RAINS_DIM_LIMIT)
-    cfg = config or _RAINS_CONFIG
+    cfg = config or _DEFAULT_CONFIG
     n = rho.shape[0]
-    eigs = np.linalg.eigvalsh(rho)
-    eigs = eigs[eigs > 1e-15]
-    rho_logrho = float(np.sum(eigs * np.log2(eigs)))
-
-    if ree is None:
-        ree = relative_entropy_of_entanglement(DensityOperator(rho, dims), config=cfg)
-    closest = ree.witness_payload["closest_state"]
-
-    def objective(sigma):
-        return _rains_objective(rho, sigma, dims, rho_logrho)
-
-    def from_params(params):
-        ymat = (params[:n * n] + 1j * params[n * n:]).reshape(n, n)
-        gram = ymat @ ymat.conj().T
-        tr = float(np.real(np.trace(gram)))
-        if tr < 1e-300:
-            return np.eye(n) / n
-        return gram / tr
-
-    def fun(params):
-        return objective(from_params(params))
-
-    def params_of(sigma):
-        root = scipy.linalg.sqrtm(_hermitize(sigma) + 1e-12 * np.eye(n))
-        root = np.asarray(root, dtype=complex)
-        return np.concatenate([root.real.ravel(), root.imag.ravel()])
-
-    rng = np.random.default_rng(cfg.seed)
-    starts = [closest, rho, np.eye(n, dtype=complex) / n]
-    while len(starts) < max(3, cfg.restarts):
-        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        gram = raw @ raw.conj().T
-        starts.append(gram / np.real(np.trace(gram)))
-
-    best_value = math.inf
-    best_sigma = None
-    total_iters = 0
-    for start in starts:
-        direct = objective(start)
-        if direct < best_value:
-            best_value = direct
-            best_sigma = start
-        res = scipy.optimize.minimize(
-            fun, params_of(start), method="L-BFGS-B",
-            options={"maxiter": cfg.max_iterations, "ftol": 1e-12})
-        total_iters += int(res.nit)
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            best_sigma = from_params(res.x)
-
-    payload = {"minimizing_state": best_sigma, "starts": len(starts),
-               "distance_reference": ree.value}
-    return MeasureResult(max(0.0, best_value), "best_effort", gap=0.0,
-                         iterations=total_iters, witness_payload=payload)
+    basis, basis_pt = _basis_with_pt(dims)
+    flat, flat_pt = basis.reshape(n * n, n * n), basis_pt.reshape(n * n, n * n)
+    zero = np.zeros((n, n), dtype=complex)
+    trace_row = np.real(np.einsum("aii->a", basis))
+    # x = (P, N) in the basis; terms sigma, P, N and 1 - tr P - tr N
+    terms = [(zero, np.vstack([flat_pt, -flat_pt])),
+             (zero, np.vstack([flat, np.zeros_like(flat)])),
+             (zero, np.vstack([np.zeros_like(flat), flat])),
+             (np.ones((1, 1), dtype=complex),
+              -np.concatenate([trace_row, trace_row]).astype(complex)[:, None])]
+    start = np.concatenate([0.45 * trace_row, 0.05 * trace_row]) / n
+    sigma, result = _barrier_newton(rho, dims, terms, start, 3 * n + 1, cfg,
+                                    lambda grad: _minimize_over_rains_set(grad, dims))
+    result.witness_payload["minimizing_state"] = sigma
+    return result
 
 
 def witness_violation(state, verify: bool = False):

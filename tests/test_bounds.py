@@ -266,7 +266,7 @@ class TestOneReePerReport:
         rep = bounds_report(BELL, config=FAST, skip=("ree",))
         assert "ree" not in rep.upper
         assert rep.upper["rains"] == pytest.approx(1.0, abs=1e-3)
-        assert len(ree_calls) == 1
+        assert len(ree_calls) == 0
 
 
 class TestSandwichProperty:

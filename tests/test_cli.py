@@ -185,10 +185,10 @@ class TestBoundsCommand:
 
     def test_strict_rejects_heuristic_entries(self, files, capsys):
         code, out = run_json(
-            ["bounds", "--state", files["bell"], "--restarts", "3",
-             "--strict"], capsys)
+            ["measure", "--state", files["bell"], "--measure", "eof-roof",
+             "--restarts", "3", "--strict"], capsys)
         assert code == 3
-        assert out["notes"]["rains"] == "best_effort"
+        assert out["status"] == "best_effort"
         code, _ = run_json(
             ["bounds", "--state", files["bell"], "--skip", "rains",
              "--restarts", "3", "--strict"], capsys)

@@ -16,6 +16,7 @@ from entmeas import (
     partial_transpose,
     von_neumann_entropy,
     w_state,
+    werner_state,
 )
 from entmeas.closed_form import binary_entropy, eof_two_qubit, negativity
 from entmeas.variational import (
@@ -208,6 +209,17 @@ class TestRelativeEntropyOfEntanglement:
             closed = binary_entropy(p)
             assert res.value - res.gap - 1e-9 <= closed <= res.value + 1e-9
 
+    def test_default_config_certifies_larger_full_rank_states(self):
+        rng = np.random.default_rng(2023)
+        for dims in ((3, 3), (2, 4), (3, 4)):
+            rho = rand_rho(rng, dims[0] * dims[1], dims)
+            while np.linalg.eigvalsh(pt_matrix(rho.matrix, dims))[0] >= -1e-6:
+                rho = rand_rho(rng, dims[0] * dims[1], dims)
+            res = relative_entropy_of_entanglement(rho)
+            assert np.linalg.eigvalsh(rho.matrix)[0] > 0.0
+            assert res.status == "converged"
+            assert res.gap <= 1e-6
+
     def test_rejects_unknown_set_and_large_dims(self):
         with pytest.raises(ValidationError, match="target-set"):
             relative_entropy_of_entanglement(BELL, target_set="CHSH")
@@ -296,6 +308,21 @@ class TestRobustness:
             prob.solve(solver=cvxpy.SCS, eps=1e-9)
             res = robustness(rho, "global")
             assert res.value == pytest.approx(prob.value, abs=1e-6)
+
+    def test_pure_states_match_vidal_tarrach(self):
+        # (sum_i sqrt(p_i))^2 - 1 for Schmidt probabilities p_i, with
+        # separable noise (Vidal & Tarrach, PRA 59, 141 (1999)) and with
+        # any noise (Steiner, PRA 67, 054305 (2003))
+        rng = np.random.default_rng(41)
+        for dims in ((2, 2), (2, 3)):
+            n = dims[0] * dims[1]
+            vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+            psi = PureState(vec / np.linalg.norm(vec), dims)
+            schmidt = np.linalg.svd(psi.vector.reshape(dims), compute_uv=False)
+            closed = float(schmidt.sum()) ** 2 - 1.0
+            for noise in ("separable", "global"):
+                res = robustness(psi, noise)
+                assert abs(res.value - closed) <= res.gap + 1e-9
 
     def test_rejects_unknown_noise(self):
         with pytest.raises(ValidationError, match="noise-kind"):
@@ -447,7 +474,33 @@ class TestRainsBound:
     def test_ppt_input_is_zero(self):
         res = rains_bound(SEPARABLE, config=FAST)
         assert res.value <= 1e-9
-        assert res.status == "best_effort"
+        assert res.status == "converged"
+        assert res.gap <= 1e-6
+
+    def test_brackets_werner_regularized_ree(self):
+        # the Rains bound of a Werner state equals its regularized relative
+        # entropy (Audenaert et al., PRL 87, 217902 (2001))
+        for p in (0.7, 0.9, 1.0):
+            res = rains_bound(werner_state(3, p))
+            closed = werner_regularized_ree(3, p)
+            assert res.status == "converged"
+            assert res.value - res.gap - 1e-9 <= closed <= res.value + 1e-9
+
+    def test_equals_relative_entropy_on_two_qubits(self):
+        # on two qubits the Rains bound and the relative entropy of
+        # entanglement coincide (Ishizaka, PRA 69, 020301(R) (2004))
+        rng = np.random.default_rng(69)
+        checked = 0
+        while checked < 5:
+            rho = rand_rho(rng)
+            if np.linalg.eigvalsh(pt_matrix(rho.matrix))[0] >= -1e-3:
+                continue
+            rb = rains_bound(rho)
+            ree = relative_entropy_of_entanglement(rho)
+            assert rb.status == ree.status == "converged"
+            low = max(rb.value - rb.gap, ree.value - ree.gap)
+            assert low <= min(rb.value, ree.value) + 1e-9
+            checked += 1
 
     def test_bell_is_sandwiched_at_one(self):
         res = rains_bound(BELL, config=FAST)
