@@ -18,13 +18,13 @@ from .closed_form import log_negativity
 from .errors import ValidationError
 from .states import (
     DensityOperator,
+    _as_density,
     partial_trace,
     partial_transpose,
     von_neumann_entropy,
 )
 from .variational import (
     SolverConfig,
-    _as_density,
     rains_bound,
     relative_entropy_of_entanglement,
     witness_violation,
@@ -102,7 +102,7 @@ def conditional_entropy(rho) -> float:
         ``S(rho_AB) - S(rho_B)``; negative values signal entanglement
         usable for distillation.
     """
-    rho = _as_bipartite(rho)
+    rho = _as_density(rho, "conditional_entropy", bipartite=True)
     return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, 0))
 
 
@@ -123,7 +123,7 @@ def hashing_lower_bound(rho) -> float:
         Nonnegative bound; 0 whenever both conditional entropies are
         nonnegative.
     """
-    rho = _as_bipartite(rho)
+    rho = _as_density(rho, "hashing_lower_bound", bipartite=True)
     s_ab = von_neumann_entropy(rho)
     s_a = von_neumann_entropy(partial_trace(rho, 1))
     s_b = von_neumann_entropy(partial_trace(rho, 0))
@@ -198,7 +198,7 @@ def uu_twirl_two_qubit(rho) -> DensityOperator:
     DensityOperator
         Werner-family state with the same singlet fidelity as the input.
     """
-    rho = _as_bipartite(rho)
+    rho = _as_density(rho, "uu_twirl_two_qubit", bipartite=True)
     if rho.dims != (2, 2):
         raise ValidationError("twirl-dims",
                               detail=f"twirl needs dims (2, 2), got {rho.dims}")
@@ -227,7 +227,7 @@ def bounds_report(rho, config: SolverConfig | None = None,
         state is PPT the report additionally pins distillable
         entanglement to exactly 0.
     """
-    rho = _as_bipartite(rho)
+    rho = _as_density(rho, "bounds_report", bipartite=True)
     unknown = set(skip) - {"rains", "ree"}
     if unknown:
         raise ValidationError("skip-names",
@@ -252,11 +252,3 @@ def bounds_report(rho, config: SolverConfig | None = None,
         upper["distillable"] = 0.0
         notes["distillable"] = "exact; PPT states yield no distillable entanglement"
     return BoundsReport(lower=lower, upper=upper, ppt=ppt, notes=notes)
-
-
-def _as_bipartite(rho) -> DensityOperator:
-    rho = _as_density(rho, "bounds")
-    if len(rho.dims) != 2:
-        raise ValidationError("bipartite",
-                              detail=f"expected two subsystems, got dims {rho.dims}")
-    return rho

@@ -126,7 +126,7 @@ def _witness_entry(state, _cfg) -> dict:
 def _bsa_entry(state, cfg) -> dict:
     res = best_separable_approximation(state, config=cfg)
     return {"value": float(res.weight), "status": res.status,
-            "gap": float(res.gap), "iterations": 0}
+            "gap": float(res.gap), "iterations": int(res.iterations)}
 
 
 MEASURES = {

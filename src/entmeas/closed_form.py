@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import UnsupportedCaseError, ValidationError
 from .states import (
-    DensityOperator,
     PureState,
+    _as_density,
     partial_trace,
     partial_transpose,
     trace_norm,
@@ -46,14 +46,6 @@ def _clamp_spectrum(values: np.ndarray) -> np.ndarray:
     return np.where(values < 0.0, np.where(values > -CLAMP_TOL, 0.0, values), values)
 
 
-def _require_density(state, context: str) -> DensityOperator:
-    if isinstance(state, PureState):
-        return state.to_density()
-    if isinstance(state, DensityOperator):
-        return state
-    raise ValidationError("type", detail=f"{context} expects a state, got {type(state).__name__}")
-
-
 def concurrence(rho) -> float:
     """Concurrence of a two-qubit state.
 
@@ -72,7 +64,7 @@ def concurrence(rho) -> float:
     float
         Value in [0, 1].
     """
-    rho = _require_density(rho, "concurrence")
+    rho = _as_density(rho, "concurrence")
     if rho.dims != (2, 2):
         raise ValidationError("dims", detail="concurrence requires dims (2, 2)")
     tilde = _SYY @ rho.matrix.conj() @ _SYY
@@ -124,7 +116,7 @@ def negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
     float
         Nonnegative; values below 1e-12 are clamped to zero.
     """
-    rho = _require_density(rho, "negativity")
+    rho = _as_density(rho, "negativity")
     if transposed is None:
         transposed = len(rho.dims) - 1
     value = (trace_norm(partial_transpose(rho, transposed)) - 1.0) / 2.0
@@ -175,7 +167,7 @@ def tangle(state, qubit: int = 0) -> float:
         red = partial_trace(state.to_density(), qubit)
         det = float(np.real(np.linalg.det(red.matrix)))
         return float(min(1.0, max(0.0, 4.0 * det)))
-    rho = _require_density(state, "tangle")
+    rho = _as_density(state, "tangle")
     if rho.dims == (2, 2):
         return concurrence(rho) ** 2
     raise UnsupportedCaseError(

@@ -31,23 +31,15 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ValidationError
+from .states import _hermitian
 
 MAX_TOTAL_DIM = 400
-_HERM_TOL = 1e-10
+_GAP_TOL = 1e-9
+_FEAS_TOL = 5e-9
 _DIVERGE = 1e9
 _CERT_TOL = 1e-6
 _BEST_TOL = 1e-7
 _RANK_RCOND = 1e-12
-
-
-def _hermitize(matrix, size: int, what: str) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (size, size):
-        raise ValidationError("shape", detail=f"{what} must be {size}x{size}, got {mat.shape}")
-    resid = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if resid > _HERM_TOL:
-        raise ValidationError("hermiticity", resid, _HERM_TOL, detail=what)
-    return (mat + mat.conj().T) / 2.0
 
 
 class SdpProblem:
@@ -78,7 +70,7 @@ class SdpProblem:
     def set_objective(self, block: int, matrix) -> None:
         """Set the Hermitian objective coefficient of one block."""
         n = self.block_dims[block]
-        self._objective[block] = _hermitize(matrix, n, f"objective block {block}")
+        self._objective[block] = _hermitian(matrix, f"objective block {block}", n)
 
     def add_equality(self, terms: dict, rhs: float) -> None:
         """Add a constraint ``sum_j <terms[j], X_j> = rhs``.
@@ -92,7 +84,7 @@ class SdpProblem:
         row = {}
         for block, matrix in terms.items():
             n = self.block_dims[int(block)]
-            row[int(block)] = _hermitize(matrix, n, f"constraint block {block}")
+            row[int(block)] = _hermitian(matrix, f"constraint block {block}", n)
         if not row:
             raise ValidationError("constraint", detail="a constraint needs at least one term")
         self._rows.append(row)
@@ -217,8 +209,8 @@ def _linear_consistency(ops, b) -> bool:
 
 
 def _verify(problem: SdpProblem, sol: SdpSolution,
-            feasibility_tolerance: float = 5e-9,
-            gap_tolerance: float = 1e-9) -> bool:
+            feasibility_tolerance: float = _FEAS_TOL,
+            gap_tolerance: float = _GAP_TOL) -> bool:
     """Recheck a solution against the problem data alone.
 
     Recomputes from the stored constraint rows, not from the solver's
@@ -297,20 +289,17 @@ def _max_step(inv_l: np.ndarray, direction: np.ndarray) -> float:
     return -1.0 / lo
 
 
-def sdp_solve(problem: SdpProblem, max_iterations: int = 100,
-              gap_tolerance: float = 1e-9,
-              feasibility_tolerance: float = 5e-9) -> SdpSolution:
+def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
     """Solve a semidefinite program to high accuracy.
+
+    The targets are a relative duality gap of 1e-9 and relative primal and
+    dual residuals of 5e-9.
 
     Parameters
     ----------
     problem : SdpProblem
     max_iterations : int
         Iteration cap (default 100).
-    gap_tolerance : float
-        Relative duality-gap target (default 1e-9).
-    feasibility_tolerance : float
-        Relative primal/dual residual target (default 5e-9).
 
     Returns
     -------
@@ -394,12 +383,11 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100,
         else:
             stall += 1
 
-        if err_p <= feasibility_tolerance and err_d <= feasibility_tolerance \
-                and rel_gap <= gap_tolerance:
+        if err_p <= _FEAS_TOL and err_d <= _FEAS_TOL and rel_gap <= _GAP_TOL:
             gap = max(gap_abs, abs(pobj - dobj))
             return checked(SdpSolution("optimal", pobj, dobj, gap, it - 1,
                                        tuple(xs), y.copy(), tuple(ss)),
-                           feasibility_tolerance, gap_tolerance)
+                           _FEAS_TOL, _GAP_TOL)
         # ten iterations without merit progress means the iterates are
         # wandering at the numerical floor of this instance
         if stall >= 10:

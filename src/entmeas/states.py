@@ -27,13 +27,29 @@ CMI_TOL = 1e-9
 _STATUSES = ("exact", "converged", "best_effort")
 
 
-def _as_matrix(data, name: str = "matrix") -> np.ndarray:
+def _square(data, name: str, size: int | None = None) -> np.ndarray:
     mat = np.asarray(data, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError("shape", detail=f"{name} must be square, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("non-finite", detail=f"{name} has NaN or infinite entries")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or size not in (None, mat.shape[0]):
+        want = "square" if size is None else f"{size}x{size}"
+        raise ValidationError("shape", detail=f"{name} must be {want}, got {mat.shape}")
     return mat
+
+
+def _hermitian(data, name: str = "matrix", size: int | None = None) -> np.ndarray:
+    """Validate a Hermitian operator given from outside; return its symmetrized copy.
+
+    Checks the shape (``size x size`` when given), then requires
+    ``max|M - M^H| <= 1e-10``.  A NaN or infinite entry makes that residual
+    NaN or infinite, so non-finite input is told apart only on the failure
+    branch and costs valid input nothing.
+    """
+    mat = _square(data, name, size)
+    resid = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    if not resid <= HERMITICITY_TOL:
+        if not np.all(np.isfinite(mat)):
+            raise ValidationError("non-finite", detail=f"{name} has NaN or infinite entries")
+        raise ValidationError("hermiticity", resid, HERMITICITY_TOL, detail=name)
+    return (mat + mat.conj().T) / 2.0
 
 
 def _check_dims(dims: Sequence[int], size: int) -> tuple[int, ...]:
@@ -67,11 +83,7 @@ class DensityOperator:
     __slots__ = ("matrix", "dims")
 
     def __init__(self, matrix, dims: Sequence[int]):
-        mat = _as_matrix(matrix)
-        herm = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-        if herm > HERMITICITY_TOL:
-            raise ValidationError("hermiticity", herm, HERMITICITY_TOL)
-        mat = (mat + mat.conj().T) / 2.0
+        mat = _hermitian(matrix)
         tr = float(np.real(np.trace(mat)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError("unit-trace", abs(tr - 1.0), TRACE_TOL)
@@ -212,11 +224,33 @@ def _mat_of(state) -> np.ndarray:
         return np.outer(state.vector, state.vector.conj())
     if isinstance(state, DensityOperator):
         return state.matrix
-    return _as_matrix(state)
+    return _hermitian(state, "operator")
 
 
-def _dims_of(state) -> tuple[int, ...]:
-    return tuple(state.dims)
+def _as_density(state, context: str, bipartite: bool = False) -> DensityOperator:
+    """The density operator of a state argument, with exactly two subsystems
+    when ``bipartite``."""
+    if isinstance(state, PureState):
+        state = state.to_density()
+    elif not isinstance(state, DensityOperator):
+        raise ValidationError(
+            "state-type",
+            detail=f"{context} expects a DensityOperator or PureState, "
+                   f"got {type(state).__name__}")
+    if bipartite and len(state.dims) != 2:
+        raise ValidationError(
+            "bipartite", detail=f"{context} needs exactly 2 subsystems, got dims {state.dims}")
+    return state
+
+
+def _subsystems(indices: Iterable[int] | int, n: int, name: str) -> tuple[int, ...]:
+    """Sorted distinct subsystem indices, each in ``range(n)``."""
+    indices = (indices,) if isinstance(indices, (int, np.integer)) else tuple(indices)
+    indices = tuple(sorted(set(int(k) for k in indices)))
+    if not indices or any(k < 0 or k >= n for k in indices):
+        raise ValidationError("subsystem-index",
+                              detail=f"{name}={indices} out of range for {n} subsystems")
+    return indices
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[int] | int) -> DensityOperator:
@@ -233,13 +267,9 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int] | int) -> DensityOpe
     DensityOperator
         Reduced operator whose ``dims`` are the retained dimensions.
     """
-    dims = _dims_of(rho)
-    keep = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
-    keep = tuple(sorted(set(int(k) for k in keep)))
+    dims = tuple(rho.dims)
     n = len(dims)
-    if not keep or any(k < 0 or k >= n for k in keep):
-        raise ValidationError("subsystem-index",
-                              detail=f"keep={keep} out of range for {n} subsystems")
+    keep = _subsystems(keep, n, "keep")
     tensor = _mat_of(rho).reshape(dims + dims)
     traced = [k for k in range(n) if k not in keep]
     for offset, k in enumerate(traced):
@@ -249,35 +279,38 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int] | int) -> DensityOpe
     return DensityOperator(tensor.reshape(d_keep, d_keep), [dims[k] for k in keep])
 
 
-def partial_transpose(rho, parties: Iterable[int] | int) -> np.ndarray:
+def partial_transpose(rho, parties: Iterable[int] | int,
+                      dims: Sequence[int] | None = None) -> np.ndarray:
     """Transpose the given subsystem(s) of an operator.
 
     Parameters
     ----------
-    rho : DensityOperator or ndarray with matching product structure
-        For a raw array, pass a ``DensityOperator``-like object instead when
-        dimensions are ambiguous.
+    rho : DensityOperator, PureState, or ndarray
+        A raw square array is transposed as it is, without validation of
+        its entries, and needs ``dims``.
     parties : int or iterable of int
         Subsystem indices to transpose.
+    dims : sequence of int, optional
+        Subsystem dimensions of a raw array; states carry their own.
 
     Returns
     -------
     ndarray
-        Hermitian matrix with the same trace; not necessarily positive.
+        Operator of the same shape and trace; Hermitian input gives
+        Hermitian output, not necessarily positive.
     """
-    dims = _dims_of(rho)
-    parties = (parties,) if isinstance(parties, (int, np.integer)) else tuple(parties)
-    parties = tuple(sorted(set(int(p) for p in parties)))
+    if isinstance(rho, (DensityOperator, PureState)):
+        mat, dims = _mat_of(rho), tuple(rho.dims)
+    elif dims is None:
+        raise ValidationError("dims-required", detail="raw operators need explicit dims")
+    else:
+        mat = _square(rho, "operator")
+        dims = _check_dims(dims, mat.shape[0])
     n = len(dims)
-    if not parties or any(p < 0 or p >= n for p in parties):
-        raise ValidationError("subsystem-index",
-                              detail=f"parties={parties} out of range for {n} subsystems")
-    tensor = _mat_of(rho).reshape(dims + dims)
     axes = list(range(2 * n))
-    for p in parties:
+    for p in _subsystems(parties, n, "parties"):
         axes[p], axes[n + p] = axes[n + p], axes[p]
-    d = int(np.prod(dims))
-    return tensor.transpose(axes).reshape(d, d)
+    return mat.reshape(dims + dims).transpose(axes).reshape(mat.shape)
 
 
 def permute_subsystems(state, order: Sequence[int]):
@@ -294,7 +327,7 @@ def permute_subsystems(state, order: Sequence[int]):
     -------
     Same type as ``state`` with permuted dims.
     """
-    dims = _dims_of(state)
+    dims = tuple(state.dims)
     order = tuple(int(p) for p in order)
     if sorted(order) != list(range(len(dims))):
         raise ValidationError("permutation", detail=f"{order} is not a permutation")
@@ -323,7 +356,8 @@ def von_neumann_entropy(rho) -> float:
 
     Parameters
     ----------
-    rho : DensityOperator or PureState
+    rho : DensityOperator, PureState, or ndarray
+        A raw array must be Hermitian within 1e-10.
 
     Returns
     -------
@@ -332,9 +366,7 @@ def von_neumann_entropy(rho) -> float:
     """
     if isinstance(rho, PureState):
         return 0.0
-    mat = _mat_of(rho)
-    mat = (mat + mat.conj().T) / 2.0
-    return max(0.0, _entropy_of_spectrum(np.linalg.eigvalsh(mat)))
+    return max(0.0, _entropy_of_spectrum(np.linalg.eigvalsh(_mat_of(rho))))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -346,7 +378,8 @@ def relative_entropy(rho, sigma) -> float:
 
     Parameters
     ----------
-    rho, sigma : DensityOperator or PureState
+    rho, sigma : DensityOperator, PureState, or ndarray
+        A raw array must be Hermitian within 1e-10.
 
     Returns
     -------
@@ -388,10 +421,6 @@ def trace_norm(operator) -> float:
     float
     """
     mat = _mat_of(operator)
-    herm = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if herm > HERMITICITY_TOL:
-        raise ValidationError("hermiticity", herm, HERMITICITY_TOL)
-    mat = (mat + mat.conj().T) / 2.0
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 

@@ -30,8 +30,12 @@ from .states import (
     DensityOperator,
     MeasureResult,
     PureState,
+    _as_density,
+    _hermitian,
     conditional_mutual_information,
     partial_trace,
+    partial_transpose,
+    von_neumann_entropy,
 )
 
 __all__ = [
@@ -57,6 +61,7 @@ CONE_KINDS = ("PPT-operators", "separable-outer", "all-PSD", "negated-PSD")
 # dimensions at which the PPT set equals the separable set
 _EXACT_PPT_DIMS = {(2, 2), (2, 3)}
 _PPT_TOL = 1e-12
+_LMO_MAX_ITERATIONS = 60
 _LN2 = math.log(2.0)
 
 REE_DIM_LIMIT = 36
@@ -134,37 +139,12 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def _as_density(state, context: str) -> DensityOperator:
-    if isinstance(state, PureState):
-        return state.to_density()
-    if isinstance(state, DensityOperator):
-        return state
-    raise ValidationError(
-        "state-type", detail=f"{context} expects a DensityOperator or PureState")
-
-
 def _bipartite(state, context: str, limit: int | None = None):
-    rho = _as_density(state, context)
-    dims = tuple(rho.dims)
-    if len(dims) != 2:
-        raise ValidationError(
-            "bipartite", detail=f"{context} needs exactly 2 subsystems, got {len(dims)}")
-    n = dims[0] * dims[1]
-    if limit is not None and n > limit:
+    rho = _as_density(state, context, bipartite=True)
+    if limit is not None and rho.dim > limit:
         raise ValidationError(
             "dimension-limit", detail=f"{context} supports total dimension <= {limit}")
-    return rho.matrix, dims
-
-
-def _pt(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Partial transpose on the second factor of a raw bipartite matrix."""
-    da, db = dims
-    n = da * db
-    return mat.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(n, n)
-
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
+    return rho.matrix, rho.dims
 
 
 _BASIS_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -190,7 +170,7 @@ def _basis_with_pt(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
             e[l, k] = 1.0j / math.sqrt(2.0)
             mats.append(e)
     basis = np.array(mats)
-    basis_pt = np.array([_pt(e, dims) for e in basis])
+    basis_pt = np.array([partial_transpose(e, 1, dims) for e in basis])
     _BASIS_CACHE[dims] = (basis, basis_pt)
     return basis, basis_pt
 
@@ -214,7 +194,7 @@ def _add_operator_equation(prob: SdpProblem, terms: dict, rhs,
 
 def _clean_state(mat: np.ndarray) -> np.ndarray:
     """Project a near-state onto the density matrices (clip and renormalize)."""
-    mat = _hermitize(mat)
+    mat = (mat + mat.conj().T) / 2.0
     w, v = np.linalg.eigh(mat)
     w = np.clip(w, 0.0, None)
     total = float(w.sum())
@@ -224,18 +204,17 @@ def _clean_state(mat: np.ndarray) -> np.ndarray:
     return (v * (w / total)) @ v.conj().T
 
 
-def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int],
-                             max_iterations: int = 60):
+def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
     """Minimize ``tr(G sigma)`` over PPT states on a bipartite split.
+
+    The interior-point solve is capped at 60 iterations.
 
     Parameters
     ----------
     objective : ndarray
-        Hermitian matrix G.
+        Hermitian matrix G (finite, Hermitian within 1e-10).
     dims : tuple of int
         Bipartite dimensions ``(d_a, d_b)``.
-    max_iterations : int
-        Iteration cap for the interior-point solve.
 
     Returns
     -------
@@ -245,20 +224,20 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int],
     minimizer : ndarray
         Density matrix approximating the optimizer.
     """
-    g = _hermitize(np.asarray(objective, dtype=complex))
     n = dims[0] * dims[1]
+    g = _hermitian(objective, "objective", n)
     w, vecs = np.linalg.eigh(g)
     vertex = np.outer(vecs[:, 0], vecs[:, 0].conj())
     # the unrestricted minimum lower-bounds the PPT minimum; when its
     # eigenvector is itself PPT the two coincide and no SDP is needed
-    if float(np.linalg.eigvalsh(_pt(vertex, dims))[0]) >= -_PPT_TOL:
+    if float(np.linalg.eigvalsh(partial_transpose(vertex, 1, dims))[0]) >= -_PPT_TOL:
         return float(w[0]), vertex
 
     prob = SdpProblem((n, n))
     prob.set_objective(0, g)
     _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
     prob.add_equality({0: np.eye(n)}, 1.0)
-    sol = sdp_solve(prob, max_iterations=max_iterations)
+    sol = sdp_solve(prob, max_iterations=_LMO_MAX_ITERATIONS)
     return dual_bound(prob, sol.y), _clean_state(sol.blocks[0])
 
 
@@ -371,7 +350,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], terms, x: np.ndarray
     (``"objective_trace"``).  A PPT input, feasible for every caller, is its
     own minimizer with S = 0.
     """
-    if float(np.linalg.eigvalsh(_pt(rho, dims))[0]) >= -_PPT_TOL:
+    if float(np.linalg.eigvalsh(partial_transpose(rho, 1, dims))[0]) >= -_PPT_TOL:
         return rho.copy(), MeasureResult(0.0, "converged", witness_payload={
             "lower_bound": 0.0, "objective_trace": [0.0]})
     eigs, f, barrier = _evaluate(rho, terms, x)
@@ -420,19 +399,18 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], terms, x: np.ndarray
     [(w, v)], f, _ = _evaluate(rho, terms[:1], best[1])
     sigma = (v * w) @ v.conj().T
     rho_t = v.conj().T @ rho @ v
-    grad = _hermitize(-(v @ (_log_differences(w) * rho_t) @ v.conj().T))
-    spectrum = np.linalg.eigvalsh(rho)
-    spectrum = spectrum[spectrum > 1e-15]
-    entropy = float(np.sum(spectrum * np.log(spectrum)))
-    value = max(0.0, (entropy + f) / _LN2)
-    lower = (entropy + f + linear_minimum(grad)
-             - float(np.real(np.vdot(sigma, grad)))) / _LN2
+    grad = -(v @ (_log_differences(w) * rho_t) @ v.conj().T)
+    grad = (grad + grad.conj().T) / 2.0
+    entropy = von_neumann_entropy(rho)
+    value = max(0.0, f / _LN2 - entropy)
+    lower = (f + linear_minimum(grad)
+             - float(np.real(np.vdot(sigma, grad)))) / _LN2 - entropy
     gap = max(0.0, value - lower)
     return sigma, MeasureResult(
         value, "converged" if gap <= cfg.gap_tolerance else "best_effort", gap=gap,
         iterations=steps, witness_payload={
             "lower_bound": lower,
-            "objective_trace": [(entropy + kept) / _LN2 for kept in trace]})
+            "objective_trace": [kept / _LN2 - entropy for kept in trace]})
 
 
 def relative_entropy_of_entanglement(state, target_set: str = "PPT",
@@ -560,7 +538,7 @@ def robustness(state, noise: str = "global",
         _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
     last = len(prob.block_dims) - 1
     _add_operator_equation(prob, {0: (1.0, True), last: (-1.0, False)},
-                           -_pt(rho, dims), dims)
+                           -partial_transpose(rho, 1, dims), dims)
     sol = sdp_solve(prob, max_iterations=min(cfg.max_iterations, 100))
     status = _solver_result_guard(sol, "robustness")
 
@@ -638,15 +616,12 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
     """
     if isinstance(h, (DensityOperator, PureState)):
         mat, dims = _bipartite(h, "base_norm")
+    elif dims is None:
+        raise ValidationError(
+            "dims-required", detail="raw operators need explicit dims")
     else:
-        mat = _hermitize(np.asarray(h, dtype=complex))
-        if dims is None:
-            raise ValidationError(
-                "dims-required", detail="raw operators need explicit dims")
         dims = (int(dims[0]), int(dims[1]))
-        if mat.shape != (dims[0] * dims[1],) * 2:
-            raise ValidationError(
-                "dims-mismatch", detail="operator shape does not match dims")
+        mat = _hermitian(h, "operator", dims[0] * dims[1])
     n = mat.shape[0]
     eye = np.eye(n)
 
@@ -678,12 +653,13 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
     sol_n = sdp_solve(prob_n)
     _solver_result_guard(sol_n, "base_norm")
 
-    a_mat = sign_x * (_pt(sol_r.blocks[0], dims) if pt_x else sol_r.blocks[0])
-    b_mat = sign_y * (_pt(sol_r.blocks[y_off], dims) if pt_y else sol_r.blocks[y_off])
+    a_mat, b_mat = sol_r.blocks[0], sol_r.blocks[y_off]
+    a_mat = sign_x * (partial_transpose(a_mat, 1, dims) if pt_x else a_mat)
+    b_mat = sign_y * (partial_transpose(b_mat, 1, dims) if pt_y else b_mat)
     a_val = float(np.real(np.trace(a_mat))) / cone_x.normalization
     b_val = max(0.0, float(sol_r.value))
-    omega = _hermitize(a_mat) / a_val if a_val > 1e-12 else None
-    delta = _hermitize(b_mat) / b_val if b_val > 1e-12 else None
+    omega = (a_mat + a_mat.conj().T) / (2.0 * a_val) if a_val > 1e-12 else None
+    delta = (b_mat + b_mat.conj().T) / (2.0 * b_val) if b_val > 1e-12 else None
     return BaseNormResult(
         r_value=b_val, norm_value=max(0.0, float(sol_n.value)),
         a=max(0.0, a_val), omega=omega, b=b_val, delta=delta,
@@ -705,6 +681,8 @@ class BsaResult:
     gap : float
         Certified duality gap of the solve.
     status : str
+    iterations : int
+        Interior-point iterations of the solve.
     """
 
     weight: float
@@ -712,6 +690,7 @@ class BsaResult:
     remainder: np.ndarray
     gap: float
     status: str
+    iterations: int
 
 
 def best_separable_approximation(state,
@@ -743,11 +722,10 @@ def best_separable_approximation(state,
     sol = sdp_solve(prob, max_iterations=min(cfg.max_iterations, 100))
     status = _solver_result_guard(sol, "best_separable_approximation")
 
-    part = _hermitize(sol.blocks[0])
+    part = (sol.blocks[0] + sol.blocks[0].conj().T) / 2.0
     weight = min(1.0, max(0.0, 1.0 - float(np.real(np.trace(part)))))
-    return BsaResult(weight=weight, separable_part=part,
-                     remainder=_hermitize(rho - part),
-                     gap=float(sol.gap), status=status)
+    return BsaResult(weight=weight, separable_part=part, remainder=rho - part,
+                     gap=float(sol.gap), status=status, iterations=sol.iterations)
 
 
 def _roof_objective(tmat: np.ndarray, cvecs: np.ndarray,
@@ -806,7 +784,7 @@ def eof_convex_roof(state, m: int | None = None,
             "decomposition-size", detail=f"m={m} is below rank {rank}")
 
     rng = np.random.default_rng(cfg.seed)
-    restarts = max(1, min(cfg.restarts, 64))
+    restarts = min(cfg.restarts, 64)
     best_value = math.inf
     best_restart = 0
     total_iters = 0
@@ -903,7 +881,7 @@ def geometric_measure(psi: PureState,
     best_vectors = None
     best_restart = 0
     sweeps_total = 0
-    for restart in range(max(1, cfg.restarts)):
+    for restart in range(cfg.restarts):
         if restart == 0:
             vectors = []
             for p in range(nparties):
@@ -937,7 +915,7 @@ def geometric_measure(psi: PureState,
             best_restart = restart
 
     value = max(0.0, -math.log2(best_sq)) if best_sq > 0 else math.inf
-    payload = {"max_overlap_sq": best_sq, "restarts": max(1, cfg.restarts),
+    payload = {"max_overlap_sq": best_sq, "restarts": cfg.restarts,
                "best_restart": best_restart, "product_vectors": best_vectors}
     return MeasureResult(value, "best_effort", gap=0.0,
                          iterations=sweeps_total, witness_payload=payload)
@@ -1008,12 +986,13 @@ def witness_violation(state, verify: bool = False):
         ``(None, 0.0)`` for PPT inputs.
     """
     rho, dims = _bipartite(state, "witness_violation")
-    pt_rho = _pt(rho, dims)
+    pt_rho = partial_transpose(rho, 1, dims)
     w, v = np.linalg.eigh(pt_rho)
     if float(w[0]) >= -_PPT_TOL:
         return None, 0.0
     eta = v[:, 0]
-    witness = _hermitize(_pt(np.outer(eta, eta.conj()), dims))
+    witness = partial_transpose(np.outer(eta, eta.conj()), 1, dims)
+    witness = (witness + witness.conj().T) / 2.0
     violation = max(0.0, -float(np.real(np.vdot(rho, witness))))
     if verify:
         bound, _ = minimize_over_ppt_states(witness, dims)

@@ -141,6 +141,16 @@ class TestMeasureCommand:
         assert code == 0
         assert out["status"] == "converged"
 
+    def test_bsa_reports_solver_iterations(self, tmp_path, capsys):
+        bell = max_entangled(2).to_density().matrix
+        path = tmp_path / "werner.json"
+        save_state(DensityOperator(0.8 * bell + 0.2 * np.eye(4) / 4, (2, 2)), path)
+        code, out = run_json(
+            ["measure", "--state", str(path), "--measure", "bsa"], capsys)
+        assert code == 0
+        assert out["value"] == pytest.approx(0.7, abs=1e-6)
+        assert out["iterations"] > 0
+
 
 class TestOutputContracts:
     def test_table_and_json_values_agree(self, files, capsys):

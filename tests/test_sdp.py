@@ -161,6 +161,16 @@ class TestValidationAndLimits:
         with pytest.raises(ValidationError, match="hermiticity"):
             prob.add_equality({0: np.array([[0.0, 1.0], [0.0, 0.0]])}, 0.0)
 
+    def test_rejects_non_finite_data(self):
+        prob = SdpProblem([2])
+        for bad in (np.nan, np.inf):
+            mat = np.eye(2, dtype=complex)
+            mat[0, 1] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                prob.set_objective(0, mat)
+            with pytest.raises(ValidationError, match="non-finite"):
+                prob.add_equality({0: mat}, 1.0)
+
     def test_requires_constraints(self):
         prob = SdpProblem([2])
         prob.set_objective(0, np.eye(2))

@@ -131,6 +131,20 @@ class TestPartialTrace:
 
 
 class TestPartialTranspose:
+    def test_raw_array_matches_state(self, rng):
+        rho = rand_rho(rng, [2, 3])
+        for parties in (0, 1, (0, 1)):
+            assert np.array_equal(partial_transpose(rho.matrix, parties, dims=(2, 3)),
+                                  partial_transpose(rho, parties))
+
+    def test_raw_array_requires_dims(self):
+        with pytest.raises(ValidationError, match="dims-required"):
+            partial_transpose(np.eye(4) / 4, 1)
+        with pytest.raises(ValidationError, match="dims"):
+            partial_transpose(np.eye(4) / 4, 1, dims=(2, 3))
+        assert np.array_equal(partial_transpose(np.eye(4) / 4, 1, dims=(2, 2)),
+                              np.eye(4) / 4)
+
     def test_bell_spectrum(self):
         pt = partial_transpose(bell_rho(), 1)
         eigs = np.sort(np.linalg.eigvalsh(pt))
@@ -222,6 +236,17 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="hermiticity"):
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestRawOperators:
+    def test_entropies_refuse_non_hermitian_arrays(self):
+        skew = np.array([[0.5, 0.9], [0.0, 0.5]])
+        with pytest.raises(ValidationError, match="hermiticity"):
+            von_neumann_entropy(skew)
+        with pytest.raises(ValidationError, match="hermiticity"):
+            relative_entropy(skew, np.eye(2) / 2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            von_neumann_entropy(np.diag([0.5, np.nan]))
 
 
 class TestInformationMeasures:

@@ -123,6 +123,12 @@ class TestMinimizeOverPptStates:
         expected[0, 0] = 1.0
         assert np.allclose(sigma, expected, atol=1e-12)
 
+    def test_refuses_non_finite_objective(self):
+        g = np.eye(4, dtype=complex)
+        g[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            minimize_over_ppt_states(g, (2, 2))
+
 
 class TestRelativeEntropyOfEntanglement:
     def test_bell_state(self):
@@ -374,6 +380,18 @@ class TestBaseNorm:
             base_norm(np.eye(4) / 4, self.PPT, self.PPT)
         res = base_norm(np.eye(4) / 4, self.PPT, self.PPT, dims=(2, 2))
         assert res.r_value <= 1e-7
+
+    def test_raw_array_must_be_hermitian(self):
+        h = np.eye(4) / 4
+        h[0, 1] = 0.3
+        with pytest.raises(ValidationError, match="hermiticity"):
+            base_norm(h, self.PPT, self.PPT, dims=(2, 2))
+
+    def test_raw_array_must_be_finite(self):
+        h = np.eye(4) / 4
+        h[2, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            base_norm(h, self.PPT, self.PPT, dims=(2, 2))
 
 
 class TestBestSeparableApproximation:
