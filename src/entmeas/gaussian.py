@@ -215,7 +215,7 @@ def reduce_modes(gamma: CovarianceMatrix, keep) -> CovarianceMatrix:
         Gaussian states are Gaussian, so the result is always physical.
     """
     gamma = _as_cov(gamma)
-    keep = _mode_indices(keep, gamma.n_modes, allow_empty=False)
+    keep = _mode_indices(keep, gamma.n_modes)
     rows = np.concatenate([[2 * m, 2 * m + 1] for m in keep])
     mean = None
     if gamma.first_moments is not None:
@@ -242,7 +242,7 @@ def partial_time_reversal(gamma: CovarianceMatrix, party_b_modes) -> CovarianceM
         across the chosen cut (for one mode per side).
     """
     gamma = _as_cov(gamma)
-    modes = _mode_indices(party_b_modes, gamma.n_modes, allow_empty=False)
+    modes = _mode_indices(party_b_modes, gamma.n_modes)
     signs = np.ones(2 * gamma.n_modes)
     for m in modes:
         signs[2 * m + 1] = -1.0
@@ -462,11 +462,11 @@ def _require_physical(gamma) -> CovarianceMatrix:
     return gamma
 
 
-def _mode_indices(modes, n_modes: int, allow_empty: bool) -> tuple[int, ...]:
+def _mode_indices(modes, n_modes: int) -> tuple[int, ...]:
     if isinstance(modes, (int, np.integer)):
         modes = (modes,)
     out = tuple(sorted(set(int(m) for m in modes)))
-    if not out and not allow_empty:
+    if not out:
         raise ValidationError("mode-indices", detail="mode set must be nonempty")
     if any(m < 0 or m >= n_modes for m in out):
         raise ValidationError(

@@ -258,7 +258,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int] | int) -> DensityOpe
 
     Parameters
     ----------
-    rho : DensityOperator
+    rho : DensityOperator or PureState
     keep : int or iterable of int
         Indices of the subsystems to retain, in their original order.
 
@@ -267,10 +267,11 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int] | int) -> DensityOpe
     DensityOperator
         Reduced operator whose ``dims`` are the retained dimensions.
     """
+    rho = _as_density(rho, "partial_trace")
     dims = tuple(rho.dims)
     n = len(dims)
     keep = _subsystems(keep, n, "keep")
-    tensor = _mat_of(rho).reshape(dims + dims)
+    tensor = rho.matrix.reshape(dims + dims)
     traced = [k for k in range(n) if k not in keep]
     for offset, k in enumerate(traced):
         axis = k - offset
@@ -327,6 +328,7 @@ def permute_subsystems(state, order: Sequence[int]):
     -------
     Same type as ``state`` with permuted dims.
     """
+    state = state if isinstance(state, PureState) else _as_density(state, "permute_subsystems")
     dims = tuple(state.dims)
     order = tuple(int(p) for p in order)
     if sorted(order) != list(range(len(dims))):
@@ -390,8 +392,6 @@ def relative_entropy(rho, sigma) -> float:
     s = _mat_of(sigma)
     if r.shape != s.shape:
         raise ValidationError("shape", detail="operators must share a dimension")
-    r = (r + r.conj().T) / 2.0
-    s = (s + s.conj().T) / 2.0
     s_eigs, s_vecs = np.linalg.eigh(s)
     support = s_eigs > SPECTRUM_CUTOFF
     if not np.all(support):

@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .closed_form import binary_entropy
 from .errors import ValidationError
-from .sdp import SdpProblem, SdpSolution, dual_bound, sdp_solve
+from .sdp import SdpProblem, SdpSolution, _BlockOperator, _max_step, dual_bound, sdp_solve
 from .states import (
     DensityOperator,
     MeasureResult,
@@ -64,8 +64,8 @@ _PPT_TOL = 1e-12
 _LMO_MAX_ITERATIONS = 60
 _LN2 = math.log(2.0)
 
-REE_DIM_LIMIT = 36
-BSA_DIM_LIMIT = 36
+# the measures that solve PPT-constrained SDPs: REE, BSA, robustness, base norms
+PPT_DIM_LIMIT = 36
 ROOF_DIM_LIMIT = 16
 RAINS_DIM_LIMIT = 16
 GEOMETRIC_DIM_LIMIT = 64
@@ -139,11 +139,15 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def _bipartite(state, context: str, limit: int | None = None):
-    rho = _as_density(state, context, bipartite=True)
-    if limit is not None and rho.dim > limit:
+def _check_limit(total: int, context: str, limit: float) -> None:
+    if total > limit:
         raise ValidationError(
             "dimension-limit", detail=f"{context} supports total dimension <= {limit}")
+
+
+def _bipartite(state, context: str, limit: float = math.inf):
+    rho = _as_density(state, context, bipartite=True)
+    _check_limit(rho.dim, context, limit)
     return rho.matrix, rho.dims
 
 
@@ -244,16 +248,16 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
 def _minimize_over_rains_set(objective: np.ndarray, dims: tuple[int, int]) -> float:
     """Rigorous lower bound on ``min tr(G sigma)`` over ``||sigma^Gamma||_1 <= 1``.
 
-    Blocks sigma, P, N and a slack s, with ``sigma^Gamma = P - N`` and
-    ``tr P + tr N + s = 1``; each has trace at most 1.
+    Blocks sigma, P, N with ``sigma^Gamma = P - N`` and ``tr P + tr N = 1``;
+    each has trace at most 1.  The face loses no sigma: adding ``c I`` to
+    both Jordan parts of ``sigma^Gamma`` fills any trace below 1.
     """
     n = dims[0] * dims[1]
-    eye = np.eye(n)
-    prob = SdpProblem((n, n, n, 1))
+    prob = SdpProblem((n, n, n))
     prob.set_objective(0, objective)
     _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False), 2: (1.0, False)},
                            None, dims)
-    prob.add_equality({1: eye, 2: eye, 3: np.ones((1, 1))}, 1.0)
+    prob.add_equality({1: np.eye(n), 2: np.eye(n)}, 1.0)
     return dual_bound(prob, sdp_solve(prob).y)
 
 
@@ -290,11 +294,10 @@ def _log_second_differences(w: np.ndarray, d1: np.ndarray) -> np.ndarray:
                     np.where(np.abs(wi - wk) <= near, -0.5 / wi ** 2, paired), apart)
 
 
-def _evaluate(rho: np.ndarray, terms, x: np.ndarray):
-    """The terms' eigendecompositions at ``x``, ``f = -tr(rho log M_0)`` and
-    the barrier ``-sum_j log det M_j``; None off the interior."""
-    eigs = [np.linalg.eigh(offset + (x @ flat).reshape(offset.shape))
-            for offset, flat in terms]
+def _evaluate(rho: np.ndarray, mats):
+    """The blocks' eigendecompositions, ``f = -tr(rho log M_0)`` and the
+    barrier ``-sum_j log det M_j``; None off the interior."""
+    eigs = [np.linalg.eigh(mat) for mat in mats]
     if not all(w[0] > 0.0 for w, _ in eigs):
         return None
     w, v = eigs[0]
@@ -303,45 +306,46 @@ def _evaluate(rho: np.ndarray, terms, x: np.ndarray):
     return eigs, -float(weights @ np.log(w)), barrier
 
 
-def _newton_system(rho: np.ndarray, terms, eigs, t: float):
-    """Gradient and Hessian of ``t f + barrier``, and each term's stack
-    rotated into its eigenbasis (``V^H B_a V``).
+def _newton_system(rho: np.ndarray, ops, eigs, t: float):
+    """Gradient and Hessian of ``t f + barrier`` in the coordinates x.
 
-    The barrier Hessian is the Gram matrix of ``M^-1/2 B_a M^-1/2``; that of
-    f is ``-(T + T^T)``, ``T_ab = sum_ikj F_ikj rho_ji B_a,ik B_b,kj``, with
-    F the second divided differences of log (Daleckii-Krein).
+    Block j's barrier has gradient ``-A_j(M_j^-1)`` and Hessian
+    ``tr(M_j^-1 A_a M_j^-1 A_b)``, the Schur matrix at ``X = S^-1 = M_j^-1``.
+    That of f is ``-(T + T^T)``, ``T_ab = sum_ikj F_ikj rho_ji B_a,ik B_b,kj``,
+    with B_a the rows of A_0 in the eigenbasis of M_0 (``V^H A_a V``) and F
+    the second divided differences of log (Daleckii-Krein).
     """
-    grad, hess, rotated = 0.0, 0.0, []
-    for j, ((_, flat), (w, v)) in enumerate(zip(terms, eigs)):
-        m = w.size
-        rot = flat @ np.kron(v.conj(), v)
-        rotated.append(rot)
-        inv = 1.0 / w
-        scaled = rot * np.sqrt(np.outer(inv, inv)).ravel()
-        grad = grad - rot[:, ::m + 1].real @ inv
-        hess = hess + (scaled @ scaled.conj().T).real
-        if j == 0:
-            d1 = _log_differences(w)
-            rho_t = v.conj().T @ rho @ v
-            kernel = np.zeros((m, m, m, m), dtype=complex)
-            kernel[:, range(m), range(m), :] = (
-                _log_second_differences(w, d1) * rho_t.T[:, None, :])
-            tmat = rot @ kernel.reshape(m * m, m * m) @ rot.T
-            grad = grad - t * (rot @ (d1 * rho_t.T).ravel()).real
-            hess = hess - t * (tmat + tmat.T).real
-    return grad, hess, rotated
+    grad, hess = 0.0, 0.0
+    for op, (w, v) in zip(ops, eigs):
+        inv = (v / w) @ v.conj().T
+        grad = grad - op.apply(inv)
+        hess = hess + op.schur(inv, inv)
+    w, v = eigs[0]
+    m = w.size
+    rot = ops[0].mat @ (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(m * m, m * m)
+    d1 = _log_differences(w)
+    rho_t = v.conj().T @ rho @ v
+    kernel = np.zeros((m, m, m, m), dtype=complex)
+    kernel[:, range(m), range(m), :] = (
+        _log_second_differences(w, d1) * rho_t.T[:, None, :])
+    tmat = rot @ kernel.reshape(m * m, m * m) @ rot.T
+    grad = grad - t * (rot @ (d1 * rho_t.T).ravel()).real
+    hess = hess - t * (tmat + tmat.T).real
+    return grad, hess
 
 
-def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], terms, x: np.ndarray,
-                    nu: float, cfg: SolverConfig, linear_minimum, equality=None):
+def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: dict,
+                    cfg: SolverConfig, linear_minimum):
     """Minimize ``S(rho || M_0(x))`` by a barrier method, then certify it.
 
-    The terms ``(offset, flat)`` give the matrices
-    ``M_j(x) = offset + (x @ flat).reshape(m, m)`` with barrier
-    ``-log det M_j`` (parameter ``nu`` in all); ``equality @ x`` stays fixed.
-    Damped Newton steps center ``t f + barrier``, ``f = -tr(rho log M_0)``;
-    t grows from 1 until ``nu / (t ln 2)`` is half the gap tolerance, unless
-    the steps reach ``cfg.max_iterations`` first.  With
+    The homogeneous operator equations (each the ``terms`` of
+    ``_add_operator_equation``), read in dual form, give the blocks
+    ``M_j(x) = sum_i x_i A_ij`` with barrier ``-log det M_j`` (parameter nu,
+    the sum of the block sizes).  ``sum_j tr M_j = 1`` over the blocks of
+    ``start`` holds throughout, from ``M_j = start[j] I / n_j``.  Damped
+    Newton steps center ``t f + barrier``, ``f = -tr(rho log M_0)``; t grows
+    from 1 until ``nu / (t ln 2)`` is half the gap tolerance, unless the
+    steps reach ``cfg.max_iterations`` first.  With
     ``L = linear_minimum(G)`` below ``min tr(G sigma)`` on the feasible set,
     ``S + L - <G, sigma>`` at the gradient G of f bounds the minimum below.
 
@@ -353,41 +357,47 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], terms, x: np.ndarray
     if float(np.linalg.eigvalsh(partial_transpose(rho, 1, dims))[0]) >= -_PPT_TOL:
         return rho.copy(), MeasureResult(0.0, "converged", witness_payload={
             "lower_bound": 0.0, "objective_trace": [0.0]})
-    eigs, f, barrier = _evaluate(rho, terms, x)
+    prob = SdpProblem((rho.shape[0],) * (1 + max(j for terms in equations for j in terms)))
+    for terms in equations:
+        _add_operator_equation(prob, terms, None, dims)
+    ops = [_BlockOperator(prob, j) for j in range(len(prob.block_dims))]
+    traces = {j: ops[j].apply(np.eye(ops[j].n)) for j in start}
+    equality = sum(traces.values())
+    x = sum(share * traces[j] / ops[j].n for j, share in start.items())
+    mats = [op.adjoint(x) for op in ops]
+    eigs, f, barrier = _evaluate(rho, mats)
     # half the tolerance: the bound needs exact centering, and the SDP has its error
-    t, t_end = 1.0, 2.0 * nu / (_LN2 * cfg.gap_tolerance)
+    t, t_end = 1.0, 2.0 * sum(op.n for op in ops) / (_LN2 * cfg.gap_tolerance)
     steps, best, trace = 0, (math.inf, x), []
     while True:
         while steps < cfg.max_iterations:
-            grad, hess, rotated = _newton_system(rho, terms, eigs, t)
+            grad, hess = _newton_system(rho, ops, eigs, t)
             try:
                 factor = scipy.linalg.cho_factor(hess)
             except np.linalg.LinAlgError:
                 break
             dx = -scipy.linalg.cho_solve(factor, grad)
-            if equality is not None:
-                toward = scipy.linalg.cho_solve(factor, equality)
-                dx -= toward * (equality @ dx) / (equality @ toward)
+            toward = scipy.linalg.cho_solve(factor, equality)
+            dx -= toward * (equality @ dx) / (equality @ toward)
             decrement = -float(grad @ dx)
             merit = t * f + barrier
             if decrement / 2.0 <= max(_CENTERED, _RESOLVED * abs(merit)):
                 break
             steps += 1
-            # cap the step at 0.99 of the way to the boundary, then backtrack (Armijo)
-            step = 1.0
-            for rot, (w, _) in zip(rotated, eigs):
-                root = 1.0 / np.sqrt(w)
-                low = float(np.linalg.eigvalsh(
-                    (dx @ rot).reshape(w.size, w.size) * np.outer(root, root))[0])
-                step = min(step, -0.99 / low) if low < 0.0 else step
+            # cap the step at 0.99 of the way to the boundary, then backtrack
+            # (Armijo); any W with W M W^H = I serves _max_step
+            dirs = [op.adjoint(dx) for op in ops]
+            step = min(1.0, 0.99 * min(_max_step((v / np.sqrt(w)).conj().T, d)
+                                       for d, (w, v) in zip(dirs, eigs)))
             while step >= 1e-10:
-                trial = _evaluate(rho, terms, x + step * dx)
+                trial_mats = [mat + step * d for mat, d in zip(mats, dirs)]
+                trial = _evaluate(rho, trial_mats)
                 if trial and t * trial[1] + trial[2] <= merit - 0.25 * step * decrement:
                     break
                 step /= 2.0
             else:
                 break  # no decrease left at this t
-            x = x + step * dx
+            x, mats = x + step * dx, trial_mats
             eigs, f, barrier = trial
         if f <= best[0]:
             best = (f, x)
@@ -396,7 +406,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], terms, x: np.ndarray
             break
         t = min(t * _T_GROWTH, t_end)
 
-    [(w, v)], f, _ = _evaluate(rho, terms[:1], best[1])
+    [(w, v)], f, _ = _evaluate(rho, [ops[0].adjoint(best[1])])
     sigma = (v * w) @ v.conj().T
     rho_t = v.conj().T @ rho @ v
     grad = -(v @ (_log_differences(w) * rho_t) @ v.conj().T)
@@ -446,16 +456,11 @@ def relative_entropy_of_entanglement(state, target_set: str = "PPT",
     if target_set not in ("PPT", "separable-outer"):
         raise ValidationError(
             "target-set", detail=f"unknown target set {target_set!r}")
-    rho, dims = _bipartite(state, "relative_entropy_of_entanglement", REE_DIM_LIMIT)
+    rho, dims = _bipartite(state, "relative_entropy_of_entanglement", PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    n = rho.shape[0]
-    basis, basis_pt = _basis_with_pt(dims)
-    flat, flat_pt = basis.reshape(n * n, n * n), basis_pt.reshape(n * n, n * n)
-    zero = np.zeros((n, n), dtype=complex)
-    trace_row = np.real(np.einsum("aii->a", basis))
-    sigma, result = _barrier_newton(
-        rho, dims, [(zero, flat), (zero, flat_pt)], trace_row / n, 2 * n, cfg,
-        lambda grad: minimize_over_ppt_states(grad, dims)[0], equality=trace_row)
+    # blocks sigma and sigma^Gamma in the coordinates of sigma, tr sigma = 1
+    sigma, result = _barrier_newton(rho, dims, [{0: (1.0, False), 1: (1.0, True)}], {0: 1.0},
+                                    cfg, lambda grad: minimize_over_ppt_states(grad, dims)[0])
     result.witness_payload.update(
         closest_state=sigma, target_set=target_set,
         separable_set="exact" if tuple(sorted(dims)) in _EXACT_PPT_DIMS
@@ -513,6 +518,7 @@ def robustness(state, noise: str = "global",
     Parameters
     ----------
     state : DensityOperator or PureState
+        Bipartite input with total dimension <= 36.
     noise : str
         ``"global"`` or ``"separable"``.
     config : SolverConfig, optional
@@ -526,7 +532,7 @@ def robustness(state, noise: str = "global",
     """
     if noise not in ("global", "separable"):
         raise ValidationError("noise-kind", detail=f"unknown noise model {noise!r}")
-    rho, dims = _bipartite(state, "robustness")
+    rho, dims = _bipartite(state, "robustness", PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
     n = rho.shape[0]
 
@@ -605,7 +611,7 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
     Parameters
     ----------
     h : DensityOperator, PureState, or ndarray
-        Hermitian operator; raw arrays require ``dims``.
+        Hermitian operator, total dimension <= 36; raw arrays need ``dims``.
     cone_x, cone_y : ConeSpec
     dims : tuple of int, optional
         Bipartite dimensions when ``h`` is a raw array.
@@ -615,12 +621,13 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
     BaseNormResult
     """
     if isinstance(h, (DensityOperator, PureState)):
-        mat, dims = _bipartite(h, "base_norm")
+        mat, dims = _bipartite(h, "base_norm", PPT_DIM_LIMIT)
     elif dims is None:
         raise ValidationError(
             "dims-required", detail="raw operators need explicit dims")
     else:
         dims = (int(dims[0]), int(dims[1]))
+        _check_limit(dims[0] * dims[1], "base_norm", PPT_DIM_LIMIT)
         mat = _hermitian(h, "operator", dims[0] * dims[1])
     n = mat.shape[0]
     eye = np.eye(n)
@@ -711,7 +718,7 @@ def best_separable_approximation(state,
     -------
     BsaResult
     """
-    rho, dims = _bipartite(state, "best_separable_approximation", BSA_DIM_LIMIT)
+    rho, dims = _bipartite(state, "best_separable_approximation", PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
     n = rho.shape[0]
 
@@ -852,11 +859,7 @@ def geometric_measure(psi: PureState,
         raise ValidationError(
             "state-type", detail="geometric_measure expects a PureState")
     dims = tuple(psi.dims)
-    total = int(np.prod(dims))
-    if total > GEOMETRIC_DIM_LIMIT:
-        raise ValidationError(
-            "dimension-limit",
-            detail=f"geometric_measure supports total dimension <= {GEOMETRIC_DIM_LIMIT}")
+    _check_limit(int(np.prod(dims)), "geometric_measure", GEOMETRIC_DIM_LIMIT)
     tensor = psi.vector.reshape(dims)
     nparties = len(dims)
     cfg = config or _DEFAULT_CONFIG
@@ -926,9 +929,10 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
 
     A convex problem (Rains, IEEE Trans. Inf. Theory 47, 2921 (2001)),
     solved like the relative entropy of entanglement with
-    ``sigma = (P - N)^Gamma`` and the barrier
-    ``-log det sigma - log det P - log det N - log(1 - tr P - tr N)``, and
-    certified by one linear minimization over the same set (an SDP).
+    ``sigma = (P - N)^Gamma`` on ``tr P + tr N = 1`` (which reaches every
+    sigma of the set) and the barrier
+    ``-log det sigma - log det P - log det N``, and certified by one linear
+    minimization over the same set (an SDP).
 
     Parameters
     ----------
@@ -948,19 +952,9 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
     """
     rho, dims = _bipartite(state, "rains_bound", RAINS_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    n = rho.shape[0]
-    basis, basis_pt = _basis_with_pt(dims)
-    flat, flat_pt = basis.reshape(n * n, n * n), basis_pt.reshape(n * n, n * n)
-    zero = np.zeros((n, n), dtype=complex)
-    trace_row = np.real(np.einsum("aii->a", basis))
-    # x = (P, N) in the basis; terms sigma, P, N and 1 - tr P - tr N
-    terms = [(zero, np.vstack([flat_pt, -flat_pt])),
-             (zero, np.vstack([flat, np.zeros_like(flat)])),
-             (zero, np.vstack([np.zeros_like(flat), flat])),
-             (np.ones((1, 1), dtype=complex),
-              -np.concatenate([trace_row, trace_row]).astype(complex)[:, None])]
-    start = np.concatenate([0.45 * trace_row, 0.05 * trace_row]) / n
-    sigma, result = _barrier_newton(rho, dims, terms, start, 3 * n + 1, cfg,
+    # blocks sigma = (P - N)^Gamma, P and N in the coordinates of (P, N)
+    equations = [{0: (1.0, True), 1: (1.0, False)}, {0: (-1.0, True), 2: (1.0, False)}]
+    sigma, result = _barrier_newton(rho, dims, equations, {1: 0.9, 2: 0.1}, cfg,
                                     lambda grad: _minimize_over_rains_set(grad, dims))
     result.witness_payload["minimizing_state"] = sigma
     return result

@@ -312,13 +312,14 @@ class TestDeterminism:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(
                        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        cmd = [sys.executable, "-m", "entmeas.cli", "measure", "--state", str(path),
-               "--measure", "robustness", "--format", "json"]
-        first, second = (subprocess.run(cmd, env=env, capture_output=True, timeout=300)
-                         for _ in range(2))
-        assert first.returncode == 0, first.stderr
-        assert json.loads(first.stdout)["value"] > 0.0
-        assert first.stdout == second.stdout
+        for measure in ("robustness", "rains"):
+            cmd = [sys.executable, "-m", "entmeas.cli", "measure", "--state", str(path),
+                   "--measure", measure, "--format", "json"]
+            first, second = (subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+                             for _ in range(2))
+            assert first.returncode == 0, first.stderr
+            assert json.loads(first.stdout)["value"] > 0.0
+            assert first.stdout == second.stdout
 
 
 class TestSolverErrorBoundary:

@@ -129,6 +129,10 @@ class TestPartialTrace:
         with pytest.raises(ValidationError, match="subsystem-index"):
             partial_trace(bell_rho(), 5)
 
+    def test_refuses_raw_array(self):
+        with pytest.raises(ValidationError, match="state-type"):
+            partial_trace(np.eye(4) / 4, 0)
+
 
 class TestPartialTranspose:
     def test_raw_array_matches_state(self, rng):
@@ -303,6 +307,10 @@ class TestPermute:
             permute_subsystems(psi.to_density(), (1, 0)).matrix,
             atol=1e-14,
         )
+
+    def test_refuses_raw_array(self):
+        with pytest.raises(ValidationError, match="state-type"):
+            permute_subsystems(np.eye(4) / 4, (1, 0))
 
 
 class TestApplyKraus:

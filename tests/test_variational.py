@@ -35,6 +35,7 @@ from entmeas.variational import (
     werner_regularized_ree,
     witness_violation,
 )
+from entmeas import variational
 from conftest import rand_unitary
 
 BELL = max_entangled(2).to_density()
@@ -334,6 +335,11 @@ class TestRobustness:
         with pytest.raises(ValidationError, match="noise-kind"):
             robustness(BELL, "thermal")
 
+    def test_rejects_large_dims(self):
+        big = DensityOperator(np.eye(42) / 42, (6, 7))
+        with pytest.raises(ValidationError, match="dimension-limit"):
+            robustness(big)
+
 
 class TestBaseNorm:
     PPT = ConeSpec("PPT-operators")
@@ -392,6 +398,10 @@ class TestBaseNorm:
         h[2, 2] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             base_norm(h, self.PPT, self.PPT, dims=(2, 2))
+
+    def test_raw_array_dimension_limit(self):
+        with pytest.raises(ValidationError, match="dimension-limit"):
+            base_norm(np.eye(42) / 42, self.PPT, self.PPT, dims=(6, 7))
 
 
 class TestBestSeparableApproximation:
@@ -531,6 +541,76 @@ class TestRainsBound:
             rb = rains_bound(rho, config=FAST)
             ree = relative_entropy_of_entanglement(rho, config=FAST)
             assert rb.value <= ree.value + 1e-6
+
+    def test_minimizing_state_is_in_the_rains_set(self):
+        rng = np.random.default_rng(17)
+        for dims in ((2, 2), (2, 3)):
+            rho = rand_rho(rng, n=dims[0] * dims[1], dims=dims, rank=2)
+            assert np.linalg.eigvalsh(pt_matrix(rho.matrix, dims))[0] < -1e-3
+            sigma = rains_bound(rho).witness_payload["minimizing_state"]
+            assert np.linalg.eigvalsh(sigma)[0] >= -1e-9
+            assert np.abs(np.linalg.eigvalsh(pt_matrix(sigma, dims))).sum() <= 1.0 + 1e-9
+
+
+class TestBarrierNewton:
+    """The Newton system of ``t f + barrier`` on each measure's own operators."""
+
+    @staticmethod
+    def operators(monkeypatch, measure, rho):
+        """The block operators the measure's barrier engine runs on."""
+        ops = []
+        block_operator = variational._BlockOperator
+
+        def spy(prob, block):
+            ops.append(block_operator(prob, block))
+            return ops[-1]
+
+        monkeypatch.setattr(variational, "_BlockOperator", spy)
+        measure(rho, config=SolverConfig(max_iterations=1))
+        return ops
+
+    @staticmethod
+    def check_derivatives(rho, ops, x, t=3.0):
+        def phi(y):
+            _, f, barrier = variational._evaluate(rho, [op.adjoint(y) for op in ops])
+            return t * f + barrier
+
+        def system(y):
+            eigs = variational._evaluate(rho, [op.adjoint(y) for op in ops])[0]
+            return variational._newton_system(rho, ops, eigs, t)
+
+        d = np.random.default_rng(5).standard_normal(x.size)
+        h = 1e-6
+        grad, hess = system(x)
+        fd_grad = (phi(x + h * d) - phi(x - h * d)) / (2 * h)
+        fd_hess = (system(x + h * d)[0] - system(x - h * d)[0]) / (2 * h)
+        assert fd_grad == pytest.approx(grad @ d, rel=1e-6)
+        assert np.linalg.norm(fd_hess - hess @ d) <= 1e-6 * np.linalg.norm(hess @ d)
+
+    def test_ree_2x2(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        rho = rand_rho(rng, rank=2)
+        ops = self.operators(monkeypatch, relative_entropy_of_entanglement, rho)
+        assert len(ops) == 2
+        sigma = 0.7 * np.eye(4) / 4 + 0.3 * rand_rho(rng).matrix
+        x = ops[0].apply(sigma)
+        assert np.allclose(ops[0].adjoint(x), sigma, atol=1e-14)
+        assert np.allclose(ops[1].adjoint(x), pt_matrix(sigma), atol=1e-14)
+        self.check_derivatives(rho.matrix, ops, x)
+
+    def test_rains_2x3(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        dims = (2, 3)
+        rho = rand_rho(rng, n=6, dims=dims, rank=2)
+        ops = self.operators(monkeypatch, rains_bound, rho)
+        assert len(ops) == 3
+        p = 0.8 * np.eye(6) / 6 + 0.05 * rand_rho(rng, n=6, dims=dims).matrix
+        n = 0.1 * np.eye(6) / 6 + 0.05 * rand_rho(rng, n=6, dims=dims).matrix
+        x = ops[1].apply(p) + ops[2].apply(n)
+        assert np.allclose(ops[0].adjoint(x), pt_matrix(p - n, dims), atol=1e-14)
+        assert np.allclose(ops[1].adjoint(x), p, atol=1e-14)
+        assert np.allclose(ops[2].adjoint(x), n, atol=1e-14)
+        self.check_derivatives(rho.matrix, ops, x)
 
 
 class TestWitnessViolation:
