@@ -10,8 +10,10 @@ over complex Hermitian blocks, where ``<A, B> = Re tr(A B)``.  The solver
 follows the HKM search direction with a Mehrotra predictor-corrector step
 and is fully deterministic.
 
-Each block's constraints are held as one sparse ``(m, n^2)`` matrix, built
-once per solve.  The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` is
+A constraint is stored, from the moment it is added, only as the sparse
+entries of its row-major flattened coefficients; each block's entries make
+one ``(m, n^2)`` matrix, read by the solver, by ``_verify`` and by
+``dual_bound``.  The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` is
 assembled from it as ``Re(A (S^-T kron X) A^H)``, in O(nnz n^2) rather than
 the O(m^2 n^2) of a dense build (the structure-exploiting build of
 Fujisawa, Kojima & Nakata, Math. Prog. 79 (1997)); it is factored once per
@@ -60,7 +62,10 @@ class SdpProblem:
                 "block-dims", float(sum(self.block_dims)), float(MAX_TOTAL_DIM),
                 detail="total dimension exceeds the supported limit")
         self._objective = [np.zeros((n, n), dtype=complex) for n in self.block_dims]
-        self._rows = []
+        # per block, (row, column, value) chunks of the row-major flattened
+        # constraint coefficients, in the order the rows were added
+        self._entries = [[(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
+                         for _ in self.block_dims]
         self._rhs = []
 
     @property
@@ -84,11 +89,35 @@ class SdpProblem:
         row = {}
         for block, matrix in terms.items():
             n = self.block_dims[int(block)]
-            row[int(block)] = _hermitian(matrix, f"constraint block {block}", n)
+            flat = _hermitian(matrix, f"constraint block {block}", n).ravel()
+            cols = np.flatnonzero(flat)
+            row[int(block)] = scipy.sparse.csr_matrix(
+                (flat[cols], cols, [0, cols.size]), shape=(1, n * n))
         if not row:
             raise ValidationError("constraint", detail="a constraint needs at least one term")
-        self._rows.append(row)
-        self._rhs.append(float(rhs))
+        self._add_constraints(row, [rhs])
+
+    def _add_constraints(self, terms: dict, rhs) -> None:
+        """Add k constraints, unvalidated: ``terms`` maps a block to a CSR
+        ``(k, n*n)`` matrix whose row r, sorted by column, is the flattened
+        coefficient of new constraint r; ``rhs`` holds the k right-hand sides.
+        """
+        first = len(self._rhs)
+        for block, rows in terms.items():
+            index = np.repeat(np.arange(first, first + rows.shape[0]), np.diff(rows.indptr))
+            self._entries[block].append((index, rows.indices, rows.data))
+        self._rhs.extend(float(value) for value in rhs)
+
+    def _coefficients(self, block: int):
+        """The constraints of one block as a sparse ``(m, n*n)`` CSR matrix.
+
+        Row i holds the row-major flattened coefficient of constraint i on
+        the block, so that ``<A_i, Z> = Re (A vec(Z^T))_i``.
+        """
+        n, m = self.block_dims[block], self.num_constraints
+        rows, cols, vals = (np.concatenate(part) for part in zip(*self._entries[block]))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+        return scipy.sparse.csr_matrix((vals, cols, indptr), shape=(m, n * n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,33 +152,17 @@ class SdpSolution:
     dual_blocks: tuple
 
 
-def _block_rows(problem: SdpProblem, block: int):
-    """Indices of the constraints with a term on ``block``, and those terms."""
-    n = problem.block_dims[block]
-    index = [i for i, row in enumerate(problem._rows) if block in row]
-    stack = np.array([problem._rows[i][block] for i in index], dtype=complex)
-    return np.array(index, dtype=int), stack.reshape(len(index), n, n)
-
-
 class _BlockOperator:
     """The constraints of one block as a sparse ``(m, n*n)`` matrix ``A``.
 
-    Row i holds the row-major flattened coefficient of constraint i on the
-    block, so that ``<A_i, Z> = Re (A vec(Z^T))_i``.  Built once per solve,
-    with its conjugate and transpose, which the iterations reuse.
+    ``A`` is the stored ``SdpProblem._coefficients`` of the block; its
+    conjugate and transpose are formed with it, and every product reuses
+    the three.
     """
 
     def __init__(self, problem: SdpProblem, block: int):
-        n = problem.block_dims[block]
-        m = problem.num_constraints
-        index, stack = _block_rows(problem, block)
-        rows, cols = np.nonzero(stack.reshape(index.size, n * n))
-        vals = stack.reshape(index.size, n * n)[rows, cols]
-        rows = index[rows]
-        self.n = n
-        self.mat = scipy.sparse.csr_matrix(
-            (vals, cols, np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])),
-            shape=(m, n * n))
+        self.n = problem.block_dims[block]
+        self.mat = problem._coefficients(block)
         self._conj = self.mat.conj()
         self._adj = self.mat.T.tocsr()
 
@@ -213,7 +226,7 @@ def _verify(problem: SdpProblem, sol: SdpSolution,
             gap_tolerance: float = _GAP_TOL) -> bool:
     """Recheck a solution against the problem data alone.
 
-    Recomputes from the stored constraint rows, not from the solver's
+    Recomputes from the stored constraint entries, not from the solver's
     operators, the relative primal and dual residuals, the smallest
     eigenvalue of every primal and dual block, the relative duality gap and
     the two reported objectives, and applies the solver's acceptance test.
@@ -223,9 +236,9 @@ def _verify(problem: SdpProblem, sol: SdpSolution,
     primal = np.zeros(b.size)
     adjoints = []
     for j, n in enumerate(problem.block_dims):
-        index, stack = _block_rows(problem, j)
-        primal[index] += np.real(stack.reshape(index.size, -1) @ xs[j].T.reshape(-1))
-        adjoints.append(np.tensordot(y[index], stack, axes=1))
+        mat = problem._coefficients(j)
+        primal += np.real(mat @ xs[j].T.reshape(-1))
+        adjoints.append((mat.T @ y).reshape(n, n))
     cmats = problem._objective
     norm_b = float(np.linalg.norm(b))
     norm_c = max(float(np.linalg.norm(c)) for c in cmats)
@@ -250,12 +263,11 @@ def dual_bound(problem: SdpProblem, y: np.ndarray) -> float:
 
     Rigorous for any dual vector ``y``, however early the solver stopped,
     when every feasible block has trace at most 1; the slacks are
-    recomputed from the stored constraint rows.
+    recomputed from the stored constraint entries.
     """
     bound = float(np.dot(problem._rhs, y))
     for j, objective in enumerate(problem._objective):
-        index, stack = _block_rows(problem, j)
-        slack = objective - np.tensordot(y[index], stack, axes=1)
+        slack = objective - (problem._coefficients(j).T @ y).reshape(objective.shape)
         bound += min(0.0, float(np.linalg.eigvalsh((slack + slack.conj().T) / 2.0)[0]))
     return bound
 

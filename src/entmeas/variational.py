@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .closed_form import binary_entropy
 from .errors import ValidationError
@@ -64,7 +65,8 @@ _PPT_TOL = 1e-12
 _LMO_MAX_ITERATIONS = 60
 _LN2 = math.log(2.0)
 
-# the measures that solve PPT-constrained SDPs: REE, BSA, robustness, base norms
+# the measures that solve PPT-constrained SDPs: REE, BSA, robustness, base
+# norms, and witness_violation when it verifies
 PPT_DIM_LIMIT = 36
 ROOF_DIM_LIMIT = 16
 RAINS_DIM_LIMIT = 16
@@ -151,49 +153,38 @@ def _bipartite(state, context: str, limit: float = math.inf):
     return rho.matrix, rho.dims
 
 
-_BASIS_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _basis_with_pt(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal Hermitian basis of n x n and its partial transposes."""
-    if dims in _BASIS_CACHE:
-        return _BASIS_CACHE[dims]
-    n = dims[0] * dims[1]
-    mats = []
-    for k in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0
-        mats.append(e)
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = e[l, k] = 1.0 / math.sqrt(2.0)
-            mats.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = -1.0j / math.sqrt(2.0)
-            e[l, k] = 1.0j / math.sqrt(2.0)
-            mats.append(e)
-    basis = np.array(mats)
-    basis_pt = np.array([partial_transpose(e, 1, dims) for e in basis])
-    _BASIS_CACHE[dims] = (basis, basis_pt)
-    return basis, basis_pt
-
-
 def _add_operator_equation(prob: SdpProblem, terms: dict, rhs,
                            dims: tuple[int, int]) -> None:
     """Add the n^2 rows of the operator equation ``sum_j s_j T_j(X_j) = R``.
 
     ``terms`` maps a block index j to ``(s_j, transposed)``; ``T_j`` is the
     partial transpose on B when ``transposed`` and the identity otherwise.
-    ``rhs`` is the Hermitian operator R, or None for zero.  One row is added
-    per element of the orthonormal basis of ``_basis_with_pt``.
+    ``rhs`` is the Hermitian operator R, or None for zero.  Row a pairs both
+    sides with element a of an orthonormal Hermitian basis (first ``E_kk``,
+    then for each ``k < l`` the pair ``(E_kl + E_lk) / sqrt 2`` and
+    ``(-i E_kl + i E_lk) / sqrt 2``), held row-major flattened as the rows
+    of a sparse matrix.  The partial transpose permutes the flattened
+    entries, so it permutes the columns; being its own inverse, it maps
+    column c to ``swap[c]``.
     """
-    basis, basis_pt = _basis_with_pt(dims)
-    for a in range(basis.shape[0]):
-        row = {j: sign * (basis_pt[a] if transposed else basis[a])
-               for j, (sign, transposed) in terms.items()}
-        value = 0.0 if rhs is None else float(np.real(np.vdot(rhs, basis[a])))
-        prob.add_equality(row, value)
+    n = dims[0] * dims[1]
+    k, l = np.triu_indices(n, 1)
+    upper, lower = k * n + l, l * n + k
+    scale = 1.0 / math.sqrt(2.0)
+    cols = np.concatenate([np.arange(n) * (n + 1),
+                           np.stack([upper, lower, upper, lower], axis=1).ravel()])
+    pair = [scale, scale, -1.0j * scale, 1.0j * scale]
+    vals = np.concatenate([np.ones(n), np.tile(pair, k.size)])
+    indptr = np.concatenate([np.arange(n), n + 2 * np.arange(2 * k.size + 1)])
+    grid = np.arange(n * n).reshape(dims[0], dims[1], dims[0], dims[1])
+    swap = grid.transpose(0, 3, 2, 1).ravel()
+    basis = scipy.sparse.csr_matrix((vals, cols, indptr), shape=(n * n, n * n))
+    # sorted as a copy: basis shares vals, which an in-place sort would reorder
+    basis_pt = scipy.sparse.csr_matrix(
+        (vals, swap[cols], indptr), shape=basis.shape).sorted_indices()
+    values = np.zeros(n * n) if rhs is None else np.real(basis.conj() @ np.ravel(rhs))
+    prob._add_constraints({j: sign * (basis_pt if transposed else basis)
+                           for j, (sign, transposed) in terms.items()}, values)
 
 
 def _clean_state(mat: np.ndarray) -> np.ndarray:
@@ -423,7 +414,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
             "objective_trace": [kept / _LN2 - entropy for kept in trace]})
 
 
-def relative_entropy_of_entanglement(state, target_set: str = "PPT",
+def relative_entropy_of_entanglement(state,
                                      config: SolverConfig | None = None) -> MeasureResult:
     """Relative entropy distance from the PPT-state spectrahedron, in bits.
 
@@ -437,10 +428,6 @@ def relative_entropy_of_entanglement(state, target_set: str = "PPT",
     ----------
     state : DensityOperator or PureState
         Bipartite input with total dimension <= 36.
-    target_set : str
-        ``"PPT"`` or ``"separable-outer"``; both optimize over PPT states.
-        The payload records whether this is exact for the separable set
-        (dimensions (2, 2) and (2, 3)) or a lower bound.
     config : SolverConfig, optional
         ``max_iterations`` caps the Newton steps; ``restarts`` and ``seed``
         are not used.
@@ -451,18 +438,17 @@ def relative_entropy_of_entanglement(state, target_set: str = "PPT",
         ``status == "converged"`` when the certified gap reached the
         configured tolerance, otherwise ``"best_effort"``; ``iterations``
         counts Newton steps.  ``witness_payload["closest_state"]`` holds the
-        best PPT state found (a PPT input is its own, with value 0).
+        best PPT state found (a PPT input is its own, with value 0), and
+        ``witness_payload["separable_set"]`` whether the value is exact for
+        the separable set (dimensions (2, 2) and (2, 3)) or a lower bound.
     """
-    if target_set not in ("PPT", "separable-outer"):
-        raise ValidationError(
-            "target-set", detail=f"unknown target set {target_set!r}")
     rho, dims = _bipartite(state, "relative_entropy_of_entanglement", PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
     # blocks sigma and sigma^Gamma in the coordinates of sigma, tr sigma = 1
     sigma, result = _barrier_newton(rho, dims, [{0: (1.0, False), 1: (1.0, True)}], {0: 1.0},
                                     cfg, lambda grad: minimize_over_ppt_states(grad, dims)[0])
     result.witness_payload.update(
-        closest_state=sigma, target_set=target_set,
+        closest_state=sigma,
         separable_set="exact" if tuple(sorted(dims)) in _EXACT_PPT_DIMS
         else "ppt-lower-bound")
     return result
@@ -972,14 +958,15 @@ def witness_violation(state, verify: bool = False):
     state : DensityOperator or PureState
     verify : bool
         When true, certify ``tr(W sigma) >= -1e-8`` over PPT states by an
-        SDP before returning.
+        SDP before returning; this needs total dimension <= 36.
 
     Returns
     -------
     (witness, violation) : (ndarray or None, float)
         ``(None, 0.0)`` for PPT inputs.
     """
-    rho, dims = _bipartite(state, "witness_violation")
+    rho, dims = _bipartite(state, "witness_violation",
+                           PPT_DIM_LIMIT if verify else math.inf)
     pt_rho = partial_transpose(rho, 1, dims)
     w, v = np.linalg.eigh(pt_rho)
     if float(w[0]) >= -_PPT_TOL:

@@ -322,6 +322,19 @@ class TestDeterminism:
             assert first.stdout == second.stdout
 
 
+class TestImportCost:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize adds to the start-up time and memory of every call
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, entmeas.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+
 class TestSolverErrorBoundary:
     @pytest.fixture
     def failing_solver(self, monkeypatch):

@@ -1,4 +1,5 @@
 """Property tests: the certified distance measures are local-unitary invariant,
+the Rains bound sits in the chain hashing <= Rains <= REE, log-negativity,
 and the partial transpose of a raw operator is a trace- and
 Hermiticity-preserving involution."""
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from entmeas import DensityOperator, partial_transpose
+from entmeas.bounds import hashing_lower_bound
+from entmeas.closed_form import log_negativity
 from entmeas.variational import rains_bound, relative_entropy_of_entanglement
 from conftest import rand_rho, rand_unitary
 
@@ -24,6 +27,19 @@ def test_two_qubit_distances_are_local_unitary_invariant(seed, rank):
     for measure in (relative_entropy_of_entanglement, rains_bound):
         before, after = measure(rho), measure(rotated)
         assert abs(before.value - after.value) <= before.gap + after.gap + 1e-9
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+       rank=st.integers(min_value=1, max_value=9))
+def test_rains_bound_sits_in_the_bound_chain(seed, dims, rank):
+    rho = rand_rho(np.random.default_rng(seed), dims, min(rank, dims[0] * dims[1]))
+    rains = rains_bound(rho)
+    ree = relative_entropy_of_entanglement(rho)
+    assert hashing_lower_bound(rho) <= rains.value
+    assert rains.value - rains.gap <= ree.value
+    assert rains.value - rains.gap <= log_negativity(rho) + 1e-9
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from entmeas import ValidationError, sdp
+from entmeas import ValidationError, partial_transpose, sdp
 from entmeas.sdp import (
     SdpProblem,
     _BlockOperator,
@@ -171,6 +171,13 @@ class TestValidationAndLimits:
             with pytest.raises(ValidationError, match="non-finite"):
                 prob.add_equality({0: mat}, 1.0)
 
+    def test_refused_equality_adds_no_row(self):
+        prob = SdpProblem([2, 2])
+        with pytest.raises(ValidationError, match="shape"):
+            prob.add_equality({0: np.eye(2), 1: np.eye(3)}, 1.0)
+        assert prob.num_constraints == 0
+        assert prob._coefficients(0).nnz == 0
+
     def test_requires_constraints(self):
         prob = SdpProblem([2])
         prob.set_objective(0, np.eye(2))
@@ -223,7 +230,7 @@ def positive(rng, n):
 def dense_schur(problem, block, x, sinv):
     """Reference ``Re tr(A_i X A_k S^-1)`` from a dense stack of the rows."""
     n = problem.block_dims[block]
-    stack = np.array([row.get(block, np.zeros((n, n))) for row in problem._rows])
+    stack = problem._coefficients(block).toarray().reshape(-1, n, n)
     return np.einsum("iab,bc,kcd,da->ik", stack, x, stack, sinv).real
 
 
@@ -233,6 +240,24 @@ def ppt_problem(dims):
     _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
     prob.add_equality({0: np.eye(n)}, 1.0)
     return prob
+
+
+class TestOperatorEquationRows:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_rows_are_a_hermitian_basis_and_its_partial_transposes(self, rng, dims):
+        n = dims[0] * dims[1]
+        prob = SdpProblem((n, n))
+        rhs = herm(rng, n)
+        _add_operator_equation(prob, {0: (1.0, False), 1: (1.0, True)}, rhs, dims)
+        basis = prob._coefficients(0).toarray().reshape(n * n, n, n)
+        permuted = prob._coefficients(1).toarray().reshape(n * n, n, n)
+        assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+        gram = np.einsum("aij,bji->ab", basis, basis).real
+        assert np.allclose(gram, np.eye(n * n), rtol=0.0, atol=1e-15)
+        for element, row in zip(basis, permuted):
+            assert np.array_equal(row, partial_transpose(element, 1, dims))
+        want = np.einsum("aij,ji->a", basis, rhs).real
+        assert np.allclose(prob._rhs, want, rtol=0.0, atol=1e-14)
 
 
 class TestSparseSchur:

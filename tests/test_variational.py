@@ -228,8 +228,6 @@ class TestRelativeEntropyOfEntanglement:
             assert res.gap <= 1e-6
 
     def test_rejects_unknown_set_and_large_dims(self):
-        with pytest.raises(ValidationError, match="target-set"):
-            relative_entropy_of_entanglement(BELL, target_set="CHSH")
         big = DensityOperator(np.eye(49) / 49, (7, 7))
         with pytest.raises(ValidationError, match="dimension-limit"):
             relative_entropy_of_entanglement(big)
@@ -637,6 +635,18 @@ class TestWitnessViolation:
                 assert witness is None
             else:
                 assert violation == pytest.approx(-low, abs=1e-10)
+
+
+    def test_only_verification_is_dimension_limited(self):
+        dims = (6, 7)
+        psi = np.zeros(42)
+        psi[[i * 7 + i for i in range(6)]] = 1.0 / math.sqrt(6.0)
+        rho = DensityOperator(0.5 * np.outer(psi, psi) + 0.5 * np.eye(42) / 42, dims)
+        witness, violation = witness_violation(rho)
+        assert witness.shape == (42, 42)
+        assert violation > 0.0
+        with pytest.raises(ValidationError, match="dimension-limit"):
+            witness_violation(rho, verify=True)
 
 
 class TestSquashedEval:
