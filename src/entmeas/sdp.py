@@ -12,10 +12,11 @@ and is fully deterministic.
 
 A constraint is stored, from the moment it is added, only as the sparse
 entries of its row-major flattened coefficients; each block's entries make
-one ``(m, n^2)`` matrix, read by the solver, by ``_verify`` and by
-``dual_bound``.  The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` is
-assembled from it as ``Re(A (S^-T kron X) A^H)``, in O(nnz n^2) rather than
-the O(m^2 n^2) of a dense build (the structure-exploiting build of
+one ``(m, n^2)`` matrix for the solver, while ``_verify`` and
+``dual_bound`` sum the entries themselves.  The Schur matrix
+``M_ik = Re tr(A_i X A_k S^-1)`` is assembled from that matrix as
+``Re(A (S^-T kron X) A^H)``, in O(nnz n^2) rather than the O(m^2 n^2) of
+a dense build (the structure-exploiting build of
 Fujisawa, Kojima & Nakata, Math. Prog. 79 (1997)); it is factored once per
 iteration for both the predictor and the corrector.  Before iterating, a
 Cholesky factor of the Gram matrix ``Re(A A^H)`` tests the rows for full
@@ -108,6 +109,10 @@ class SdpProblem:
             self._entries[block].append((index, rows.indices, rows.data))
         self._rhs.extend(float(value) for value in rhs)
 
+    def _block_entries(self, block: int):
+        """The stored ``(row, column, value)`` entries of one block, joined."""
+        return tuple(np.concatenate(part) for part in zip(*self._entries[block]))
+
     def _coefficients(self, block: int):
         """The constraints of one block as a sparse ``(m, n*n)`` CSR matrix.
 
@@ -115,7 +120,7 @@ class SdpProblem:
         the block, so that ``<A_i, Z> = Re (A vec(Z^T))_i``.
         """
         n, m = self.block_dims[block], self.num_constraints
-        rows, cols, vals = (np.concatenate(part) for part in zip(*self._entries[block]))
+        rows, cols, vals = self._block_entries(block)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
         return scipy.sparse.csr_matrix((vals, cols, indptr), shape=(m, n * n))
 
@@ -221,6 +226,27 @@ def _linear_consistency(ops, b) -> bool:
     return float(np.linalg.norm(design @ sol - b)) <= 1e-8 * (1.0 + float(np.linalg.norm(b)))
 
 
+def _apply(problem: SdpProblem, block: int, x: np.ndarray) -> np.ndarray:
+    """The vector ``Re tr(A_i X)`` over all rows, from the stored entries."""
+    rows, cols, vals = problem._block_entries(block)
+    return np.bincount(rows, np.real(vals * x.T.reshape(-1)[cols]),
+                       minlength=problem.num_constraints)
+
+
+def _adjoint(problem: SdpProblem, block: int, y: np.ndarray) -> np.ndarray:
+    """The matrix ``sum_i y_i A_i``, from the stored entries.
+
+    ``np.bincount`` takes only real weights, so the real and imaginary parts
+    of the coefficients are summed apart.
+    """
+    n = problem.block_dims[block]
+    rows, cols, vals = problem._block_entries(block)
+    weights = np.asarray(y, dtype=float)[rows]
+    flat = (np.bincount(cols, vals.real * weights, minlength=n * n)
+            + 1j * np.bincount(cols, vals.imag * weights, minlength=n * n))
+    return flat.reshape(n, n)
+
+
 def _verify(problem: SdpProblem, sol: SdpSolution,
             feasibility_tolerance: float = _FEAS_TOL,
             gap_tolerance: float = _GAP_TOL) -> bool:
@@ -233,12 +259,8 @@ def _verify(problem: SdpProblem, sol: SdpSolution,
     """
     b = np.asarray(problem._rhs, dtype=float)
     xs, ss, y = sol.blocks, sol.dual_blocks, sol.y
-    primal = np.zeros(b.size)
-    adjoints = []
-    for j, n in enumerate(problem.block_dims):
-        mat = problem._coefficients(j)
-        primal += np.real(mat @ xs[j].T.reshape(-1))
-        adjoints.append((mat.T @ y).reshape(n, n))
+    primal = sum(_apply(problem, j, x) for j, x in enumerate(xs))
+    adjoints = [_adjoint(problem, j, y) for j in range(len(xs))]
     cmats = problem._objective
     norm_b = float(np.linalg.norm(b))
     norm_c = max(float(np.linalg.norm(c)) for c in cmats)
@@ -267,7 +289,7 @@ def dual_bound(problem: SdpProblem, y: np.ndarray) -> float:
     """
     bound = float(np.dot(problem._rhs, y))
     for j, objective in enumerate(problem._objective):
-        slack = objective - (problem._coefficients(j).T @ y).reshape(objective.shape)
+        slack = objective - _adjoint(problem, j, y)
         bound += min(0.0, float(np.linalg.eigvalsh((slack + slack.conj().T) / 2.0)[0]))
     return bound
 

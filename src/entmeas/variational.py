@@ -501,6 +501,22 @@ def robustness(state, noise: str = "global",
     or over PPT states (``"separable"``, the tractable stand-in for
     separable noise).
 
+    Both models are solved in coordinate form (the primal/dual pair of
+    Vandenberghe & Boyd, SIAM Rev. 38, 49 (1996)).  The unnormalized noise
+    ``N = t sigma`` is ``-sum_i y_i E_i`` over the orthonormal Hermitian
+    basis of the operator equation, and the dual slacks are the cone
+    members ``N``, ``N^Gamma`` (separable noise only) and
+    ``(rho + N)^Gamma``.  One equation of n^2 rows,
+    ``X_0 [+ X_1^Gamma] + X_last^Gamma = I``, ties the primal blocks, whose
+    objective is ``<rho^Gamma, X_last>``; the dual maximizes ``-tr N``.
+    Both sides are strictly feasible: ``N = c I`` with
+    ``c > max(0, -lambda_min(rho^Gamma))`` on the dual side, and
+    ``X = (I/2, I/4, I/4)`` (``(I/2, I/2)`` for global noise) on the
+    primal side, since ``I^Gamma = I``.  Slater's condition holds for every
+    state, so no degeneracy holds the interior-point solve back.  The
+    reported ``t`` is the dual objective, the one the returned noise
+    reaches.
+
     Parameters
     ----------
     state : DensityOperator or PureState
@@ -522,21 +538,19 @@ def robustness(state, noise: str = "global",
     cfg = config or _DEFAULT_CONFIG
     n = rho.shape[0]
 
-    # block 0 is the unnormalized noise t*sigma, the last block the PPT
-    # mixture (rho + t*sigma)^{T_B}; separable noise adds sigma^{T_B} >= 0
     prob = SdpProblem((n,) * (2 if noise == "global" else 3))
-    prob.set_objective(0, np.eye(n))
-    if noise == "separable":
-        _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
     last = len(prob.block_dims) - 1
-    _add_operator_equation(prob, {0: (1.0, True), last: (-1.0, False)},
-                           -partial_transpose(rho, 1, dims), dims)
+    prob.set_objective(last, partial_transpose(rho, 1, dims))
+    terms = {0: (1.0, False), last: (1.0, True)}
+    if noise == "separable":
+        terms[1] = (1.0, True)
+    _add_operator_equation(prob, terms, np.eye(n), dims)
     sol = sdp_solve(prob, max_iterations=min(cfg.max_iterations, 100))
     status = _solver_result_guard(sol, "robustness")
 
-    t = max(0.0, float(sol.value))
+    t = max(0.0, -float(sol.dual_value))
     payload = {
-        "noise_state": _clean_state(sol.blocks[0]) if t > 1e-10 else None,
+        "noise_state": _clean_state(sol.dual_blocks[0]) if t > 1e-10 else None,
         "relaxation": "exact" if tuple(sorted(dims)) in _EXACT_PPT_DIMS
         else "ppt-outer",
         "noise": noise,

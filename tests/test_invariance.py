@@ -1,5 +1,6 @@
 """Property tests: the certified distance measures are local-unitary invariant,
 the Rains bound sits in the chain hashing <= Rains <= REE, log-negativity,
+the robustnesses in the chain negativity <= global <= separable noise,
 and the partial transpose of a raw operator is a trace- and
 Hermiticity-preserving involution."""
 
@@ -8,8 +9,8 @@ import pytest
 
 from entmeas import DensityOperator, partial_transpose
 from entmeas.bounds import hashing_lower_bound
-from entmeas.closed_form import log_negativity
-from entmeas.variational import rains_bound, relative_entropy_of_entanglement
+from entmeas.closed_form import log_negativity, negativity
+from entmeas.variational import rains_bound, relative_entropy_of_entanglement, robustness
 from conftest import rand_rho, rand_unitary
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -40,6 +41,18 @@ def test_rains_bound_sits_in_the_bound_chain(seed, dims, rank):
     assert hashing_lower_bound(rho) <= rains.value
     assert rains.value - rains.gap <= ree.value
     assert rains.value - rains.gap <= log_negativity(rho) + 1e-9
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+       rank=st.integers(min_value=1, max_value=9))
+def test_robustnesses_sit_in_the_negativity_chain(seed, dims, rank):
+    rho = rand_rho(np.random.default_rng(seed), dims, min(rank, dims[0] * dims[1]))
+    glob, sep = robustness(rho, "global"), robustness(rho, "separable")
+    assert negativity(rho) - 1e-7 <= glob.value
+    # each value lies above its own optimum by at most its gap
+    assert glob.value <= sep.value + glob.gap + sep.gap
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

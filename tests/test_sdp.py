@@ -4,13 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from entmeas import ValidationError, partial_transpose, sdp
 from entmeas.sdp import (
     SdpProblem,
     _BlockOperator,
+    _adjoint,
+    _apply,
     _full_row_rank,
     _verify,
+    dual_bound,
     sdp_solve,
 )
 from entmeas.variational import _add_operator_equation
@@ -282,6 +286,63 @@ class TestSparseSchur:
             got = _BlockOperator(prob, block).schur(x, sinv)
             ref = dense_schur(prob, block, x, sinv)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def mixed_problem(rng, dims):
+    """Random objectives, one operator equation and two dense rows."""
+    n = dims[0] * dims[1]
+    prob = SdpProblem((n, n, n))
+    for j in range(3):
+        prob.set_objective(j, herm(rng, n))
+    _add_operator_equation(prob, {0: (1.0, True), 2: (-1.0, False)}, herm(rng, n), dims)
+    prob.add_equality({0: herm(rng, n), 1: herm(rng, n)}, 0.3)
+    prob.add_equality({1: np.eye(n)}, 1.0)
+    return prob
+
+
+class TestEntryAdjoint:
+    """``_verify`` and ``dual_bound`` sum the stored entries directly; the
+    reference is a dense stack of each block's rows."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_apply_and_adjoint_match_dense_rows(self, rng, dims):
+        prob = mixed_problem(rng, dims)
+        n = dims[0] * dims[1]
+        y = rng.standard_normal(prob.num_constraints)
+        for block in range(3):
+            stack = prob._coefficients(block).toarray().reshape(-1, n, n)
+            x = herm(rng, n)
+            want_apply = np.einsum("iab,ba->i", stack, x).real
+            want_adjoint = np.einsum("i,iab->ab", y, stack)
+            got_apply, got_adjoint = _apply(prob, block, x), _adjoint(prob, block, y)
+            assert np.max(np.abs(got_apply - want_apply)) <= 1e-12 * np.max(np.abs(want_apply))
+            assert np.max(np.abs(got_adjoint - want_adjoint)) <= (
+                1e-12 * np.max(np.abs(want_adjoint)))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_dual_bound_matches_dense_rows(self, rng, dims):
+        prob = mixed_problem(rng, dims)
+        n = dims[0] * dims[1]
+        y = rng.standard_normal(prob.num_constraints)
+        want = float(np.dot(prob._rhs, y))
+        for block, objective in enumerate(prob._objective):
+            stack = prob._coefficients(block).toarray().reshape(-1, n, n)
+            slack = objective - np.einsum("i,iab->ab", y, stack)
+            want += min(0.0, float(np.linalg.eigvalsh(slack)[0]))
+        assert abs(dual_bound(prob, y) - want) <= 1e-12 * abs(want)
+
+    def test_dual_bound_and_verify_build_no_sparse_matrix(self, monkeypatch):
+        prob = ppt_problem((2, 2))
+        prob.set_objective(0, np.diag([0.1, -0.3, 0.2, 0.5]))
+        sol = sdp_solve(prob)
+        assert sol.status == "optimal"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sparse matrix was built")
+
+        monkeypatch.setattr(scipy.sparse, "csr_matrix", refuse)
+        assert dual_bound(prob, sol.y) == pytest.approx(sol.value, abs=1e-7)
+        assert _verify(prob, sol)
 
 
 class TestRankPreflight:

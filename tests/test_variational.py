@@ -339,6 +339,68 @@ class TestRobustness:
             robustness(big)
 
 
+def noise_block_robustness(rho, noise):
+    """Robustness with the noise as a primal block, the reference for the
+    coordinate form: blocks noise, (noise^Gamma), mixture^Gamma, and one
+    operator equation per coupling; returns its value and gap."""
+    dims, n = rho.dims, rho.dim
+    prob = variational.SdpProblem((n,) * (2 if noise == "global" else 3))
+    prob.set_objective(0, np.eye(n))
+    if noise == "separable":
+        variational._add_operator_equation(
+            prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
+    last = len(prob.block_dims) - 1
+    variational._add_operator_equation(
+        prob, {0: (1.0, True), last: (-1.0, False)},
+        -partial_transpose(rho.matrix, 1, dims), dims)
+    sol = variational.sdp_solve(prob)
+    assert sol.status == "optimal"
+    return max(0.0, sol.value), sol.gap
+
+
+ORACLE_CASES = [(dims, rank, noise)
+                for dims in ((2, 2), (2, 3), (3, 3))
+                for rank in (1, 2, None)
+                for noise in ("global", "separable")]
+
+
+class TestRobustnessCoordinateForm:
+    @pytest.mark.parametrize("dims,rank,noise", ORACLE_CASES)
+    def test_agrees_with_the_noise_block_form(self, dims, rank, noise):
+        rng = np.random.default_rng(11 + dims[0] * dims[1] + (rank or 0))
+        rho = rand_rho(rng, dims[0] * dims[1], dims, rank)
+        res = robustness(rho, noise)
+        assert res.status == "converged"
+        value, gap = noise_block_robustness(rho, noise)
+        assert abs(res.value - value) <= res.gap + gap + 1e-9
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_separable_noise_state_is_ppt_and_washes_out(self, dims):
+        rng = np.random.default_rng(23)
+        for rank in (1, 2, None):
+            rho = rand_rho(rng, dims[0] * dims[1], dims, rank)
+            res = robustness(rho, "separable")
+            noise = res.witness_payload["noise_state"]
+            assert np.real(np.trace(noise)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(noise)[0] >= -1e-12
+            assert np.linalg.eigvalsh(pt_matrix(noise, dims))[0] >= -1e-7
+            mixed = (rho.matrix + res.value * noise) / (1.0 + res.value)
+            assert np.linalg.eigvalsh(pt_matrix(mixed, dims))[0] >= -1e-7
+
+    @pytest.mark.parametrize("noise", ["global", "separable"])
+    def test_solves_one_problem_of_n_squared_rows(self, monkeypatch, noise):
+        problems, solve = [], variational.sdp_solve
+
+        def recording(problem, **kwargs):
+            problems.append(problem)
+            return solve(problem, **kwargs)
+
+        monkeypatch.setattr(variational, "sdp_solve", recording)
+        rho = rand_rho(np.random.default_rng(5), 6, (2, 3))
+        robustness(rho, noise)
+        assert [p.num_constraints for p in problems] == [36]
+
+
 class TestBaseNorm:
     PPT = ConeSpec("PPT-operators")
 
