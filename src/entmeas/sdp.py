@@ -338,9 +338,14 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
     Returns
     -------
     SdpSolution
-        ``status == "optimal"`` carries a certified duality gap no larger
-        than 1e-7 and has passed the recheck of ``_verify``; a solution that
-        fails it is returned as ``"max-iterations"``.  ``"infeasible"``,
+        ``status == "optimal"`` has passed the recheck of ``_verify`` at
+        1e-7 or tighter: relative primal and dual residuals, relative gap
+        ``sum <X_j, S_j> / (1 + |pobj| + |dobj|)``, block positivity and
+        the two reported objectives; a solution that fails it is returned
+        as ``"max-iterations"``.  The reported absolute
+        ``gap = max(sum <X_j, S_j>, |pobj - dobj|)`` is not bounded by
+        that check and can exceed 1e-7; callers that certify a value
+        compare it with their own tolerance.  ``"infeasible"``,
         ``"unbounded"``, and ``"max-iterations"`` flag the respective
         failure modes.
     """

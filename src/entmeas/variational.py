@@ -32,6 +32,7 @@ from .states import (
     MeasureResult,
     PureState,
     _as_density,
+    _check_dims,
     _hermitian,
     conditional_mutual_information,
     partial_trace,
@@ -153,6 +154,13 @@ def _bipartite(state, context: str, limit: float = math.inf):
     return rho.matrix, rho.dims
 
 
+def _raw_bipartite_dims(dims, size: int, context: str) -> tuple[int, int]:
+    dims = _check_dims(dims, size)
+    if len(dims) != 2:
+        raise ValidationError("bipartite", detail=f"{context} needs 2 subsystems, got {dims}")
+    return dims
+
+
 def _add_operator_equation(prob: SdpProblem, terms: dict, rhs,
                            dims: tuple[int, int]) -> None:
     """Add the n^2 rows of the operator equation ``sum_j s_j T_j(X_j) = R``.
@@ -219,8 +227,9 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
     minimizer : ndarray
         Density matrix approximating the optimizer.
     """
-    n = dims[0] * dims[1]
-    g = _hermitian(objective, "objective", n)
+    g = _hermitian(objective, "objective")
+    dims = _raw_bipartite_dims(dims, g.shape[0], "minimize_over_ppt_states")
+    n = g.shape[0]
     w, vecs = np.linalg.eigh(g)
     vertex = np.outer(vecs[:, 0], vecs[:, 0].conj())
     # the unrestricted minimum lower-bounds the PPT minimum; when its
@@ -483,13 +492,43 @@ def werner_regularized_ree(d: int, p: float) -> float:
     return math.log2((d + 2.0) / d) + (1.0 - p) * math.log2((d - 2.0) / (d + 2.0))
 
 
-def _solver_result_guard(sol: SdpSolution, context: str) -> str:
-    if sol.status == "optimal":
-        return "converged"
-    if sol.status == "max-iterations":
-        return "best_effort"
-    raise ValidationError(
-        "solver-status", detail=f"{context} SDP reported {sol.status}")
+def _solver_result_guard(sol: SdpSolution, context: str, gap_tolerance: float) -> str:
+    if sol.status not in ("optimal", "max-iterations"):
+        raise ValidationError("solver-status", detail=f"{context} SDP reported {sol.status}")
+    return "converged" if sol.status == "optimal" and sol.gap <= gap_tolerance else "best_effort"
+
+
+# per cone kind, the (sign s, transposed) blocks s T(M) whose positivity
+# puts M in the cone, T the partial transpose on B when transposed
+_CONE_BLOCKS = {
+    "all-PSD": ((1.0, False),),
+    "negated-PSD": ((-1.0, False),),
+    "PPT-operators": ((1.0, True),),
+    "separable-outer": ((1.0, False), (1.0, True)),
+}
+_NOISE_CONES = {"global": ConeSpec("all-PSD"), "separable": ConeSpec("separable-outer")}
+
+
+def _base_norm_sdp(h: np.ndarray, dims: tuple[int, int], cone_x: ConeSpec,
+                   cone_y: ConeSpec, scale: float = 1.0,
+                   max_iterations: int = 100) -> SdpSolution:
+    """Least ``scale * b`` over ``h = X - N``, X in ``cone_x``, N = b delta
+    with delta a normalized member of ``cone_y``, in coordinate form (the
+    primal/dual pair of Vandenberghe & Boyd, SIAM Rev. 38, 49 (1996)): the
+    multipliers are the coordinates of ``N = -sum_i y_i E_i`` in the basis
+    of ``_add_operator_equation``, and the dual slacks are the cone blocks
+    of N, then of ``h + N``.  One equation ``sum_j s_j T_j(X_j) = scale I /
+    alpha_y`` ties the primal blocks, whose objectives are ``s_j T_j(h)`` on
+    those of ``h + N``, so ``-dual_value`` is the least ``scale * b``.
+    """
+    n = dims[0] * dims[1]
+    y_blocks, x_blocks = _CONE_BLOCKS[cone_y.kind], _CONE_BLOCKS[cone_x.kind]
+    prob = SdpProblem((n,) * (len(y_blocks) + len(x_blocks)))
+    for j, (sign, transposed) in enumerate(x_blocks, len(y_blocks)):
+        prob.set_objective(j, sign * (partial_transpose(h, 1, dims) if transposed else h))
+    _add_operator_equation(prob, dict(enumerate(y_blocks + x_blocks)),
+                           (scale / cone_y.normalization) * np.eye(n), dims)
+    return sdp_solve(prob, max_iterations=max_iterations)
 
 
 def robustness(state, noise: str = "global",
@@ -501,19 +540,12 @@ def robustness(state, noise: str = "global",
     or over PPT states (``"separable"``, the tractable stand-in for
     separable noise).
 
-    Both models are solved in coordinate form (the primal/dual pair of
-    Vandenberghe & Boyd, SIAM Rev. 38, 49 (1996)).  The unnormalized noise
-    ``N = t sigma`` is ``-sum_i y_i E_i`` over the orthonormal Hermitian
-    basis of the operator equation, and the dual slacks are the cone
-    members ``N``, ``N^Gamma`` (separable noise only) and
-    ``(rho + N)^Gamma``.  One equation of n^2 rows,
-    ``X_0 [+ X_1^Gamma] + X_last^Gamma = I``, ties the primal blocks, whose
-    objective is ``<rho^Gamma, X_last>``; the dual maximizes ``-tr N``.
-    Both sides are strictly feasible: ``N = c I`` with
-    ``c > max(0, -lambda_min(rho^Gamma))`` on the dual side, and
-    ``X = (I/2, I/4, I/4)`` (``(I/2, I/2)`` for global noise) on the
-    primal side, since ``I^Gamma = I``.  Slater's condition holds for every
-    state, so no degeneracy holds the interior-point solve back.  The
+    One ``_base_norm_sdp`` over PPT operators and the noise cone gives
+    it, with dual slacks ``N = t sigma``, ``N^Gamma`` (separable noise
+    only) and ``(rho + N)^Gamma``; ``rho + N >= 0`` holds already.  Both
+    sides are strictly feasible for every state: ``N = c I`` with
+    ``c > max(0, -lambda_min(rho^Gamma))``, and ``X = (I/2, I/4, I/4)``
+    (``(I/2, I/2)`` for global noise), since ``I^Gamma = I``.  The
     reported ``t`` is the dual objective, the one the returned noise
     reaches.
 
@@ -532,21 +564,13 @@ def robustness(state, noise: str = "global",
         ``witness_payload["noise_state"]`` holds the optimal noise when
         ``t > 0``.
     """
-    if noise not in ("global", "separable"):
+    if noise not in _NOISE_CONES:
         raise ValidationError("noise-kind", detail=f"unknown noise model {noise!r}")
     rho, dims = _bipartite(state, "robustness", PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    n = rho.shape[0]
-
-    prob = SdpProblem((n,) * (2 if noise == "global" else 3))
-    last = len(prob.block_dims) - 1
-    prob.set_objective(last, partial_transpose(rho, 1, dims))
-    terms = {0: (1.0, False), last: (1.0, True)}
-    if noise == "separable":
-        terms[1] = (1.0, True)
-    _add_operator_equation(prob, terms, np.eye(n), dims)
-    sol = sdp_solve(prob, max_iterations=min(cfg.max_iterations, 100))
-    status = _solver_result_guard(sol, "robustness")
+    sol = _base_norm_sdp(rho, dims, ConeSpec("PPT-operators"), _NOISE_CONES[noise],
+                         max_iterations=min(cfg.max_iterations, 100))
+    status = _solver_result_guard(sol, "robustness", cfg.gap_tolerance)
 
     t = max(0.0, -float(sol.dual_value))
     payload = {
@@ -575,7 +599,7 @@ class BaseNormResult:
         Normalized cone members of that decomposition; ``None`` when the
         corresponding weight vanishes.
     gap : float
-        Certified duality gap of the underlying solves.
+        Certified gap of ``r_value`` and of ``norm_value``, the larger.
     """
 
     r_value: float
@@ -587,26 +611,18 @@ class BaseNormResult:
     gap: float
 
 
-# per cone kind: PSD block count, sign of the member expression, and whether
-# the member is the partial transpose of its first block; a second block
-# holds the partial transpose of the first, keeping both positive
-_CONE_BLOCKS = {
-    "all-PSD": (1, 1.0, False),
-    "negated-PSD": (1, -1.0, False),
-    "PPT-operators": (1, 1.0, True),
-    "separable-outer": (2, 1.0, False),
-}
-
-
 def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
               dims: tuple[int, int] | None = None) -> BaseNormResult:
     """Base norm of a Hermitian operator over a pair of cones.
 
     Decomposes ``h = a*omega - b*delta`` with ``omega`` a normalized member
     of the first cone and ``delta`` of the second, minimizing ``b`` (the
-    robustness-type value) and, in a second solve, ``a + b`` (the norm).
-    With both cones set to PPT-operators the minimal ``b`` equals the
-    negativity of ``h``.
+    robustness-type value) and ``a + b`` (the norm).  With both cones set
+    to PPT-operators the minimal ``b`` equals the negativity of ``h``.
+
+    Every decomposition has ``a + b = tr h / alpha_x + k b``, with
+    ``k = 1 + alpha_y / alpha_x``: for ``k >= 0`` one solve gives both
+    values, and only ``k < 0`` takes a second, for the least ``k b``.
 
     Parameters
     ----------
@@ -626,51 +642,34 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
         raise ValidationError(
             "dims-required", detail="raw operators need explicit dims")
     else:
-        dims = (int(dims[0]), int(dims[1]))
-        _check_limit(dims[0] * dims[1], "base_norm", PPT_DIM_LIMIT)
-        mat = _hermitian(h, "operator", dims[0] * dims[1])
-    n = mat.shape[0]
-    eye = np.eye(n)
+        mat = _hermitian(h, "operator")
+        dims = _raw_bipartite_dims(dims, mat.shape[0], "base_norm")
+        _check_limit(mat.shape[0], "base_norm", PPT_DIM_LIMIT)
+    alpha_x, alpha_y = cone_x.normalization, cone_y.normalization
+    tol = _DEFAULT_CONFIG.gap_tolerance
+    sol = _base_norm_sdp(mat, dims, cone_x, cone_y)
+    _solver_result_guard(sol, "base_norm", tol)
+    b_val = max(0.0, -float(sol.dual_value))
+    trace_part = float(np.real(np.trace(mat))) / alpha_x
+    k = 1.0 + alpha_y / alpha_x
+    if k >= 0.0:
+        norm_value, gap = trace_part + k * b_val, max(1.0, k) * float(sol.gap)
+    else:
+        sol_n = _base_norm_sdp(mat, dims, cone_x, cone_y, scale=k)
+        _solver_result_guard(sol_n, "base_norm", tol)
+        norm_value = trace_part - float(sol_n.dual_value)
+        gap = max(float(sol.gap), float(sol_n.gap))
 
-    nx, sign_x, pt_x = _CONE_BLOCKS[cone_x.kind]
-    ny, sign_y, pt_y = _CONE_BLOCKS[cone_y.kind]
-    y_off = nx
-
-    def build(objective_blocks):
-        prob = SdpProblem((n,) * (nx + ny))
-        for idx, c in objective_blocks.items():
-            prob.set_objective(idx, c)
-        _add_operator_equation(
-            prob, {0: (sign_x, pt_x), y_off: (-sign_y, pt_y)}, mat, dims)
-        if nx == 2:
-            _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
-        if ny == 2:
-            _add_operator_equation(
-                prob, {y_off: (1.0, True), y_off + 1: (-1.0, False)}, None, dims)
-        return prob
-
-    cx = (sign_x / cone_x.normalization) * eye
-    cy = (sign_y / cone_y.normalization) * eye
-
-    prob_r = build({y_off: cy})
-    sol_r = sdp_solve(prob_r)
-    _solver_result_guard(sol_r, "base_norm")
-
-    prob_n = build({0: cx, y_off: cy})
-    sol_n = sdp_solve(prob_n)
-    _solver_result_guard(sol_n, "base_norm")
-
-    a_mat, b_mat = sol_r.blocks[0], sol_r.blocks[y_off]
-    a_mat = sign_x * (partial_transpose(a_mat, 1, dims) if pt_x else a_mat)
-    b_mat = sign_y * (partial_transpose(b_mat, 1, dims) if pt_y else b_mat)
-    a_val = float(np.real(np.trace(a_mat))) / cone_x.normalization
-    b_val = max(0.0, float(sol_r.value))
-    omega = (a_mat + a_mat.conj().T) / (2.0 * a_val) if a_val > 1e-12 else None
-    delta = (b_mat + b_mat.conj().T) / (2.0 * b_val) if b_val > 1e-12 else None
+    sign, transposed = _CONE_BLOCKS[cone_y.kind][0]
+    slack = sol.dual_blocks[0]
+    n_mat = sign * (partial_transpose(slack, 1, dims) if transposed else slack)
+    x_mat = mat + n_mat
+    a_val = float(np.real(np.trace(x_mat))) / alpha_x
+    omega = (x_mat + x_mat.conj().T) / (2.0 * a_val) if a_val > 1e-12 else None
+    delta = (n_mat + n_mat.conj().T) / (2.0 * b_val) if b_val > 1e-12 else None
     return BaseNormResult(
-        r_value=b_val, norm_value=max(0.0, float(sol_n.value)),
-        a=max(0.0, a_val), omega=omega, b=b_val, delta=delta,
-        gap=max(float(sol_r.gap), float(sol_n.gap)))
+        r_value=b_val, norm_value=max(0.0, norm_value),
+        a=max(0.0, a_val), omega=omega, b=b_val, delta=delta, gap=gap)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -708,6 +707,11 @@ def best_separable_approximation(state,
     ``rho - A >= 0``; for dimensions (2, 2) and (2, 3) the removed weight is
     the true best-separable-approximation weight.
 
+    One ``_base_norm_sdp`` over separable-outer and negated-PSD(-1) gives
+    it, with dual slacks ``rho - A = -N``, ``A`` and ``A^Gamma``.  When rho
+    is singular, ``0 <= A <= rho`` has no interior and the solve may end
+    ``best_effort``.
+
     Parameters
     ----------
     state : DensityOperator or PureState
@@ -720,16 +724,11 @@ def best_separable_approximation(state,
     """
     rho, dims = _bipartite(state, "best_separable_approximation", PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    n = rho.shape[0]
+    sol = _base_norm_sdp(rho, dims, ConeSpec("separable-outer"), ConeSpec("negated-PSD", -1.0),
+                         max_iterations=min(cfg.max_iterations, 100))
+    status = _solver_result_guard(sol, "best_separable_approximation", cfg.gap_tolerance)
 
-    prob = SdpProblem((n, n, n))
-    prob.set_objective(0, -np.eye(n))
-    _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
-    _add_operator_equation(prob, {0: (1.0, False), 2: (1.0, False)}, rho, dims)
-    sol = sdp_solve(prob, max_iterations=min(cfg.max_iterations, 100))
-    status = _solver_result_guard(sol, "best_separable_approximation")
-
-    part = (sol.blocks[0] + sol.blocks[0].conj().T) / 2.0
+    part = (sol.dual_blocks[1] + sol.dual_blocks[1].conj().T) / 2.0
     weight = min(1.0, max(0.0, 1.0 - float(np.real(np.trace(part)))))
     return BsaResult(weight=weight, separable_part=part, remainder=rho - part,
                      gap=float(sol.gap), status=status, iterations=sol.iterations)

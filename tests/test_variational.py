@@ -130,6 +130,14 @@ class TestMinimizeOverPptStates:
         with pytest.raises(ValidationError, match="non-finite"):
             minimize_over_ppt_states(g, (2, 2))
 
+    def test_rejects_one_party_dims(self):
+        with pytest.raises(ValidationError, match="bipartite"):
+            minimize_over_ppt_states(np.eye(4), (4,))
+
+    def test_rejects_three_party_dims(self):
+        with pytest.raises(ValidationError, match="bipartite"):
+            minimize_over_ppt_states(np.eye(4), (2, 2, 1))
+
 
 class TestRelativeEntropyOfEntanglement:
     def test_bell_state(self):
@@ -329,6 +337,11 @@ class TestRobustness:
                 res = robustness(psi, noise)
                 assert abs(res.value - closed) <= res.gap + 1e-9
 
+    def test_gap_above_tolerance_is_best_effort(self):
+        res = robustness(BELL, "global", SolverConfig(gap_tolerance=1e-12))
+        assert res.gap > 1e-12
+        assert res.status == "best_effort"
+
     def test_rejects_unknown_noise(self):
         with pytest.raises(ValidationError, match="noise-kind"):
             robustness(BELL, "thermal")
@@ -462,6 +475,72 @@ class TestBaseNorm:
     def test_raw_array_dimension_limit(self):
         with pytest.raises(ValidationError, match="dimension-limit"):
             base_norm(np.eye(42) / 42, self.PPT, self.PPT, dims=(6, 7))
+
+    def test_raw_array_rejects_negative_dims(self):
+        with pytest.raises(ValidationError, match="dims"):
+            base_norm(np.eye(4) / 4, self.PPT, self.PPT, dims=(-2, -2))
+
+    def test_raw_array_rejects_three_party_dims(self):
+        with pytest.raises(ValidationError, match="bipartite"):
+            base_norm(np.eye(4) / 4, self.PPT, self.PPT, dims=(2, 2, 1))
+
+    def test_ppt_pair_takes_one_solve(self, monkeypatch):
+        problems = record_problems(monkeypatch)
+        base_norm(rand_rho(np.random.default_rng(3)), self.PPT, self.PPT)
+        assert [p.num_constraints for p in problems] == [16]
+
+    def test_negative_k_pair_has_closed_form(self):
+        # h = X + R with X, R >= 0 and b = tr R / 2: the least b is 0 and
+        # the least a + b = tr h - tr R / 2 is 1/2, at R = h
+        res = base_norm(werner(0.8), ConeSpec("all-PSD"),
+                        ConeSpec("negated-PSD", normalization=-2.0))
+        assert res.r_value == pytest.approx(0.0, abs=1e-8)
+        assert res.norm_value == pytest.approx(0.5, abs=1e-8)
+
+
+def record_problems(monkeypatch):
+    """Patch ``variational.sdp_solve`` to record every problem it solves."""
+    problems, solve = [], variational.sdp_solve
+
+    def recording(problem, **kwargs):
+        problems.append(problem)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(variational, "sdp_solve", recording)
+    return problems
+
+
+def edge_form_bsa(rho):
+    """Best separable approximation with the PPT part A as a primal block,
+    the reference for the coordinate form: blocks A, A^Gamma and rho - A,
+    and one operator equation per coupling; returns its weight and gap."""
+    dims, n = rho.dims, rho.dim
+    prob = variational.SdpProblem((n, n, n))
+    prob.set_objective(0, -np.eye(n))
+    variational._add_operator_equation(
+        prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
+    variational._add_operator_equation(
+        prob, {0: (1.0, False), 2: (1.0, False)}, rho.matrix, dims)
+    sol = variational.sdp_solve(prob)
+    assert sol.status == "optimal"
+    return min(1.0, max(0.0, 1.0 + sol.value)), sol.gap
+
+
+class TestBsaCoordinateForm:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("rank", [1, None])
+    def test_agrees_with_the_edge_form(self, dims, rank):
+        rng = np.random.default_rng(31 + dims[0] * dims[1] + (rank or 0))
+        rho = rand_rho(rng, dims[0] * dims[1], dims, rank)
+        res = best_separable_approximation(rho)
+        assert res.status == "converged"
+        weight, gap = edge_form_bsa(rho)
+        assert abs(res.weight - weight) <= res.gap + gap + 1e-9
+
+    def test_solves_one_problem_of_n_squared_rows(self, monkeypatch):
+        problems = record_problems(monkeypatch)
+        best_separable_approximation(rand_rho(np.random.default_rng(5), 6, (2, 3)))
+        assert [p.num_constraints for p in problems] == [36]
 
 
 class TestBestSeparableApproximation:
