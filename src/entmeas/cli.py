@@ -148,14 +148,15 @@ MEASURES = {
 
 
 def _solver_config(gap, restarts, seed) -> SolverConfig | None:
+    """The overrides as a SolverConfig, which checks them; None without any."""
     if gap is None and restarts is None and seed is None:
         return None
     base = SolverConfig()
     return SolverConfig(
         max_iterations=base.max_iterations,
-        gap_tolerance=float(gap) if gap is not None else base.gap_tolerance,
-        restarts=int(restarts) if restarts is not None else base.restarts,
-        seed=int(seed) if seed is not None else 0)
+        gap_tolerance=base.gap_tolerance if gap is None else gap,
+        restarts=base.restarts if restarts is None else restarts,
+        seed=0 if seed is None else seed)
 
 
 def _measure_payload(state_path: str, name: str, cfg) -> dict:
@@ -236,7 +237,13 @@ def _batch_payload(config: RunConfig) -> list:
             if missing:
                 raise ValidationError(
                     "manifest-entry", detail=f"missing keys {sorted(missing)}")
+            if not all(isinstance(entry[key], str) for key in ("state", "measure")):
+                raise ValidationError(
+                    "manifest-entry", detail="'state' and 'measure' must be strings")
             overrides = entry.get("overrides", {})
+            if not isinstance(overrides, dict):
+                raise ValidationError(
+                    "manifest-entry", detail="'overrides' must be an object")
             unknown = set(overrides) - {"gap", "restarts", "seed"}
             if unknown:
                 raise ValidationError(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError, ValidationError
+from .states import _is_integer, _numeric_array
 
 __all__ = [
     "CovarianceMatrix",
@@ -412,20 +413,24 @@ def covariance_from_dict(payload: dict) -> CovarianceMatrix:
         raise ValidationError("cov-payload",
                               detail=f"missing keys {sorted(missing)}")
     n = payload["modes"]
-    if not (isinstance(n, int) and n >= 1):
+    if not (_is_integer(n) and n >= 1):
         raise ValidationError("cov-payload",
                               detail=f"modes must be a positive integer, got {n!r}")
     ordering = payload.get("ordering", "xpxp")
     if ordering not in ("xpxp", "xxpp"):
         raise ValidationError("cov-ordering",
                               detail=f"unknown ordering {ordering!r}")
-    mat = np.asarray(payload["cov"], dtype=float)
+    mat = _numeric_array(payload["cov"])
+    if mat is None:
+        raise ValidationError("cov-payload", detail="cov must be rows of numbers")
     if mat.shape != (2 * n, 2 * n):
         raise ValidationError(
             "cov-shape", detail=f"expected shape {(2 * n, 2 * n)}, got {mat.shape}")
     mean = payload.get("mean")
     if mean is not None:
-        mean = np.asarray(mean, dtype=float)
+        mean = _numeric_array(mean)
+        if mean is None:
+            raise ValidationError("cov-payload", detail="mean must be a list of numbers")
     if ordering == "xxpp":
         perm = np.concatenate([[m, n + m] for m in range(n)])
         mat = mat[np.ix_(perm, perm)]

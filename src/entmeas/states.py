@@ -8,6 +8,7 @@ matching ``numpy.kron``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,11 +53,25 @@ def _hermitian(data, name: str = "matrix", size: int | None = None) -> np.ndarra
     return (mat + mat.conj().T) / 2.0
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; bools are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_dims(dims: Sequence[int], size: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    """Subsystem dimensions as ints: a sequence of positive integers whose
+    product is ``size``; bools and floats, fractional or not, are refused."""
+    try:
+        values = tuple(dims)
+    except TypeError:
+        values = None
+    if values is None or not all(_is_integer(d) for d in values):
+        raise ValidationError(
+            "dims", detail=f"subsystem dimensions must be a sequence of integers, got {dims!r}")
+    dims = tuple(int(d) for d in values)
     if not dims or any(d < 1 for d in dims):
         raise ValidationError("dims", detail=f"subsystem dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != size:
+    if math.prod(dims) != size:
         raise ValidationError(
             "dims", detail=f"product of dims {dims} does not match size {size}")
     return dims
@@ -551,9 +566,19 @@ def w_state(n: int = 3) -> PureState:
     return PureState(vec, (2,) * n)
 
 
+def _numeric_array(data) -> np.ndarray | None:
+    """``data`` as a float array, or None unless it is a rectangular nest of
+    numbers: strings, bools, nulls, objects and ragged rows all give None."""
+    try:
+        arr = np.asarray(data)
+    except ValueError:
+        return None
+    return np.asarray(arr, dtype=float) if arr.dtype.kind in "iuf" else None
+
+
 def _pairs_to_array(data, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim < 1 or arr.shape[-1] != 2:
+    arr = _numeric_array(data)
+    if arr is None or arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError("state-format",
                               detail=f"{name} entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -22,11 +22,18 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .closed_form import binary_entropy
 from .errors import ValidationError
-from .sdp import SdpProblem, SdpSolution, _BlockOperator, _max_step, dual_bound, sdp_solve
+from .sdp import (
+    MAX_BLOCK_DIM,
+    SdpProblem,
+    SdpSolution,
+    _BlockOperator,
+    _max_step,
+    dual_bound,
+    sdp_solve,
+)
 from .states import (
     DensityOperator,
     MeasureResult,
@@ -34,6 +41,7 @@ from .states import (
     _as_density,
     _check_dims,
     _hermitian,
+    _is_integer,
     conditional_mutual_information,
     partial_trace,
     partial_transpose,
@@ -63,12 +71,11 @@ CONE_KINDS = ("PPT-operators", "separable-outer", "all-PSD", "negated-PSD")
 # dimensions at which the PPT set equals the separable set
 _EXACT_PPT_DIMS = {(2, 2), (2, 3)}
 _PPT_TOL = 1e-12
-_LMO_MAX_ITERATIONS = 60
 _LN2 = math.log(2.0)
 
-# the measures that solve PPT-constrained SDPs: REE, BSA, robustness, base
-# norms, and witness_violation when it verifies
-PPT_DIM_LIMIT = 36
+# the PPT-constrained SDPs (the LMO, REE, BSA, robustness, base norms, and
+# witness_violation when it verifies) have blocks of the state's side
+PPT_DIM_LIMIT = MAX_BLOCK_DIM
 ROOF_DIM_LIMIT = 16
 RAINS_DIM_LIMIT = 16
 GEOMETRIC_DIM_LIMIT = 64
@@ -118,11 +125,15 @@ class SolverConfig:
     max_iterations : int
         Outer iteration cap; Newton steps for the REE and the Rains bound.
     gap_tolerance : float
-        Certified-gap target for solvers that produce certificates.
+        Certified-gap target for solvers that produce certificates; finite
+        and positive.
     restarts : int
         Number of random restarts for multi-start searches; REE and Rains ignore it.
     seed : int
-        Seed for all randomized initializations.
+        Nonnegative seed for all randomized initializations.
+
+    The counts and the seed must be integers (Python or numpy, not bools);
+    anything else raises ``ValidationError`` rather than being truncated.
     """
 
     max_iterations: int = 200
@@ -131,12 +142,19 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(_is_integer(v) for v in (self.max_iterations, self.restarts, self.seed)):
+            raise ValidationError(
+                "solver-config", detail="iterations, restarts and seed must be integers")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValidationError(
                 "solver-config", detail="iteration and restart counts must be >= 1")
-        if not self.gap_tolerance > 0.0:
+        if self.seed < 0:
+            raise ValidationError("solver-config", detail="seed must be >= 0")
+        gap = self.gap_tolerance
+        if not ((_is_integer(gap) or isinstance(gap, (float, np.floating)))
+                and 0.0 < gap < math.inf):
             raise ValidationError(
-                "solver-config", detail="gap tolerance must be positive")
+                "solver-config", detail="gap tolerance must be a finite positive number")
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -161,38 +179,42 @@ def _raw_bipartite_dims(dims, size: int, context: str) -> tuple[int, int]:
     return dims
 
 
-def _add_operator_equation(prob: SdpProblem, terms: dict, rhs,
-                           dims: tuple[int, int]) -> None:
-    """Add the n^2 rows of the operator equation ``sum_j s_j T_j(X_j) = R``.
+def _term(sign: float, parties: tuple, mat: np.ndarray, dims) -> np.ndarray:
+    """``s T(M)`` for one ``(sign, parties)`` term of an operator equation."""
+    return sign * (partial_transpose(mat, parties, dims) if parties else mat)
 
-    ``terms`` maps a block index j to ``(s_j, transposed)``; ``T_j`` is the
-    partial transpose on B when ``transposed`` and the identity otherwise.
-    ``rhs`` is the Hermitian operator R, or None for zero.  Row a pairs both
-    sides with element a of an orthonormal Hermitian basis (first ``E_kk``,
-    then for each ``k < l`` the pair ``(E_kl + E_lk) / sqrt 2`` and
-    ``(-i E_kl + i E_lk) / sqrt 2``), held row-major flattened as the rows
-    of a sparse matrix.  The partial transpose permutes the flattened
-    entries, so it permutes the columns; being its own inverse, it maps
-    column c to ``swap[c]``.
+
+def _equation_problem(n: int, dims, equations) -> SdpProblem:
+    """Side-n blocks tied by homogeneous operator equations, each the
+    ``terms`` of ``SdpProblem.add_operator_equation``."""
+    prob = SdpProblem((n,) * (1 + max(j for terms in equations for j in terms)))
+    for terms in equations:
+        prob.add_operator_equation(terms, None, dims)
+    return prob
+
+
+# sigma^Gamma = Y: blocks sigma and Y, the PPT states when tr sigma = 1
+_PPT_SET = [{0: (1.0, (1,)), 1: (-1.0, ())}]
+# sigma^Gamma = P - N: blocks sigma, P and N, the Rains set ||sigma^Gamma||_1
+# <= 1 when tr P + tr N = 1; the face loses no sigma, since adding c I to both
+# Jordan parts of sigma^Gamma fills any trace below 1
+_RAINS_SET = [{0: (1.0, (1,)), 1: (-1.0, ()), 2: (1.0, ())}]
+
+
+def _linear_minimum(objective: np.ndarray, dims, equations, trace) -> tuple:
+    """Certified ``min <G, X_0>`` over blocks tied by ``equations`` with
+    ``sum_{j in trace} tr X_j = 1``.
+
+    Every block must have trace at most 1 on the feasible set, so that
+    ``dual_bound`` is a rigorous lower bound however the solve ends.
+    Returns that bound and the solution.
     """
-    n = dims[0] * dims[1]
-    k, l = np.triu_indices(n, 1)
-    upper, lower = k * n + l, l * n + k
-    scale = 1.0 / math.sqrt(2.0)
-    cols = np.concatenate([np.arange(n) * (n + 1),
-                           np.stack([upper, lower, upper, lower], axis=1).ravel()])
-    pair = [scale, scale, -1.0j * scale, 1.0j * scale]
-    vals = np.concatenate([np.ones(n), np.tile(pair, k.size)])
-    indptr = np.concatenate([np.arange(n), n + 2 * np.arange(2 * k.size + 1)])
-    grid = np.arange(n * n).reshape(dims[0], dims[1], dims[0], dims[1])
-    swap = grid.transpose(0, 3, 2, 1).ravel()
-    basis = scipy.sparse.csr_matrix((vals, cols, indptr), shape=(n * n, n * n))
-    # sorted as a copy: basis shares vals, which an in-place sort would reorder
-    basis_pt = scipy.sparse.csr_matrix(
-        (vals, swap[cols], indptr), shape=basis.shape).sorted_indices()
-    values = np.zeros(n * n) if rhs is None else np.real(basis.conj() @ np.ravel(rhs))
-    prob._add_constraints({j: sign * (basis_pt if transposed else basis)
-                           for j, (sign, transposed) in terms.items()}, values)
+    n = objective.shape[0]
+    prob = _equation_problem(n, dims, equations)
+    prob.set_objective(0, objective)
+    prob.add_equality({j: np.eye(n) for j in trace}, 1.0)
+    sol = sdp_solve(prob)
+    return dual_bound(prob, sol.y), sol
 
 
 def _clean_state(mat: np.ndarray) -> np.ndarray:
@@ -210,12 +232,11 @@ def _clean_state(mat: np.ndarray) -> np.ndarray:
 def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
     """Minimize ``tr(G sigma)`` over PPT states on a bipartite split.
 
-    The interior-point solve is capped at 60 iterations.
-
     Parameters
     ----------
     objective : ndarray
-        Hermitian matrix G (finite, Hermitian within 1e-10).
+        Hermitian matrix G (finite, Hermitian within 1e-10), total
+        dimension <= 36.
     dims : tuple of int
         Bipartite dimensions ``(d_a, d_b)``.
 
@@ -229,7 +250,7 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
     """
     g = _hermitian(objective, "objective")
     dims = _raw_bipartite_dims(dims, g.shape[0], "minimize_over_ppt_states")
-    n = g.shape[0]
+    _check_limit(g.shape[0], "minimize_over_ppt_states", PPT_DIM_LIMIT)
     w, vecs = np.linalg.eigh(g)
     vertex = np.outer(vecs[:, 0], vecs[:, 0].conj())
     # the unrestricted minimum lower-bounds the PPT minimum; when its
@@ -237,28 +258,8 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
     if float(np.linalg.eigvalsh(partial_transpose(vertex, 1, dims))[0]) >= -_PPT_TOL:
         return float(w[0]), vertex
 
-    prob = SdpProblem((n, n))
-    prob.set_objective(0, g)
-    _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
-    prob.add_equality({0: np.eye(n)}, 1.0)
-    sol = sdp_solve(prob, max_iterations=_LMO_MAX_ITERATIONS)
-    return dual_bound(prob, sol.y), _clean_state(sol.blocks[0])
-
-
-def _minimize_over_rains_set(objective: np.ndarray, dims: tuple[int, int]) -> float:
-    """Rigorous lower bound on ``min tr(G sigma)`` over ``||sigma^Gamma||_1 <= 1``.
-
-    Blocks sigma, P, N with ``sigma^Gamma = P - N`` and ``tr P + tr N = 1``;
-    each has trace at most 1.  The face loses no sigma: adding ``c I`` to
-    both Jordan parts of ``sigma^Gamma`` fills any trace below 1.
-    """
-    n = dims[0] * dims[1]
-    prob = SdpProblem((n, n, n))
-    prob.set_objective(0, objective)
-    _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False), 2: (1.0, False)},
-                           None, dims)
-    prob.add_equality({1: np.eye(n), 2: np.eye(n)}, 1.0)
-    return dual_bound(prob, sdp_solve(prob).y)
+    bound, sol = _linear_minimum(g, dims, _PPT_SET, (0,))
+    return bound, _clean_state(sol.blocks[0])
 
 
 # Barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11): growing t
@@ -339,7 +340,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
     """Minimize ``S(rho || M_0(x))`` by a barrier method, then certify it.
 
     The homogeneous operator equations (each the ``terms`` of
-    ``_add_operator_equation``), read in dual form, give the blocks
+    ``SdpProblem.add_operator_equation``), read in dual form, give the blocks
     ``M_j(x) = sum_i x_i A_ij`` with barrier ``-log det M_j`` (parameter nu,
     the sum of the block sizes).  ``sum_j tr M_j = 1`` over the blocks of
     ``start`` holds throughout, from ``M_j = start[j] I / n_j``.  Damped
@@ -357,9 +358,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
     if float(np.linalg.eigvalsh(partial_transpose(rho, 1, dims))[0]) >= -_PPT_TOL:
         return rho.copy(), MeasureResult(0.0, "converged", witness_payload={
             "lower_bound": 0.0, "objective_trace": [0.0]})
-    prob = SdpProblem((rho.shape[0],) * (1 + max(j for terms in equations for j in terms)))
-    for terms in equations:
-        _add_operator_equation(prob, terms, None, dims)
+    prob = _equation_problem(rho.shape[0], dims, equations)
     ops = [_BlockOperator(prob, j) for j in range(len(prob.block_dims))]
     traces = {j: ops[j].apply(np.eye(ops[j].n)) for j in start}
     equality = sum(traces.values())
@@ -454,7 +453,7 @@ def relative_entropy_of_entanglement(state,
     rho, dims = _bipartite(state, "relative_entropy_of_entanglement", PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
     # blocks sigma and sigma^Gamma in the coordinates of sigma, tr sigma = 1
-    sigma, result = _barrier_newton(rho, dims, [{0: (1.0, False), 1: (1.0, True)}], {0: 1.0},
+    sigma, result = _barrier_newton(rho, dims, [{0: (1.0, ()), 1: (1.0, (1,))}], {0: 1.0},
                                     cfg, lambda grad: minimize_over_ppt_states(grad, dims)[0])
     result.witness_payload.update(
         closest_state=sigma,
@@ -498,13 +497,13 @@ def _solver_result_guard(sol: SdpSolution, context: str, gap_tolerance: float) -
     return "converged" if sol.status == "optimal" and sol.gap <= gap_tolerance else "best_effort"
 
 
-# per cone kind, the (sign s, transposed) blocks s T(M) whose positivity
-# puts M in the cone, T the partial transpose on B when transposed
+# per cone kind, the (sign s, parties) blocks s T(M) whose positivity puts M
+# in the cone, T the partial transpose of the parties (the identity for ())
 _CONE_BLOCKS = {
-    "all-PSD": ((1.0, False),),
-    "negated-PSD": ((-1.0, False),),
-    "PPT-operators": ((1.0, True),),
-    "separable-outer": ((1.0, False), (1.0, True)),
+    "all-PSD": ((1.0, ()),),
+    "negated-PSD": ((-1.0, ()),),
+    "PPT-operators": ((1.0, (1,)),),
+    "separable-outer": ((1.0, ()), (1.0, (1,))),
 }
 _NOISE_CONES = {"global": ConeSpec("all-PSD"), "separable": ConeSpec("separable-outer")}
 
@@ -516,18 +515,18 @@ def _base_norm_sdp(h: np.ndarray, dims: tuple[int, int], cone_x: ConeSpec,
     with delta a normalized member of ``cone_y``, in coordinate form (the
     primal/dual pair of Vandenberghe & Boyd, SIAM Rev. 38, 49 (1996)): the
     multipliers are the coordinates of ``N = -sum_i y_i E_i`` in the basis
-    of ``_add_operator_equation``, and the dual slacks are the cone blocks
-    of N, then of ``h + N``.  One equation ``sum_j s_j T_j(X_j) = scale I /
+    of ``SdpProblem.add_operator_equation``, and the dual slacks are the
+    cone blocks of N, then of ``h + N``.  One equation ``sum_j s_j T_j(X_j) = scale I /
     alpha_y`` ties the primal blocks, whose objectives are ``s_j T_j(h)`` on
     those of ``h + N``, so ``-dual_value`` is the least ``scale * b``.
     """
     n = dims[0] * dims[1]
     y_blocks, x_blocks = _CONE_BLOCKS[cone_y.kind], _CONE_BLOCKS[cone_x.kind]
     prob = SdpProblem((n,) * (len(y_blocks) + len(x_blocks)))
-    for j, (sign, transposed) in enumerate(x_blocks, len(y_blocks)):
-        prob.set_objective(j, sign * (partial_transpose(h, 1, dims) if transposed else h))
-    _add_operator_equation(prob, dict(enumerate(y_blocks + x_blocks)),
-                           (scale / cone_y.normalization) * np.eye(n), dims)
+    for j, (sign, parties) in enumerate(x_blocks, len(y_blocks)):
+        prob.set_objective(j, _term(sign, parties, h, dims))
+    prob.add_operator_equation(dict(enumerate(y_blocks + x_blocks)),
+                               (scale / cone_y.normalization) * np.eye(n), dims)
     return sdp_solve(prob, max_iterations=max_iterations)
 
 
@@ -660,9 +659,7 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
         norm_value = trace_part - float(sol_n.dual_value)
         gap = max(float(sol.gap), float(sol_n.gap))
 
-    sign, transposed = _CONE_BLOCKS[cone_y.kind][0]
-    slack = sol.dual_blocks[0]
-    n_mat = sign * (partial_transpose(slack, 1, dims) if transposed else slack)
+    n_mat = _term(*_CONE_BLOCKS[cone_y.kind][0], sol.dual_blocks[0], dims)
     x_mat = mat + n_mat
     a_val = float(np.real(np.trace(x_mat))) / alpha_x
     omega = (x_mat + x_mat.conj().T) / (2.0 * a_val) if a_val > 1e-12 else None
@@ -952,9 +949,10 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
     rho, dims = _bipartite(state, "rains_bound", RAINS_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
     # blocks sigma = (P - N)^Gamma, P and N in the coordinates of (P, N)
-    equations = [{0: (1.0, True), 1: (1.0, False)}, {0: (-1.0, True), 2: (1.0, False)}]
-    sigma, result = _barrier_newton(rho, dims, equations, {1: 0.9, 2: 0.1}, cfg,
-                                    lambda grad: _minimize_over_rains_set(grad, dims))
+    equations = [{0: (1.0, (1,)), 1: (1.0, ())}, {0: (-1.0, (1,)), 2: (1.0, ())}]
+    sigma, result = _barrier_newton(
+        rho, dims, equations, {1: 0.9, 2: 0.1}, cfg,
+        lambda grad: _linear_minimum(grad, dims, _RAINS_SET, (1, 2))[0])
     result.witness_payload["minimizing_state"] = sigma
     return result
 

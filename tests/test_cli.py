@@ -18,7 +18,7 @@ from entmeas import (
     save_state,
     w_state,
 )
-from entmeas.cli import RunConfig, main, run
+from entmeas.cli import GAUSSIAN_OPS, RunConfig, main, run
 from entmeas.gaussian import covariance_to_dict, two_mode_squeezed
 
 
@@ -140,6 +140,12 @@ class TestMeasureCommand:
              "--strict"], capsys)
         assert code == 0
         assert out["status"] == "converged"
+
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--gap", "inf"]])
+    def test_bad_solver_settings_exit_2(self, files, capsys, flag):
+        code = main(["measure", "--state", files["bell"], "--measure", "ree", *flag])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error: solver-config")
 
     def test_bsa_reports_solver_iterations(self, tmp_path, capsys):
         bell = max_entangled(2).to_density().matrix
@@ -299,6 +305,31 @@ class TestBatchCommand:
         assert "error" in out[0]
         assert out[1]["value"] == 1.0
 
+    @pytest.mark.parametrize("bad", [
+        {"overrides": {"restarts": "abc"}},
+        {"overrides": {"gap": "abc"}},
+        {"overrides": {"gap": math.inf}},
+        {"overrides": {"restarts": 1.5}},
+        {"overrides": {"restarts": True}},
+        {"overrides": {"seed": -1}},
+        {"overrides": [["seed", 1]]},
+        {"measure": ["x"]},
+        {"state": None},
+        {"state": 0},
+        {"state": 1},
+    ], ids=repr)
+    def test_malformed_entry_is_its_own_error(self, files, tmp_path, capsys, bad):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"state": files["bell"], "measure": "eof-roof", **bad},
+            {"state": files["bell"], "measure": "logneg"},
+        ]))
+        code, out = run_json(["batch", "--manifest", str(manifest)], capsys)
+        assert code == 0
+        assert "value" not in out[0]
+        assert out[0]["error"].startswith(("solver-config", "manifest-entry"))
+        assert out[1]["value"] == 1.0
+
 
 
 class TestDeterminism:
@@ -397,6 +428,41 @@ class TestNonFiniteInput:
         code = main(["gaussian", "--cov", str(path), "--op", "validate"])
         assert code == 2
         assert capsys.readouterr().out.startswith("error: non-finite")
+
+
+FUZZ = sorted((Path(__file__).parent / "fuzz").glob("*.json"))
+
+
+class TestFuzzCorpus:
+    """Malformed, non-finite, wrong-shape and non-Hermitian input files:
+    ``state_*`` files go through every state-reading command, ``cov_*``
+    files through every Gaussian operation."""
+
+    @pytest.mark.parametrize("path", FUZZ, ids=lambda p: p.stem)
+    def test_malformed_file_exits_2(self, path, tmp_path):
+        if path.stem.startswith("cov_"):
+            configs = [RunConfig(command="gaussian", cov=str(path), op=op)
+                       for op in GAUSSIAN_OPS]
+        else:
+            configs = [RunConfig(command="measure", state=str(path), measure="logneg"),
+                       RunConfig(command="bounds", state=str(path))]
+        for config in configs:
+            code, text = run(config)
+            assert code == 2
+            assert text.startswith("error: ")
+        if path.stem.startswith("state_"):
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps([{"state": str(path), "measure": "logneg"}]))
+            code, text = run(RunConfig(command="batch", manifest=str(manifest), fmt="json"))
+            assert code == 0
+            [entry] = json.loads(text)
+            assert "error" in entry and "value" not in entry
+
+    def test_corpus_covers_both_kinds(self):
+        stems = [p.stem for p in FUZZ]
+        assert all(s.startswith(("state_", "cov_")) for s in stems)
+        assert sum(s.startswith("state_") for s in stems) >= 10
+        assert sum(s.startswith("cov_") for s in stems) >= 5
 
 
 class TestRunConfig:

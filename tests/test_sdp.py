@@ -17,7 +17,6 @@ from entmeas.sdp import (
     dual_bound,
     sdp_solve,
 )
-from entmeas.variational import _add_operator_equation
 from conftest import rand_unitary
 
 
@@ -157,6 +156,8 @@ class TestValidationAndLimits:
     def test_dimension_cap(self):
         with pytest.raises(ValidationError, match="block-dims"):
             SdpProblem([300, 200])
+        with pytest.raises(ValidationError, match="block-dims"):
+            SdpProblem([37])
 
     def test_rejects_non_hermitian_data(self):
         prob = SdpProblem([2])
@@ -179,6 +180,17 @@ class TestValidationAndLimits:
         prob = SdpProblem([2, 2])
         with pytest.raises(ValidationError, match="shape"):
             prob.add_equality({0: np.eye(2), 1: np.eye(3)}, 1.0)
+        assert prob.num_constraints == 0
+        assert prob._coefficients(0).nnz == 0
+
+    def test_refused_operator_equation_adds_no_row(self):
+        prob = SdpProblem([4, 3])
+        with pytest.raises(ValidationError, match="dims"):
+            prob.add_operator_equation({0: (1.0, ()), 1: (1.0, ())}, None, (2, 2))
+        with pytest.raises(ValidationError, match="hermiticity"):
+            prob.add_operator_equation({0: (1.0, (1,))}, np.triu(np.ones((4, 4))), (2, 2))
+        with pytest.raises(ValidationError, match="constraint"):
+            prob.add_operator_equation({}, None, (2, 2))
         assert prob.num_constraints == 0
         assert prob._coefficients(0).nnz == 0
 
@@ -241,25 +253,29 @@ def dense_schur(problem, block, x, sinv):
 def ppt_problem(dims):
     n = dims[0] * dims[1]
     prob = SdpProblem((n, n))
-    _add_operator_equation(prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
+    prob.add_operator_equation({0: (1.0, (1,)), 1: (-1.0, ())}, None, dims)
     prob.add_equality({0: np.eye(n)}, 1.0)
     return prob
 
 
 class TestOperatorEquationRows:
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
-    def test_rows_are_a_hermitian_basis_and_its_partial_transposes(self, rng, dims):
-        n = dims[0] * dims[1]
+    @pytest.mark.parametrize("dims, parties", [
+        ((2, 2), (1,)), ((2, 3), (1,)), ((3, 3), (1,)),
+        ((2, 2, 2), (0,)), ((2, 2, 2), (2,)), ((2, 2, 2), (0, 2)), ((2, 3, 2), (1,))])
+    def test_rows_are_a_hermitian_basis_and_its_partial_transposes(self, rng, dims, parties):
+        n = int(np.prod(dims))
         prob = SdpProblem((n, n))
         rhs = herm(rng, n)
-        _add_operator_equation(prob, {0: (1.0, False), 1: (1.0, True)}, rhs, dims)
+        prob.add_operator_equation({0: (1.0, ()), 1: (1.0, parties)}, rhs, dims)
         basis = prob._coefficients(0).toarray().reshape(n * n, n, n)
         permuted = prob._coefficients(1).toarray().reshape(n * n, n, n)
         assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
         gram = np.einsum("aij,bji->ab", basis, basis).real
         assert np.allclose(gram, np.eye(n * n), rtol=0.0, atol=1e-15)
+        gram = np.einsum("aij,bji->ab", permuted, permuted).real
+        assert np.allclose(gram, np.eye(n * n), rtol=0.0, atol=1e-15)
         for element, row in zip(basis, permuted):
-            assert np.array_equal(row, partial_transpose(element, 1, dims))
+            assert np.array_equal(row, partial_transpose(element, parties, dims))
         want = np.einsum("aij,ji->a", basis, rhs).real
         assert np.allclose(prob._rhs, want, rtol=0.0, atol=1e-14)
 
@@ -294,7 +310,7 @@ def mixed_problem(rng, dims):
     prob = SdpProblem((n, n, n))
     for j in range(3):
         prob.set_objective(j, herm(rng, n))
-    _add_operator_equation(prob, {0: (1.0, True), 2: (-1.0, False)}, herm(rng, n), dims)
+    prob.add_operator_equation({0: (1.0, (1,)), 2: (-1.0, ())}, herm(rng, n), dims)
     prob.add_equality({0: herm(rng, n), 1: herm(rng, n)}, 0.3)
     prob.add_equality({1: np.eye(n)}, 1.0)
     return prob

@@ -53,6 +53,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="dims"):
             DensityOperator(np.eye(4) / 4, [2, 3])
 
+    @pytest.mark.parametrize("dims", [(2, 2.5), (2.0, 2.0), (True, 4), 4, None, "ab"], ids=repr)
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        with pytest.raises(ValidationError, match="dims"):
+            DensityOperator(np.eye(4) / 4, dims)
+        with pytest.raises(ValidationError, match="dims"):
+            partial_transpose(np.eye(4), 1, dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        assert DensityOperator(np.eye(4) / 4, np.array([2, 2])).dims == (2, 2)
+
     def test_accepts_tolerable_noise(self, rng):
         mat = np.diag([0.5, 0.5]).astype(complex)
         mat[0, 1] = 1e-11

@@ -82,6 +82,19 @@ class TestConeAndConfig:
         with pytest.raises(ValidationError, match="solver-config"):
             SolverConfig(gap_tolerance=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 2.0), ("restarts", 1.5), ("restarts", True), ("restarts", "3"),
+        ("seed", -1), ("seed", 0.0), ("gap_tolerance", math.inf),
+        ("gap_tolerance", math.nan), ("gap_tolerance", "1e-6"), ("gap_tolerance", True)])
+    def test_config_refuses_non_integers_and_bad_gaps(self, field, value):
+        with pytest.raises(ValidationError, match="solver-config"):
+            SolverConfig(**{field: value})
+
+    def test_config_accepts_numpy_numbers(self):
+        cfg = SolverConfig(max_iterations=np.int64(5), restarts=np.int32(2),
+                           seed=np.uint8(3), gap_tolerance=np.float32(1e-3))
+        assert cfg.seed == 3
+
 
 class TestMinimizeOverPptStates:
     def test_matches_cvxpy_oracle(self, rng):
@@ -360,12 +373,10 @@ def noise_block_robustness(rho, noise):
     prob = variational.SdpProblem((n,) * (2 if noise == "global" else 3))
     prob.set_objective(0, np.eye(n))
     if noise == "separable":
-        variational._add_operator_equation(
-            prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
+        prob.add_operator_equation({0: (1.0, (1,)), 1: (-1.0, ())}, None, dims)
     last = len(prob.block_dims) - 1
-    variational._add_operator_equation(
-        prob, {0: (1.0, True), last: (-1.0, False)},
-        -partial_transpose(rho.matrix, 1, dims), dims)
+    prob.add_operator_equation({0: (1.0, (1,)), last: (-1.0, ())},
+                               -partial_transpose(rho.matrix, 1, dims), dims)
     sol = variational.sdp_solve(prob)
     assert sol.status == "optimal"
     return max(0.0, sol.value), sol.gap
@@ -517,10 +528,8 @@ def edge_form_bsa(rho):
     dims, n = rho.dims, rho.dim
     prob = variational.SdpProblem((n, n, n))
     prob.set_objective(0, -np.eye(n))
-    variational._add_operator_equation(
-        prob, {0: (1.0, True), 1: (-1.0, False)}, None, dims)
-    variational._add_operator_equation(
-        prob, {0: (1.0, False), 2: (1.0, False)}, rho.matrix, dims)
+    prob.add_operator_equation({0: (1.0, (1,)), 1: (-1.0, ())}, None, dims)
+    prob.add_operator_equation({0: (1.0, ()), 2: (1.0, ())}, rho.matrix, dims)
     sol = variational.sdp_solve(prob)
     assert sol.status == "optimal"
     return min(1.0, max(0.0, 1.0 + sol.value)), sol.gap
@@ -788,6 +797,8 @@ class TestWitnessViolation:
         assert violation > 0.0
         with pytest.raises(ValidationError, match="dimension-limit"):
             witness_violation(rho, verify=True)
+        with pytest.raises(ValidationError, match="dimension-limit"):
+            minimize_over_ppt_states(witness, dims)
 
 
 class TestSquashedEval:
