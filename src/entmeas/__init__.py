@@ -6,7 +6,6 @@ from .bounds import (
     bounds_report,
     conditional_entropy,
     hashing_lower_bound,
-    is_ppt,
     uu_twirl_two_qubit,
     werner_state,
 )
@@ -25,6 +24,7 @@ from .gaussian import (
     SymplecticSpectrum,
     apply_symplectic,
     gaussian_entropy,
+    gaussian_is_ppt,
     gaussian_log_negativity,
     gaussian_ppt_separable,
     partial_time_reversal,
@@ -64,6 +64,7 @@ from .states import (
     PureState,
     KrausSet,
     MeasureResult,
+    is_ppt,
     partial_trace,
     partial_transpose,
     permute_subsystems,

@@ -19,8 +19,8 @@ from .errors import ValidationError
 from .states import (
     DensityOperator,
     _as_density,
+    is_ppt,
     partial_trace,
-    partial_transpose,
     von_neumann_entropy,
 )
 from .variational import (
@@ -40,7 +40,6 @@ __all__ = [
     "werner_state",
 ]
 
-PPT_TOLERANCE = -1e-10
 SANDWICH_SLACK = 1e-3
 
 _CERTIFIED = ("exact", "converged")
@@ -130,25 +129,6 @@ def hashing_lower_bound(rho) -> float:
     return max(s_a - s_ab, s_b - s_ab, 0.0)
 
 
-def is_ppt(rho, cut: int = 0) -> bool:
-    """Test positivity of the partial transpose across a bipartite cut.
-
-    Parameters
-    ----------
-    rho : DensityOperator
-        State with at least two subsystems.
-    cut : int, optional
-        Index of the transposed party.
-
-    Returns
-    -------
-    bool
-        True iff the minimum partial-transpose eigenvalue is >= -1e-10.
-    """
-    pt = partial_transpose(rho, cut)
-    return bool(np.linalg.eigvalsh(pt)[0] >= PPT_TOLERANCE)
-
-
 def werner_state(d: int, p: float) -> DensityOperator:
     """Werner state ``p*sigma_a + (1-p)*sigma_s`` on two d-level systems.
 
@@ -232,12 +212,13 @@ def bounds_report(rho, config: SolverConfig | None = None,
     if unknown:
         raise ValidationError("skip-names",
                               detail=f"unknown bound names {sorted(unknown)}")
-    ppt = is_ppt(rho)
+    # the witness exists exactly when is_ppt fails, so flag and note agree
+    witness, violation = witness_violation(rho)
+    ppt = witness is None
     lower = {"hashing": 0.0 if ppt else hashing_lower_bound(rho)}
-    notes = {"hashing": "exact"}
-    _, violation = witness_violation(rho)
-    notes["witness"] = ("exact; violation %.6g" % violation if violation > 0.0
-                        else "exact; no violation found")
+    notes = {"hashing": "exact",
+             "witness": "exact; no violation found" if ppt
+             else "exact; violation %.6g" % violation}
     upper = {"log_negativity": log_negativity(rho)}
     notes["log_negativity"] = "exact"
     if "ree" not in skip:

@@ -33,11 +33,12 @@ from .closed_form import (
 )
 from .errors import UnsupportedCaseError, ValidationError
 from .gaussian import (
+    UNCERTAINTY_TOLERANCE,
     covariance_from_dict,
     gaussian_entropy,
+    gaussian_is_ppt,
     gaussian_log_negativity,
     gaussian_ppt_separable,
-    partial_time_reversal,
     symplectic_eigenvalues,
 )
 from .locc import catalysis_search, optimal_conversion_probability, schmidt
@@ -200,7 +201,7 @@ def _gaussian_payload(config: RunConfig) -> dict:
     op = config.op
     if op == "validate":
         margin = cov.uncertainty_margin()
-        return {"modes": cov.n_modes, "physical": bool(margin >= -1e-9),
+        return {"modes": cov.n_modes, "physical": bool(margin >= -UNCERTAINTY_TOLERANCE),
                 "uncertainty_margin": margin}
     if op == "spectrum":
         return {"values": list(symplectic_eigenvalues(cov).values)}
@@ -213,9 +214,7 @@ def _gaussian_payload(config: RunConfig) -> dict:
             return {"separable": gaussian_ppt_separable(cov, cut=config.cut),
                     "criterion": "exact"}
         except UnsupportedCaseError:
-            reversed_cov = partial_time_reversal(
-                cov, range(config.cut, cov.n_modes))
-            return {"ppt": bool(reversed_cov.uncertainty_margin() >= -1e-9),
+            return {"ppt": gaussian_is_ppt(cov, cut=config.cut),
                     "criterion": "necessary-condition"}
     raise ValidationError(
         "gaussian-op",
@@ -379,11 +378,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="table", help="output rendering")
         if solver:
             p.add_argument("--gap", type=float, default=None,
-                           help="solver gap tolerance")
+                           help="certified-gap tolerance of ree, rains, "
+                                "robustness and bsa")
             p.add_argument("--restarts", type=int, default=None,
-                           help="number of solver restarts")
+                           help="random restarts of eof-roof and geometric")
             p.add_argument("--seed", type=int, default=None,
-                           help="random seed (default 0)")
+                           help="random seed of eof-roof and geometric (default 0)")
             p.add_argument("--strict", action="store_true",
                            help="exit 3 when any result is best-effort")
 

@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import UnsupportedCaseError, ValidationError
 from .states import (
+    PPT_TOL,
     PureState,
     _as_density,
     partial_trace,
     partial_transpose,
-    trace_norm,
 )
 
 CLAMP_TOL = 1e-10
@@ -102,7 +102,8 @@ def eof_two_qubit(rho) -> float:
 
 
 def negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
-    """Negativity ``(|| rho^T_B ||_1 - 1) / 2`` across a bipartite cut.
+    """Negativity across a bipartite cut: the sum of the absolute negative
+    eigenvalues of the partial transpose, ``(|| rho^T_B ||_1 - 1) / 2``.
 
     Parameters
     ----------
@@ -114,13 +115,15 @@ def negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
     Returns
     -------
     float
-        Nonnegative; values below 1e-12 are clamped to zero.
+        Nonnegative; 0 on PPT input (``states.is_ppt``).
     """
     rho = _as_density(rho, "negativity")
     if transposed is None:
         transposed = len(rho.dims) - 1
-    value = (trace_norm(partial_transpose(rho, transposed)) - 1.0) / 2.0
-    return 0.0 if abs(value) < 1e-12 else max(0.0, value)
+    eigs = np.linalg.eigvalsh(partial_transpose(rho, transposed))
+    if eigs[0] >= -PPT_TOL:
+        return 0.0
+    return float(-np.sum(eigs[eigs < 0.0]))
 
 
 def log_negativity(rho, transposed: Iterable[int] | int | None = None) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError, ValidationError
-from .states import _is_integer, _numeric_array
+from .states import _is_integer, _numeric_array, _subsystems
 
 __all__ = [
     "CovarianceMatrix",
@@ -26,6 +26,7 @@ __all__ = [
     "covariance_from_dict",
     "covariance_to_dict",
     "gaussian_entropy",
+    "gaussian_is_ppt",
     "gaussian_log_negativity",
     "gaussian_ppt_separable",
     "mode_rotation",
@@ -216,7 +217,7 @@ def reduce_modes(gamma: CovarianceMatrix, keep) -> CovarianceMatrix:
         Gaussian states are Gaussian, so the result is always physical.
     """
     gamma = _as_cov(gamma)
-    keep = _mode_indices(keep, gamma.n_modes)
+    keep = _subsystems(keep, gamma.n_modes, "keep", "mode-indices")
     rows = np.concatenate([[2 * m, 2 * m + 1] for m in keep])
     mean = None
     if gamma.first_moments is not None:
@@ -243,13 +244,23 @@ def partial_time_reversal(gamma: CovarianceMatrix, party_b_modes) -> CovarianceM
         across the chosen cut (for one mode per side).
     """
     gamma = _as_cov(gamma)
-    modes = _mode_indices(party_b_modes, gamma.n_modes)
+    modes = _subsystems(party_b_modes, gamma.n_modes, "party_b_modes", "mode-indices")
     signs = np.ones(2 * gamma.n_modes)
     for m in modes:
         signs[2 * m + 1] = -1.0
     mat = signs[:, None] * gamma.matrix * signs[None, :]
     mean = None if gamma.first_moments is None else signs * gamma.first_moments
     return CovarianceMatrix(mat, mean, physical=False)
+
+
+def _reversed_across(gamma, cut: int) -> CovarianceMatrix:
+    """Partial time reversal of a physical covariance across a mode cut:
+    the leading ``cut`` modes form party A, and party B's momenta flip."""
+    gamma = _require_physical(gamma)
+    if not 1 <= cut < gamma.n_modes:
+        raise ValidationError(
+            "mode-cut", detail=f"cut must split {gamma.n_modes} modes, got {cut}")
+    return partial_time_reversal(gamma, range(cut, gamma.n_modes))
 
 
 def gaussian_log_negativity(gamma: CovarianceMatrix, cut: int = 1) -> float:
@@ -268,16 +279,31 @@ def gaussian_log_negativity(gamma: CovarianceMatrix, cut: int = 1) -> float:
         ``-sum log2 min(1, mu_k)`` over the partial-time-reversal
         symplectic spectrum; 0 iff that spectrum stays >= 1 - 1e-9.
     """
-    gamma = _require_physical(gamma)
-    if not 1 <= cut < gamma.n_modes:
-        raise ValidationError(
-            "mode-cut", detail=f"cut must split {gamma.n_modes} modes, got {cut}")
-    reversed_cov = partial_time_reversal(gamma, range(cut, gamma.n_modes))
     total = 0.0
-    for mu in symplectic_eigenvalues(reversed_cov).values:
+    for mu in symplectic_eigenvalues(_reversed_across(gamma, cut)).values:
         if mu < 1.0 - UNCERTAINTY_TOLERANCE:
             total -= np.log2(mu)
     return float(total)
+
+
+def gaussian_is_ppt(gamma: CovarianceMatrix, cut: int = 1) -> bool:
+    """PPT test of a Gaussian state across a mode cut.
+
+    Parameters
+    ----------
+    gamma : CovarianceMatrix
+        Physical covariance matrix.
+    cut : int, optional
+        Number of leading modes on party A; the rest form party B.
+
+    Returns
+    -------
+    bool
+        True iff the partial time reversal satisfies the uncertainty
+        relation within 1e-9: necessary for separability, and sufficient
+        for one mode per side (``gaussian_ppt_separable``).
+    """
+    return _reversed_across(gamma, cut).uncertainty_margin() >= -UNCERTAINTY_TOLERANCE
 
 
 def gaussian_ppt_separable(gamma: CovarianceMatrix, cut: int = 1) -> bool:
@@ -293,16 +319,14 @@ def gaussian_ppt_separable(gamma: CovarianceMatrix, cut: int = 1) -> bool:
     Returns
     -------
     bool
-        True iff the partial time reversal still satisfies the
-        uncertainty relation, which is exact in this regime.
+        ``gaussian_is_ppt``, which is exact in this regime.
     """
-    gamma = _require_physical(gamma)
+    gamma = _as_cov(gamma)
     if gamma.n_modes != 2 or cut != 1:
         raise UnsupportedCaseError(
             "separability is decided only for one mode per side; larger cuts "
             "get a PPT check that is merely a necessary condition")
-    reversed_cov = partial_time_reversal(gamma, (1,))
-    return reversed_cov.uncertainty_margin() >= -UNCERTAINTY_TOLERANCE
+    return gaussian_is_ppt(gamma, cut)
 
 
 def apply_symplectic(gamma: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix:
@@ -465,15 +489,3 @@ def _require_physical(gamma) -> CovarianceMatrix:
         raise ValidationError("cov-uncertainty", residual=-low,
                               limit=UNCERTAINTY_TOLERANCE)
     return gamma
-
-
-def _mode_indices(modes, n_modes: int) -> tuple[int, ...]:
-    if isinstance(modes, (int, np.integer)):
-        modes = (modes,)
-    out = tuple(sorted(set(int(m) for m in modes)))
-    if not out:
-        raise ValidationError("mode-indices", detail="mode set must be nonempty")
-    if any(m < 0 or m >= n_modes for m in out):
-        raise ValidationError(
-            "mode-indices", detail=f"indices {out} out of range for {n_modes} modes")
-    return out

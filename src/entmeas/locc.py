@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .states import KrausSet, PureState, SPECTRUM_CUTOFF, _entropy_of_spectrum
+from .states import KrausSet, PureState, SPECTRUM_CUTOFF, _entropy_of_spectrum, _subsystems
 
 COEFF_SUM_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-9
@@ -43,22 +43,6 @@ class SchmidtDecomposition:
         return np.einsum("k,ik,jk->ij", amps, self.basis_a, self.basis_b).reshape(-1)
 
 
-def _split_dims(psi: PureState, side_a: Sequence[int] | int | None):
-    dims = psi.dims
-    n = len(dims)
-    if side_a is None:
-        side_a = (0,)
-    elif isinstance(side_a, (int, np.integer)):
-        side_a = (int(side_a),)
-    else:
-        side_a = tuple(sorted(set(int(k) for k in side_a)))
-    if not side_a or any(k < 0 or k >= n for k in side_a) or len(side_a) == n:
-        raise ValidationError(
-            "bipartition", detail=f"side_a={side_a} is not a proper cut of {n} subsystems")
-    side_b = tuple(k for k in range(n) if k not in side_a)
-    return side_a, side_b
-
-
 def schmidt(psi: PureState, side_a: Sequence[int] | int | None = None) -> SchmidtDecomposition:
     """Schmidt decomposition across a bipartition.
 
@@ -75,8 +59,13 @@ def schmidt(psi: PureState, side_a: Sequence[int] | int | None = None) -> Schmid
         Coefficients descending, pruned below 1e-12; the reconstruction
         fidelity with the input is at least ``1 - 1e-9``.
     """
-    side_a, side_b = _split_dims(psi, side_a)
     dims = psi.dims
+    n = len(dims)
+    side_a = _subsystems((0,) if side_a is None else side_a, n, "side_a", "bipartition")
+    if len(side_a) == n:
+        raise ValidationError(
+            "bipartition", detail=f"side_a={side_a} is not a proper cut of {n} subsystems")
+    side_b = tuple(k for k in range(n) if k not in side_a)
     d_a = int(np.prod([dims[k] for k in side_a]))
     d_b = int(np.prod([dims[k] for k in side_b]))
     tensor = psi.vector.reshape(dims).transpose(side_a + side_b)

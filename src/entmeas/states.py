@@ -24,6 +24,7 @@ COMPLETENESS_TOL = 1e-9
 SPECTRUM_CUTOFF = 1e-12
 OUTCOME_CUTOFF = 1e-14
 CMI_TOL = 1e-9
+PPT_TOL = 1e-12
 
 _STATUSES = ("exact", "converged", "best_effort")
 
@@ -258,12 +259,14 @@ def _as_density(state, context: str, bipartite: bool = False) -> DensityOperator
     return state
 
 
-def _subsystems(indices: Iterable[int] | int, n: int, name: str) -> tuple[int, ...]:
-    """Sorted distinct subsystem indices, each in ``range(n)``."""
+def _subsystems(indices: Iterable[int] | int, n: int, name: str,
+                invariant: str = "subsystem-index") -> tuple[int, ...]:
+    """Sorted distinct subsystem indices, at least one, each in ``range(n)``;
+    a failure names ``invariant``."""
     indices = (indices,) if isinstance(indices, (int, np.integer)) else tuple(indices)
     indices = tuple(sorted(set(int(k) for k in indices)))
     if not indices or any(k < 0 or k >= n for k in indices):
-        raise ValidationError("subsystem-index",
+        raise ValidationError(invariant,
                               detail=f"{name}={indices} out of range for {n} subsystems")
     return indices
 
@@ -327,6 +330,16 @@ def partial_transpose(rho, parties: Iterable[int] | int,
     for p in _subsystems(parties, n, "parties"):
         axes[p], axes[n + p] = axes[n + p], axes[p]
     return mat.reshape(dims + dims).transpose(axes).reshape(mat.shape)
+
+
+def is_ppt(rho, cut: Iterable[int] | int = 0, dims: Sequence[int] | None = None) -> bool:
+    """True iff the partial transpose over ``cut`` has least eigenvalue >= -1e-12.
+
+    The one PPT decision for density operators, at tolerance ``PPT_TOL``.
+    ``rho``, ``cut`` and ``dims`` are taken as by ``partial_transpose``, so
+    a raw array needs ``dims``.
+    """
+    return bool(np.linalg.eigvalsh(partial_transpose(rho, cut, dims))[0] >= -PPT_TOL)
 
 
 def permute_subsystems(state, order: Sequence[int]):

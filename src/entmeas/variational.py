@@ -43,6 +43,7 @@ from .states import (
     _hermitian,
     _is_integer,
     conditional_mutual_information,
+    is_ppt,
     partial_trace,
     partial_transpose,
     von_neumann_entropy,
@@ -70,11 +71,10 @@ CONE_KINDS = ("PPT-operators", "separable-outer", "all-PSD", "negated-PSD")
 
 # dimensions at which the PPT set equals the separable set
 _EXACT_PPT_DIMS = {(2, 2), (2, 3)}
-_PPT_TOL = 1e-12
 _LN2 = math.log(2.0)
 
-# the PPT-constrained SDPs (the LMO, REE, BSA, robustness, base norms, and
-# witness_violation when it verifies) have blocks of the state's side
+# the PPT-constrained SDPs (the LMO, REE, BSA, robustness and base norms)
+# have blocks of the state's side
 PPT_DIM_LIMIT = MAX_BLOCK_DIM
 ROOF_DIM_LIMIT = 16
 RAINS_DIM_LIMIT = 16
@@ -255,7 +255,7 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
     vertex = np.outer(vecs[:, 0], vecs[:, 0].conj())
     # the unrestricted minimum lower-bounds the PPT minimum; when its
     # eigenvector is itself PPT the two coincide and no SDP is needed
-    if float(np.linalg.eigvalsh(partial_transpose(vertex, 1, dims))[0]) >= -_PPT_TOL:
+    if is_ppt(vertex, 1, dims):
         return float(w[0]), vertex
 
     bound, sol = _linear_minimum(g, dims, _PPT_SET, (0,))
@@ -355,7 +355,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
     (``"objective_trace"``).  A PPT input, feasible for every caller, is its
     own minimizer with S = 0.
     """
-    if float(np.linalg.eigvalsh(partial_transpose(rho, 1, dims))[0]) >= -_PPT_TOL:
+    if is_ppt(rho, 1, dims):
         return rho.copy(), MeasureResult(0.0, "converged", witness_payload={
             "lower_bound": 0.0, "objective_trace": [0.0]})
     prob = _equation_problem(rho.shape[0], dims, equations)
@@ -957,41 +957,31 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
     return result
 
 
-def witness_violation(state, verify: bool = False):
+def witness_violation(state):
     """Partial-transpose witness and its violation for a bipartite state.
 
     Builds ``W = (|eta><eta|)^{T_B}`` from the most negative eigenvector of
     the partially transposed state; the violation ``max(0, -tr(W rho))``
-    equals the magnitude of that eigenvalue.
+    equals the magnitude of that eigenvalue.  ``tr(W sigma) =
+    <eta|sigma^{T_B}|eta> >= 0`` for every PPT sigma, so W needs no
+    certificate.
 
     Parameters
     ----------
     state : DensityOperator or PureState
-    verify : bool
-        When true, certify ``tr(W sigma) >= -1e-8`` over PPT states by an
-        SDP before returning; this needs total dimension <= 36.
 
     Returns
     -------
     (witness, violation) : (ndarray or None, float)
-        ``(None, 0.0)`` for PPT inputs.
+        ``(None, 0.0)`` exactly for PPT inputs (``states.is_ppt``).
     """
-    rho, dims = _bipartite(state, "witness_violation",
-                           PPT_DIM_LIMIT if verify else math.inf)
-    pt_rho = partial_transpose(rho, 1, dims)
-    w, v = np.linalg.eigh(pt_rho)
-    if float(w[0]) >= -_PPT_TOL:
+    rho, dims = _bipartite(state, "witness_violation")
+    if is_ppt(rho, 1, dims):
         return None, 0.0
-    eta = v[:, 0]
+    eta = np.linalg.eigh(partial_transpose(rho, 1, dims))[1][:, 0]
     witness = partial_transpose(np.outer(eta, eta.conj()), 1, dims)
     witness = (witness + witness.conj().T) / 2.0
     violation = max(0.0, -float(np.real(np.vdot(rho, witness))))
-    if verify:
-        bound, _ = minimize_over_ppt_states(witness, dims)
-        if bound < -1e-8:
-            raise ValidationError("witness-positivity", residual=-bound,
-                                  limit=1e-8,
-                                  detail="witness fails nonnegativity on PPT states")
     return witness, violation
 
 

@@ -98,6 +98,25 @@ class TestIsPpt:
         rho = rand_rho(rng)
         assert is_ppt(rho, cut=0) == is_ppt(rho, cut=1)
 
+    @pytest.mark.parametrize("low", [-5e-11, -5e-13])
+    def test_one_verdict_near_the_boundary(self, low):
+        # isotropic state whose least PT eigenvalue (1 - 3p)/4 is `low`
+        p = (1.0 - 4.0 * low) / 3.0
+        rho = DensityOperator(p * BELL.matrix + (1.0 - p) * np.eye(4) / 4, (2, 2))
+        ppt = low > -1e-12
+        assert is_ppt(rho) is ppt
+        report = bounds_report(rho, skip=("rains", "ree"))
+        assert report.ppt is ppt
+        assert report.notes["witness"].endswith("no violation found") is ppt
+        assert (report.upper["log_negativity"] == 0.0) is ppt
+        assert ("distillable" in report.upper) is ppt
+
+    def test_raw_arrays_need_dims(self):
+        assert is_ppt(np.diag([0.5, 0.2, 0.2, 0.1]), dims=(2, 2))
+        assert not is_ppt(BELL.matrix, 1, dims=(2, 2))
+        with pytest.raises(ValidationError, match="dims-required"):
+            is_ppt(BELL.matrix)
+
 
 class TestWernerState:
     def test_singlet_at_full_antisymmetric_weight(self):

@@ -19,7 +19,7 @@ from entmeas import (
     w_state,
 )
 from entmeas.cli import GAUSSIAN_OPS, RunConfig, main, run
-from entmeas.gaussian import covariance_to_dict, two_mode_squeezed
+from entmeas.gaussian import covariance_to_dict, two_mode_squeezed, vacuum
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +266,22 @@ class TestGaussianCommand:
             ["gaussian", "--cov", files["tms05"], "--op", "ppt"], capsys)
         assert code == 0
         assert out == {"separable": False, "criterion": "exact"}
+
+    @pytest.mark.parametrize("cut, ppt", [(0, None), (1, True), (2, True), (3, None)])
+    def test_ppt_checks_its_cut(self, cut, ppt, tmp_path):
+        path = tmp_path / "vacuum3.json"
+        path.write_text(json.dumps(covariance_to_dict(vacuum(3))))
+        results = {op: run(RunConfig(command="gaussian", cov=str(path), op=op,
+                                     cut=cut, fmt="json"))
+                   for op in ("ppt", "logneg")}
+        if ppt is None:
+            for code, text in results.values():
+                assert code == 2 and "mode-cut" in text
+        else:
+            code, text = results["ppt"]
+            assert code == 0
+            assert json.loads(text) == {"ppt": ppt, "criterion": "necessary-condition"}
+            assert results["logneg"][0] == 0
 
     def test_entropy_of_pure_state_is_zero(self, files, capsys):
         code, out = run_json(

@@ -118,6 +118,12 @@ class TestNegativity:
             assert negativity(sep) == 0.0
             assert log_negativity(sep) == 0.0
 
+    def test_trace_slack_is_not_entanglement(self):
+        # a product state whose trace is 1 + 9e-11, inside the accepted slack
+        sep = DensityOperator(np.diag([0.25, 0.25, 0.25, 0.25 + 0.9e-10]), (2, 2))
+        assert negativity(sep) == 0.0
+        assert log_negativity(sep) == 0.0
+
     def test_additive_over_tensor_products(self, rng):
         # Log-negativity across a grouped cut adds for product states.
         for _ in range(5):

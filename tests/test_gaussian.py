@@ -13,6 +13,7 @@ from entmeas.gaussian import (
     covariance_from_dict,
     covariance_to_dict,
     gaussian_entropy,
+    gaussian_is_ppt,
     gaussian_log_negativity,
     gaussian_ppt_separable,
     mode_rotation,
@@ -228,6 +229,28 @@ class TestGaussianLogNegativity:
         bad = CovarianceMatrix(0.5 * np.eye(4), physical=False)
         with pytest.raises(ValidationError, match="cov-uncertainty"):
             gaussian_log_negativity(bad)
+
+
+class TestGaussianIsPpt:
+    def test_agrees_with_log_negativity(self):
+        for cov in (vacuum(2), CovarianceMatrix(CLASSICAL), two_mode_squeezed(0.3)):
+            assert gaussian_is_ppt(cov) is (gaussian_log_negativity(cov) == 0.0)
+
+    def test_squeezed_pair_beside_a_vacuum(self):
+        cov = CovarianceMatrix(np.block([[two_mode_squeezed(0.4).matrix, np.zeros((4, 2))],
+                                         [np.zeros((2, 4)), np.eye(2)]]))
+        assert gaussian_is_ppt(cov, cut=1) is False
+        assert gaussian_is_ppt(cov, cut=2) is True
+
+    @pytest.mark.parametrize("cut", [0, 3, -1])
+    def test_rejects_vacuous_cut(self, cut):
+        with pytest.raises(ValidationError, match="mode-cut"):
+            gaussian_is_ppt(vacuum(3), cut=cut)
+
+    def test_rejects_unphysical_input(self):
+        bad = CovarianceMatrix(0.5 * np.eye(4), physical=False)
+        with pytest.raises(ValidationError, match="cov-uncertainty"):
+            gaussian_is_ppt(bad)
 
 
 class TestGaussianPptSeparable:

@@ -1,17 +1,24 @@
 """Property tests: the certified distance measures are local-unitary invariant,
 the Rains bound sits in the chain hashing <= Rains <= REE, log-negativity,
 the robustnesses in the chain negativity <= global <= separable noise,
-and the partial transpose of a raw operator is a trace- and
-Hermiticity-preserving involution."""
+the partial transpose of a raw operator is a trace- and
+Hermiticity-preserving involution, and is_ppt, negativity and the
+partial-transpose witness give one PPT verdict."""
 
 import numpy as np
 import pytest
 
-from entmeas import DensityOperator, partial_transpose
+from entmeas import DensityOperator, is_ppt, partial_transpose
 from entmeas.bounds import hashing_lower_bound
 from entmeas.closed_form import log_negativity, negativity
-from entmeas.variational import rains_bound, relative_entropy_of_entanglement, robustness
-from conftest import rand_rho, rand_unitary
+from entmeas.variational import (
+    minimize_over_ppt_states,
+    rains_bound,
+    relative_entropy_of_entanglement,
+    robustness,
+    witness_violation,
+)
+from conftest import rand_pure, rand_rho, rand_unitary
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -69,3 +76,35 @@ def test_partial_transpose_is_a_hermitian_involution(seed, da, db, parties):
     assert np.array_equal(partial_transpose(pt, parties, dims=(da, db)), h)
     assert np.trace(pt) == np.trace(h)
     assert np.array_equal(pt, pt.conj().T)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+       exponent=st.floats(min_value=-15.0, max_value=-2.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_one_ppt_decision_across_the_boundary(seed, dims, exponent, sign):
+    rng = np.random.default_rng(seed)
+    n = dims[0] * dims[1]
+    psi = rand_pure(rng, dims).to_density().matrix
+    low = np.linalg.eigvalsh(partial_transpose(psi, 1, dims))[0]
+    # t psi + (1 - t) I/n has least PT eigenvalue t low + (1 - t)/n = margin
+    margin = sign * 10.0 ** exponent
+    hypothesis.assume(low < margin)
+    t = (1.0 / n - margin) / (1.0 / n - low)
+    mixed = t * psi + (1.0 - t) * np.eye(n) / n
+    u = np.kron(rand_unitary(rng, dims[0]), rand_unitary(rng, dims[1]))
+    rho = DensityOperator(mixed, dims)
+    rotated = DensityOperator(u @ mixed @ u.conj().T, dims)
+    for state in (rho, rotated):
+        ppt = is_ppt(state, 1)
+        assert (negativity(state) == 0.0) is ppt
+        assert (witness_violation(state)[0] is None) is ppt
+    assert abs(negativity(rho) - negativity(rotated)) <= 1e-12
+
+    # tr(W sigma) = <eta|sigma^Gamma|eta> >= 0 for the witness W of an NPT
+    # state and any PPT sigma, here the linear minimizer of a random objective
+    witness, _ = witness_violation(DensityOperator(psi, dims))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    _, sigma = minimize_over_ppt_states(g + g.conj().T, dims)
+    assert np.real(np.vdot(witness, sigma)) >= -1e-9

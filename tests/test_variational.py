@@ -763,7 +763,7 @@ class TestBarrierNewton:
 
 class TestWitnessViolation:
     def test_bell_violation(self):
-        witness, violation = witness_violation(BELL, verify=True)
+        witness, violation = witness_violation(BELL)
         assert violation == pytest.approx(0.5, abs=1e-9)
         assert np.allclose(witness, witness.conj().T)
 
@@ -795,8 +795,6 @@ class TestWitnessViolation:
         witness, violation = witness_violation(rho)
         assert witness.shape == (42, 42)
         assert violation > 0.0
-        with pytest.raises(ValidationError, match="dimension-limit"):
-            witness_violation(rho, verify=True)
         with pytest.raises(ValidationError, match="dimension-limit"):
             minimize_over_ppt_states(witness, dims)
 
