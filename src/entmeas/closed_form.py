@@ -17,6 +17,7 @@ from .states import (
     PPT_TOL,
     PureState,
     _as_density,
+    _bipartition,
     partial_trace,
     partial_transpose,
 )
@@ -109,8 +110,8 @@ def negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
     ----------
     rho : DensityOperator or PureState
     transposed : int or iterable of int, optional
-        Subsystems forming the transposed side of the cut; defaults to
-        the last subsystem.
+        Subsystems forming the transposed side of the cut, a proper subset
+        of them; defaults to the last subsystem.
 
     Returns
     -------
@@ -118,8 +119,8 @@ def negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
         Nonnegative; 0 on PPT input (``states.is_ppt``).
     """
     rho = _as_density(rho, "negativity")
-    if transposed is None:
-        transposed = len(rho.dims) - 1
+    n = len(rho.dims)
+    transposed = _bipartition(n - 1 if transposed is None else transposed, n, "transposed")
     eigs = np.linalg.eigvalsh(partial_transpose(rho, transposed))
     if eigs[0] >= -PPT_TOL:
         return 0.0

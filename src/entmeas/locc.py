@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .states import KrausSet, PureState, SPECTRUM_CUTOFF, _entropy_of_spectrum, _subsystems
+from .states import KrausSet, PureState, SPECTRUM_CUTOFF, _bipartition, _entropy_of_spectrum
 
 COEFF_SUM_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-9
@@ -61,10 +61,7 @@ def schmidt(psi: PureState, side_a: Sequence[int] | int | None = None) -> Schmid
     """
     dims = psi.dims
     n = len(dims)
-    side_a = _subsystems((0,) if side_a is None else side_a, n, "side_a", "bipartition")
-    if len(side_a) == n:
-        raise ValidationError(
-            "bipartition", detail=f"side_a={side_a} is not a proper cut of {n} subsystems")
+    side_a = _bipartition((0,) if side_a is None else side_a, n, "side_a")
     side_b = tuple(k for k in range(n) if k not in side_a)
     d_a = int(np.prod([dims[k] for k in side_a]))
     d_b = int(np.prod([dims[k] for k in side_b]))

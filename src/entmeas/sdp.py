@@ -17,16 +17,19 @@ index rule of ``states.partial_transpose``.  A constraint is stored, from
 the moment it is added, only as the sparse entries of its row-major
 flattened coefficients; each block's entries make one ``(m, n^2)`` matrix
 for the solver, while ``_verify`` and ``dual_bound`` sum the entries
-themselves.  The Schur matrix
-``M_ik = Re tr(A_i X A_k S^-1)`` is assembled from that matrix as
-``Re(A (S^-T kron X) A^H)``, in O(nnz n^2) rather than the O(m^2 n^2) of
-a dense build (the structure-exploiting build of
-Fujisawa, Kojima & Nakata, Math. Prog. 79 (1997)); it is factored once per
-iteration for both the predictor and the corrector.  Before iterating, a
-Cholesky factor of the Gram matrix ``Re(A A^H)`` tests the rows for full
-rank, which makes the equalities consistent for any right-hand side; only
-rank-deficient rows go on to a least-squares consistency test.  A returned
-``"optimal"`` is rechecked against the problem data by ``_verify``.
+themselves.  The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` is
+gathered over the entries (the structure-exploiting build of Fujisawa,
+Kojima & Nakata, Math. Prog. 79 (1997)): each row's entries on a block
+are split into pair rows of at most two, so every ``S^-1 A_i X`` is one
+batched product of rank-2 factors, from which each column k picks its own
+entries.  The build costs O(P n^2 + P^2) for P pair rows and runs in a
+workspace allocated once per solve and shared by the blocks; the matrix
+is factored in place once per iteration for both the predictor and the
+corrector.  Before iterating, a Cholesky factor of the Gram matrix
+``Re(A A^H)`` tests the rows for full rank, which makes the equalities
+consistent for any right-hand side; only rank-deficient rows go on to a
+least-squares consistency test.  A returned ``"optimal"`` is rechecked
+against the problem data by ``_verify``.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ import scipy.sparse
 from .errors import ValidationError
 from .states import _check_dims, _hermitian, partial_transpose
 
-# the largest block side: a Schur build allocates an n^2 x n^2 complex array
-# per block, 27 MB at side 36 and 25.6 GB at side 200
+# the largest block side: a solve's Schur workspace holds about n^4 complex
+# entries for the pair rows and m^2 reals for the Schur matrix, 126 MB for
+# a PPT-constrained minimum at side 36 and over 50 GB at side 200
 MAX_BLOCK_DIM = 36
 MAX_TOTAL_DIM = 400
 _GAP_TOL = 1e-9
@@ -185,7 +189,10 @@ class SdpSolution:
     value, dual_value : float
         Primal and dual objectives (NaN unless meaningful).
     gap : float
-        Certified duality gap at termination.
+        For ``"optimal"``, the certified duality gap at termination.  For
+        ``"max-iterations"``, ``max(|pobj - dobj|, sum <X_j, S_j>)`` at an
+        iterate that need not be feasible, so it is no bound on the error;
+        infinite for the other statuses.
     iterations : int
     blocks : tuple of ndarray
         Primal solution blocks.
@@ -206,18 +213,47 @@ class SdpSolution:
 
 
 class _BlockOperator:
-    """The constraints of one block as a sparse ``(m, n*n)`` matrix ``A``.
+    """The constraints of one block, as a sparse ``(m, n*n)`` matrix ``A``
+    and as pair rows for the Schur build.
 
-    ``A`` is the stored ``SdpProblem._coefficients`` of the block; its
-    conjugate and transpose are formed with it, and every product reuses
-    the three.
+    ``A`` is the stored ``SdpProblem._coefficients`` of the block, with its
+    adjoint.  The pair rows hold each row's entries on the block as aligned
+    slots ``(column, value)``, two per pair row, slot-major: ``slot_cols[s,
+    a]`` and ``slot_vals[s, a]``.  A row with k entries has ceil(k/2) pair
+    rows and pads an odd last slot with value 0; a row that does not touch
+    the block has none.  The first pair row of each touched row comes
+    first, in row order (row ``rows[r]`` at index r), then the others, whose
+    own rows ``rows[folds]`` the build folds them back onto.
     """
 
     def __init__(self, problem: SdpProblem, block: int):
         self.n = problem.block_dims[block]
+        self.m = problem.num_constraints
         self.mat = problem._coefficients(block)
-        self._conj = self.mat.conj()
-        self._adj = self.mat.T.tocsr()
+        # CSC, whose products sum each entry in the same order as a CSR copy
+        self._adj = self.mat.T
+        # entry `rank` of touched row `group` fills slot rank % 2 of the
+        # row's pair row rank // 2: the first at index group, the others
+        # after all first ones
+        indptr = self.mat.indptr
+        self.rows = np.flatnonzero(np.diff(indptr))
+        counts = indptr[self.rows + 1] - indptr[self.rows]
+        touched = self.rows.size
+        group = np.repeat(np.arange(touched), counts)
+        rank = np.arange(group.size) - indptr[self.rows][group]
+        extra = (counts - 1) // 2
+        pair = np.where(rank < 2, group,
+                        touched + (np.cumsum(extra) - extra)[group] + rank // 2 - 1)
+        self.folds = np.repeat(np.arange(touched), extra)
+        self.pairs = touched + self.folds.size
+        self.slot_cols = np.zeros((2, self.pairs), dtype=int)
+        self.slot_vals = np.zeros((2, self.pairs), dtype=complex)
+        self.slot_cols[rank % 2, pair] = self.mat.indices
+        self.slot_vals[rank % 2, pair] = self.mat.data
+        lo = int(self.rows[0]) if touched else 0
+        self.target = ((slice(lo, lo + touched),) * 2
+                       if not touched or self.rows[-1] == lo + touched - 1
+                       else np.ix_(self.rows, self.rows))
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """The vector ``Re tr(A_i Z)`` over all rows."""
@@ -228,20 +264,105 @@ class _BlockOperator:
         return (self._adj @ y).reshape(self.n, self.n)
 
     def schur(self, x: np.ndarray, sinv: np.ndarray) -> np.ndarray:
-        """The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` of this block.
-
-        For Hermitian ``A_k`` it equals ``Re(A (S^-T kron X) A^H)``; the two
-        sparse products cost O(nnz n^2) instead of the O(m^2 n^2) of a
-        dense build.
-        """
-        n = self.n
-        kron = (sinv.T[:, None, :, None] * x[None, :, None, :]).reshape(n * n, n * n)
-        half = self.mat @ kron
-        return np.real(self._conj @ half.T).T
+        """The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` of this block."""
+        return _SchurWorkspace([self]).assemble([x], [sinv])
 
     def gram(self) -> np.ndarray:
         """The real Gram matrix ``Re(A A^H)`` of the rows."""
         return np.real((self.mat @ self._adj.conj()).toarray())
+
+
+class _SchurWorkspace:
+    """The Schur matrix ``sum_j Re tr(A_ij X_j A_kj S_j^-1)`` of a fixed set
+    of block operators, built in buffers allocated once.
+
+    With the slots ``(p_s, q_s, v_s)`` of pair row a (row p, column q of the
+    block), ``H_a = (S^-1 A_a X)^T = sum_s X[q_s, :]^T (v_s S^-T[p_s, :])``
+    is, read as real numbers, the product of the ``(n, 4)`` matrix of the
+    real and imaginary parts of the rows ``X[q_s, :]`` by the ``(4, 2n)``
+    matrix of the rows ``v_s S^-T[p_s, :]`` and ``i v_s S^-T[p_s, :]``, read
+    as real numbers: one batched real product over the pair rows.  Then
+    ``M_ab = Re sum_t v_t H_a[c_t]`` over the slots ``(c_t, v_t)`` of pair
+    row b is one gather of the flattened H over both slots' columns, scaled
+    in place.  Folding the extra pair rows on both axes gives the block's
+    rows, added into the ``(m, m)`` accumulator.
+
+    The rows of X and ``S^-T`` are gathered at once for all blocks of one
+    side; H and the gather are buffers shared by every block.  For P pair
+    rows on a side-n block they hold ``P n^2 + 2 P^2`` complex entries:
+    82 MB of the 112 MB a PPT-constrained minimum at side 36 (P = 1314 with
+    its trace row, m = 1297) allocates here.
+    """
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.acc = np.empty((ops[0].m, ops[0].m))
+        half = np.empty(max(op.pairs * op.n ** 2 for op in ops), dtype=complex)
+        gathered = np.empty(max(2 * op.pairs ** 2 for op in ops), dtype=complex)
+        spill = np.empty(max(2 * op.rows.size * op.folds.size for op in ops), dtype=complex)
+        self._sides, self._views = [], [None] * len(ops)
+        for n in dict.fromkeys(op.n for op in ops):
+            members = [j for j, op in enumerate(ops) if op.n == n]
+            # member k's entry (p, q) as column k n^2 + p n + q; one stack
+            # holds Re X_k and Im X_k at rows 2kn and (2k + 1)n, another
+            # S_k^-T at row kn
+            cols = np.concatenate([ops[j].slot_cols + k * n * n
+                                   for k, j in enumerate(members)], axis=1)
+            vals = np.concatenate([ops[j].slot_vals for j in members], axis=1)
+            x_rows, s_rows = 2 * n * (cols // (n * n)) + cols % n, cols // n
+            left = np.empty((cols.shape[1], 4, n))
+            right = np.empty((cols.shape[1], 4, n), dtype=complex)
+            self._sides.append((
+                members, np.empty((2 * len(members) * n, n)),
+                np.empty((len(members) * n, n), dtype=complex),
+                np.stack([x_rows[0], x_rows[0] + n, x_rows[1], x_rows[1] + n], axis=1),
+                np.stack([s_rows[0], s_rows[0], s_rows[1], s_rows[1]], axis=1),
+                np.repeat(np.stack([vals[0], 1j * vals[0], vals[1], 1j * vals[1]],
+                                   axis=1)[:, :, None], n, axis=2),
+                left, right))
+            start = 0
+            for j in members:
+                op, p, r = ops[j], ops[j].pairs, ops[j].rows.size
+                flat = gathered[:2 * p * p].reshape(p, 2, p)
+                self._views[j] = (left[start:start + p].transpose(0, 2, 1),
+                                  right[start:start + p].view(float),
+                                  half[:p * n * n].view(float).reshape(p, n, 2 * n),
+                                  half[:p * n * n].reshape(p, n * n),
+                                  op.slot_cols.ravel(), op.slot_vals.ravel(),
+                                  flat.reshape(p, 2 * p), flat[:r], flat[r:],
+                                  spill[:2 * r * (p - r)].reshape(r, 2, p - r),
+                                  flat[:r, 0, :r].real, flat[:r, 1, :r].real)
+                start += p
+
+    def assemble(self, xs, sinvs) -> np.ndarray:
+        """The accumulator, overwritten with the Schur matrix at ``X_j`` and
+        ``S_j^-1``."""
+        for members, x_stack, s_stack, x_index, s_index, scale, left, right in self._sides:
+            np.concatenate([part for j in members for part in (xs[j].real, xs[j].imag)],
+                           out=x_stack)
+            np.concatenate([sinvs[j].T for j in members], out=s_stack)
+            np.take(x_stack, x_index, axis=0, out=left, mode="clip")
+            np.take(s_stack, s_index, axis=0, out=right, mode="clip")
+            right *= scale
+        acc = self.acc
+        acc.fill(0.0)
+        for op, views in zip(self.ops, self._views):
+            (left, right, real_half, half, cols, weights, gathered, fold, extra, spill,
+             first, second) = views
+            if not op.pairs:
+                continue
+            np.matmul(left, right, out=real_half)
+            np.take(half, cols, axis=1, out=gathered, mode="clip")
+            gathered *= weights
+            if op.folds.size:
+                # the columns go through a copy: ufunc.at copies an operand
+                # that may overlap its values
+                np.add.at(fold, op.folds, extra)
+                np.copyto(spill, fold[:, :, op.rows.size:])
+                np.add.at(fold, (slice(None), slice(None), op.folds), spill)
+            acc[op.target] += first
+            acc[op.target] += second
+        return acc
 
 
 def _full_row_rank(ops) -> bool:
@@ -426,6 +547,11 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
     if not _full_row_rank(ops) and not _linear_consistency(ops, b):
         return fail("infeasible", 0)
 
+    # the Schur build's buffers, then its symmetrized copy, which the
+    # Cholesky factor overwrites; the iterations allocate nothing of size m^2
+    work = _SchurWorkspace(ops)
+    schur = np.empty((m, m), order="F")
+
     # best iterate seen so far, by worst-of-three merit; lets the solver
     # return a certified answer even when the last steps stall in noise
     best = None
@@ -496,15 +622,18 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         sinvs = [l.conj().T @ l for l in inv_s]
         sinvs = [(si + si.conj().T) / 2.0 for si in sinvs]
 
-        schur = sum(op.schur(x, si) for op, x, si in zip(ops, xs, sinvs))
-        schur = (schur + schur.T) / 2.0
+        acc = work.assemble(xs, sinvs)
+        np.add(acc, acc.T, out=schur)
+        schur *= 0.5
+        schur.flat[::m + 1] += 1e-13 * max(1.0, schur.diagonal().max())
         # one factorization serves the predictor and the corrector
         try:
-            factor = scipy.linalg.cho_factor(
-                schur + 1e-13 * np.eye(m) * max(1.0, schur.diagonal().max()),
-                check_finite=False)
+            factor = scipy.linalg.cho_factor(schur, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
+            # the failed factorization overwrote part of schur
             factor = None
+            np.add(acc, acc.T, out=schur)
+            schur *= 0.5
         base = [x + x @ rd @ si for x, rd, si in zip(xs, rds, sinvs)]
 
         def directions(sigma_mu, corr_mats):

@@ -271,6 +271,17 @@ def _subsystems(indices: Iterable[int] | int, n: int, name: str,
     return indices
 
 
+def _bipartition(side: Iterable[int] | int, n: int, name: str) -> tuple[int, ...]:
+    """One side of a proper cut of n subsystems: ``_subsystems`` that leaves
+    at least one subsystem on the other side; a failure names
+    ``bipartition``."""
+    side = _subsystems(side, n, name, "bipartition")
+    if len(side) == n:
+        raise ValidationError(
+            "bipartition", detail=f"{name}={side} is not a proper cut of {n} subsystems")
+    return side
+
+
 def partial_trace(rho: DensityOperator, keep: Iterable[int] | int) -> DensityOperator:
     """Trace out all subsystems except ``keep``.
 
@@ -337,9 +348,14 @@ def is_ppt(rho, cut: Iterable[int] | int = 0, dims: Sequence[int] | None = None)
 
     The one PPT decision for density operators, at tolerance ``PPT_TOL``.
     ``rho``, ``cut`` and ``dims`` are taken as by ``partial_transpose``, so
-    a raw array needs ``dims``.
+    a raw array needs ``dims``; ``cut`` must be one side of a proper cut,
+    since transposing every subsystem is the full transpose, which is
+    always positive.
     """
-    return bool(np.linalg.eigvalsh(partial_transpose(rho, cut, dims))[0] >= -PPT_TOL)
+    transposed = partial_transpose(rho, cut, dims)
+    _bipartition(cut, len(rho.dims) if isinstance(rho, (DensityOperator, PureState)) else len(dims),
+                 "cut")
+    return bool(np.linalg.eigvalsh(transposed)[0] >= -PPT_TOL)
 
 
 def permute_subsystems(state, order: Sequence[int]):

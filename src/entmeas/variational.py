@@ -30,6 +30,7 @@ from .sdp import (
     SdpProblem,
     SdpSolution,
     _BlockOperator,
+    _SchurWorkspace,
     _max_step,
     dual_bound,
     sdp_solve,
@@ -307,20 +308,24 @@ def _evaluate(rho: np.ndarray, mats):
     return eigs, -float(weights @ np.log(w)), barrier
 
 
-def _newton_system(rho: np.ndarray, ops, eigs, t: float):
+def _newton_system(rho: np.ndarray, ops, eigs, t: float, work=None):
     """Gradient and Hessian of ``t f + barrier`` in the coordinates x.
 
     Block j's barrier has gradient ``-A_j(M_j^-1)`` and Hessian
     ``tr(M_j^-1 A_a M_j^-1 A_b)``, the Schur matrix at ``X = S^-1 = M_j^-1``.
     That of f is ``-(T + T^T)``, ``T_ab = sum_ikj F_ikj rho_ji B_a,ik B_b,kj``,
     with B_a the rows of A_0 in the eigenbasis of M_0 (``V^H A_a V``) and F
-    the second divided differences of log (Daleckii-Krein).
+    the second divided differences of log (Daleckii-Krein).  The Hessian is
+    built in the accumulator of ``work``, a ``_SchurWorkspace`` of ``ops``,
+    and stays valid until its next use.
     """
-    grad, hess = 0.0, 0.0
+    grad, invs = 0.0, []
     for op, (w, v) in zip(ops, eigs):
-        inv = (v / w) @ v.conj().T
-        grad = grad - op.apply(inv)
-        hess = hess + op.schur(inv, inv)
+        invs.append((v / w) @ v.conj().T)
+        grad = grad - op.apply(invs[-1])
+    if work is None:
+        work = _SchurWorkspace(ops)
+    hess = work.assemble(invs, invs)
     w, v = eigs[0]
     m = w.size
     rot = ops[0].mat @ (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(m * m, m * m)
@@ -331,7 +336,7 @@ def _newton_system(rho: np.ndarray, ops, eigs, t: float):
         _log_second_differences(w, d1) * rho_t.T[:, None, :])
     tmat = rot @ kernel.reshape(m * m, m * m) @ rot.T
     grad = grad - t * (rot @ (d1 * rho_t.T).ravel()).real
-    hess = hess - t * (tmat + tmat.T).real
+    hess -= t * (tmat + tmat.T).real
     return grad, hess
 
 
@@ -360,6 +365,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
             "lower_bound": 0.0, "objective_trace": [0.0]})
     prob = _equation_problem(rho.shape[0], dims, equations)
     ops = [_BlockOperator(prob, j) for j in range(len(prob.block_dims))]
+    work = _SchurWorkspace(ops)
     traces = {j: ops[j].apply(np.eye(ops[j].n)) for j in start}
     equality = sum(traces.values())
     x = sum(share * traces[j] / ops[j].n for j, share in start.items())
@@ -370,7 +376,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
     steps, best, trace = 0, (math.inf, x), []
     while True:
         while steps < cfg.max_iterations:
-            grad, hess = _newton_system(rho, ops, eigs, t)
+            grad, hess = _newton_system(rho, ops, eigs, t, work)
             try:
                 factor = scipy.linalg.cho_factor(hess)
             except np.linalg.LinAlgError:

@@ -117,6 +117,14 @@ class TestIsPpt:
         with pytest.raises(ValidationError, match="dims-required"):
             is_ppt(BELL.matrix)
 
+    def test_every_subsystem_is_not_a_cut(self):
+        # transposing every subsystem is the full transpose, always positive
+        with pytest.raises(ValidationError, match="bipartition"):
+            is_ppt(max_entangled(2), (0, 1))
+        with pytest.raises(ValidationError, match="bipartition"):
+            is_ppt(BELL.matrix, (1, 0), dims=(2, 2))
+        assert not is_ppt(max_entangled(2), (0,))
+
 
 class TestWernerState:
     def test_singlet_at_full_antisymmetric_weight(self):

@@ -124,6 +124,14 @@ class TestNegativity:
         assert negativity(sep) == 0.0
         assert log_negativity(sep) == 0.0
 
+    def test_every_subsystem_is_not_a_cut(self):
+        # transposing every subsystem is the full transpose, always positive
+        with pytest.raises(ValidationError, match="bipartition"):
+            negativity(max_entangled(2), (0, 1))
+        with pytest.raises(ValidationError, match="bipartition"):
+            log_negativity(ghz_state(3), (0, 1, 2))
+        assert abs(log_negativity(ghz_state(3), (0, 2)) - 1.0) < 1e-12
+
     def test_additive_over_tensor_products(self, rng):
         # Log-negativity across a grouped cut adds for product states.
         for _ in range(5):

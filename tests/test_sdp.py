@@ -1,6 +1,7 @@
 """Interior-point SDP solver: known optima, oracle cross-checks, statuses."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,45 @@ class TestSparseSchur:
             ref = dense_schur(prob, block, x, sinv)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @staticmethod
+    def assert_matches_dense(rng, prob):
+        for block, n in enumerate(prob.block_dims):
+            x, sinv = positive(rng, n), positive(rng, n)
+            got = _BlockOperator(prob, block).schur(x, sinv)
+            ref = dense_schur(prob, block, x, sinv)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_trace_row(self, rng):
+        # nine entries on one row: five pair rows, the last padded with 0
+        prob = ppt_problem((3, 3))
+        op = _BlockOperator(prob, 0)
+        assert op.pairs == op.rows.size + 4
+        self.assert_matches_dense(rng, prob)
+
+    def test_dense_equality_row(self, rng):
+        n = 4
+        prob = ppt_problem((2, 2))
+        prob.add_equality({0: herm(rng, n), 1: herm(rng, n)}, 0.0)
+        assert prob._coefficients(0)[n * n + 1].nnz == n * n
+        self.assert_matches_dense(rng, prob)
+
+    def test_row_absent_from_one_block(self, rng):
+        n = 3
+        prob = SdpProblem((n, n, n))
+        prob.add_equality({0: herm(rng, n), 1: herm(rng, n)}, 0.0)
+        prob.add_equality({0: herm(rng, n)}, 0.0)
+        prob.add_equality({0: np.eye(n), 1: herm(rng, n)}, 1.0)
+        assert list(_BlockOperator(prob, 1).rows) == [0, 2]
+        assert _BlockOperator(prob, 2).pairs == 0
+        self.assert_matches_dense(rng, prob)
+        assert not _BlockOperator(prob, 2).schur(positive(rng, n), positive(rng, n)).any()
+
+    def test_three_party_operator_equation(self, rng):
+        prob = SdpProblem((8, 8))
+        prob.add_operator_equation({0: (1.0, (0, 2)), 1: (-1.0, ())}, None, (2, 2, 2))
+        prob.add_equality({0: np.eye(8)}, 1.0)
+        self.assert_matches_dense(rng, prob)
+
 
 def mixed_problem(rng, dims):
     """Random objectives, one operator equation and two dense rows."""
@@ -314,6 +354,60 @@ def mixed_problem(rng, dims):
     prob.add_equality({0: herm(rng, n), 1: herm(rng, n)}, 0.3)
     prob.add_equality({1: np.eye(n)}, 1.0)
     return prob
+
+
+class TestSchurWorkspace:
+    """One workspace serves every build of a solve and keeps nothing of a
+    build but the accumulator it returns."""
+
+    def test_successive_builds_match_fresh_builds(self, rng):
+        prob = mixed_problem(rng, (2, 3))
+        ops = [_BlockOperator(prob, j) for j in range(3)]
+        work = sdp._SchurWorkspace(ops)
+        for _ in range(2):
+            xs = [positive(rng, 6) for _ in ops]
+            sinvs = [positive(rng, 6) for _ in ops]
+            got = work.assemble(xs, sinvs).copy()
+            assert np.array_equal(got, sdp._SchurWorkspace(ops).assemble(xs, sinvs))
+
+    def test_blocks_of_two_sides(self, rng):
+        prob = SdpProblem((4, 6, 4))
+        for _ in range(5):
+            prob.add_equality({j: herm(rng, n) for j, n in enumerate(prob.block_dims)}, 0.0)
+        prob.add_equality({1: np.eye(6)}, 1.0)
+        ops = [_BlockOperator(prob, j) for j in range(3)]
+        xs = [positive(rng, n) for n in prob.block_dims]
+        sinvs = [positive(rng, n) for n in prob.block_dims]
+        got = sdp._SchurWorkspace(ops).assemble(xs, sinvs)
+        ref = sum(dense_schur(prob, j, x, s) for j, (x, s) in enumerate(zip(xs, sinvs)))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_build_allocates_nothing_of_problem_size(self, rng):
+        prob = ppt_problem((4, 5))
+        ops = [_BlockOperator(prob, j) for j in range(2)]
+        work = sdp._SchurWorkspace(ops)
+        xs = [positive(rng, 20) for _ in ops]
+        work.assemble(xs, xs)
+        tracemalloc.start()
+        try:
+            work.assemble(xs, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < work.acc.nbytes / 2
+
+    def test_solves_share_no_state(self, rng):
+        first, other = ppt_problem((2, 2)), ppt_problem((2, 3))
+        first.set_objective(0, herm(rng, 4))
+        other.set_objective(0, herm(rng, 6))
+        a = sdp_solve(first)
+        sdp_solve(other)
+        b = sdp_solve(first)
+        assert a.status == b.status == "optimal"
+        assert (a.value, a.gap, a.iterations) == (b.value, b.gap, b.iterations)
+        assert np.array_equal(a.y, b.y)
+        for one, two in zip(a.blocks + a.dual_blocks, b.blocks + b.dual_blocks):
+            assert np.array_equal(one, two)
 
 
 class TestEntryAdjoint:
