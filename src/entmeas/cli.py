@@ -150,14 +150,9 @@ MEASURES = {
 
 def _solver_config(gap, restarts, seed) -> SolverConfig | None:
     """The overrides as a SolverConfig, which checks them; None without any."""
-    if gap is None and restarts is None and seed is None:
-        return None
-    base = SolverConfig()
-    return SolverConfig(
-        max_iterations=base.max_iterations,
-        gap_tolerance=base.gap_tolerance if gap is None else gap,
-        restarts=base.restarts if restarts is None else restarts,
-        seed=0 if seed is None else seed)
+    given = {"gap_tolerance": gap, "restarts": restarts, "seed": seed}
+    given = {key: value for key, value in given.items() if value is not None}
+    return SolverConfig(**given) if given else None
 
 
 def _measure_payload(state_path: str, name: str, cfg) -> dict:

@@ -18,6 +18,7 @@ from .states import (
     PureState,
     _as_density,
     _bipartition,
+    _is_integer,
     partial_trace,
     partial_transpose,
 )
@@ -29,7 +30,7 @@ _SYY = np.kron(_SY, _SY)
 
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy in bits, with ``0 log 0 = 0``."""
-    if p < 0.0 or p > 1.0:
+    if not 0.0 <= p <= 1.0:
         if -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
             p = min(max(p, 0.0), 1.0)
         else:
@@ -166,7 +167,7 @@ def tangle(state, qubit: int = 0) -> float:
     """
     if isinstance(state, PureState):
         dims = state.dims
-        if qubit < 0 or qubit >= len(dims) or dims[qubit] != 2:
+        if not (_is_integer(qubit) and 0 <= qubit < len(dims)) or dims[qubit] != 2:
             raise ValidationError("dims", detail="the chosen side must be a single qubit")
         red = partial_trace(state.to_density(), qubit)
         det = float(np.real(np.linalg.det(red.matrix)))

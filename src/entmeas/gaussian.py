@@ -257,7 +257,7 @@ def _reversed_across(gamma, cut: int) -> CovarianceMatrix:
     """Partial time reversal of a physical covariance across a mode cut:
     the leading ``cut`` modes form party A, and party B's momenta flip."""
     gamma = _require_physical(gamma)
-    if not 1 <= cut < gamma.n_modes:
+    if not (_is_integer(cut) and 1 <= cut < gamma.n_modes):
         raise ValidationError(
             "mode-cut", detail=f"cut must split {gamma.n_modes} modes, got {cut}")
     return partial_time_reversal(gamma, range(cut, gamma.n_modes))

@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .states import KrausSet, PureState, SPECTRUM_CUTOFF, _bipartition, _entropy_of_spectrum
+from .states import (KrausSet, PureState, SPECTRUM_CUTOFF, _bipartition, _entropy_of_spectrum,
+                     _is_integer)
 
 COEFF_SUM_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-9
@@ -88,11 +89,11 @@ def entropy_of_entanglement(psi: PureState, side_a: Sequence[int] | int | None =
 
 def _clean_coefficients(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.size == 0 or np.any(arr < -MAJORIZATION_SLACK):
+    if arr.size == 0 or not np.all(arr >= -MAJORIZATION_SLACK):
         raise ValidationError("coefficients",
                               detail=f"{name} must be a nonempty nonnegative vector")
     total = float(np.sum(arr))
-    if abs(total - 1.0) > COEFF_SUM_TOL:
+    if not abs(total - 1.0) <= COEFF_SUM_TOL:
         raise ValidationError("coefficients", abs(total - 1.0), COEFF_SUM_TOL,
                               detail=f"{name} must sum to 1")
     arr = np.where(arr < SPECTRUM_CUTOFF, 0.0, arr)
@@ -231,8 +232,13 @@ def catalysis_search(source, target, catalyst_rank: int = 2,
         raise ValidationError(
             "catalysis-precondition",
             detail="the conversion is already deterministic without a catalyst")
-    if resolution < catalyst_rank:
-        raise ValidationError("resolution", detail="grid resolution too small")
+    if not _is_integer(catalyst_rank):
+        raise ValidationError(
+            "catalyst-rank", detail=f"catalyst rank must be an integer, got {catalyst_rank!r}")
+    if not _is_integer(resolution) or resolution < catalyst_rank:
+        raise ValidationError(
+            "resolution", detail=f"grid resolution must be an integer >= the catalyst rank, "
+                                 f"got {resolution!r}")
     for cand in _catalyst_grid(catalyst_rank, resolution):
         cand = cand[cand > 0.0]
         if majorization_convertible(np.outer(src, cand).reshape(-1),
@@ -263,7 +269,7 @@ def two_qubit_conversion_kraus(alpha: float, beta: float) -> KrausSet:
     if alpha < 0 or beta < 0:
         raise ValidationError("amplitudes", detail="amplitudes must be nonnegative")
     resid = abs(alpha ** 2 + beta ** 2 - 1.0)
-    if resid > COEFF_SUM_TOL:
+    if not resid <= COEFF_SUM_TOL:
         raise ValidationError("amplitudes", resid, COEFF_SUM_TOL,
                               detail="amplitudes must satisfy alpha^2 + beta^2 = 1")
     filt0 = np.diag([alpha, beta]).astype(complex)

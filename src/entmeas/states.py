@@ -184,11 +184,14 @@ class KrausSet:
             if op.ndim != 2 or op.shape[1] != d_in:
                 raise ValidationError(
                     "kraus-set", detail="operators must share a common input dimension")
+            if not np.all(np.isfinite(op)):
+                raise ValidationError(
+                    "non-finite", detail="Kraus operators have NaN or infinite entries")
             op.setflags(write=False)
         if trace_preserving:
             total = sum(op.conj().T @ op for op in ops)
             resid = float(np.max(np.abs(total - np.eye(d_in))))
-            if resid > COMPLETENESS_TOL:
+            if not resid <= COMPLETENESS_TOL:
                 raise ValidationError("kraus-completeness", resid, COMPLETENESS_TOL)
         object.__setattr__(self, "operators", tuple(ops))
         object.__setattr__(self, "trace_preserving", bool(trace_preserving))
@@ -263,8 +266,10 @@ def _subsystems(indices: Iterable[int] | int, n: int, name: str,
                 invariant: str = "subsystem-index") -> tuple[int, ...]:
     """Sorted distinct subsystem indices, at least one, each in ``range(n)``;
     a failure names ``invariant``."""
-    indices = (indices,) if isinstance(indices, (int, np.integer)) else tuple(indices)
-    indices = tuple(sorted(set(int(k) for k in indices)))
+    values = tuple(indices) if isinstance(indices, Iterable) else (indices,)
+    if not all(_is_integer(k) for k in values):
+        raise ValidationError(invariant, detail=f"{name}={indices!r} must be integers")
+    indices = tuple(sorted(set(int(k) for k in values)))
     if not indices or any(k < 0 or k >= n for k in indices):
         raise ValidationError(invariant,
                               detail=f"{name}={indices} out of range for {n} subsystems")
@@ -374,8 +379,8 @@ def permute_subsystems(state, order: Sequence[int]):
     """
     state = state if isinstance(state, PureState) else _as_density(state, "permute_subsystems")
     dims = tuple(state.dims)
-    order = tuple(int(p) for p in order)
-    if sorted(order) != list(range(len(dims))):
+    order = tuple(order) if isinstance(order, Iterable) else (order,)
+    if not all(_is_integer(p) for p in order) or sorted(order) != list(range(len(dims))):
         raise ValidationError("permutation", detail=f"{order} is not a permutation")
     new_dims = [dims[p] for p in order]
     if isinstance(state, PureState):

@@ -271,14 +271,17 @@ _RESOLVED = 1e-12  # or this share of t f + barrier, below which the line
 # search sees only rounding: without it a 4x4 state ran to the step cap
 
 
-def _log_differences(w: np.ndarray) -> np.ndarray:
-    """First divided differences ``log[w_i, w_k]`` of the natural logarithm."""
+def _log_gradient(rho: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple:
+    """The gradient ``G = -V (d1 o rho~) V^H`` of ``f = -tr(rho log M)`` at
+    ``M = V diag(w) V^H``, with ``d1 = log[w_i, w_k]`` and ``rho~ = V^H rho V``."""
     x, y = w[:, None], w[None, :]
     diff = x - y
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(diff) < 0.5 * y, np.log1p(diff / y),
                          np.log(x) - np.log(y)) / diff
-    return np.where(diff == 0.0, 2.0 / (x + y), ratio)
+    d1 = np.where(diff == 0.0, 2.0 / (x + y), ratio)
+    rho_t = v.conj().T @ rho @ v
+    return -(v @ (d1 * rho_t) @ v.conj().T), d1, rho_t
 
 
 def _log_second_differences(w: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -312,32 +315,30 @@ def _newton_system(rho: np.ndarray, ops, eigs, t: float, work=None):
     """Gradient and Hessian of ``t f + barrier`` in the coordinates x.
 
     Block j's barrier has gradient ``-A_j(M_j^-1)`` and Hessian
-    ``tr(M_j^-1 A_a M_j^-1 A_b)``, the Schur matrix at ``X = S^-1 = M_j^-1``.
-    That of f is ``-(T + T^T)``, ``T_ab = sum_ikj F_ikj rho_ji B_a,ik B_b,kj``,
-    with B_a the rows of A_0 in the eigenbasis of M_0 (``V^H A_a V``) and F
-    the second divided differences of log (Daleckii-Krein).  The Hessian is
-    built in the accumulator of ``work``, a ``_SchurWorkspace`` of ``ops``,
-    and stays valid until its next use.
+    ``tr(M_j^-1 A_a M_j^-1 A_b)``, the Schur matrix at ``X = S^-1 = M_j^-1``,
+    built in the accumulator of ``work`` (a ``_SchurWorkspace`` of ``ops``,
+    valid until its next use).  f has gradient ``A_0(G)``, G of
+    ``_log_gradient``, and Hessian ``-(T + T^T)``, ``T_ab = sum_ikj F_ikj
+    rho~_ji B_a,ik B_b,kj``, with F the second divided differences of log
+    (Daleckii-Krein) and ``B_a = V^H A_a V``; A_a is Hermitian, so ``rot_a =
+    (A_a V)^T conj(V) = conj(B_a)``.  ``C_a,kj = sum_i B_a,ik F_ikj rho~_ji``
+    is one batched product over k, and ``Re T_ab = <Y_a, Re B_b + Im B_b>``,
+    ``2 Y = Re C - Im C + (Re C + Im C)^T``, is one real product.
     """
-    grad, invs = 0.0, []
-    for op, (w, v) in zip(ops, eigs):
-        invs.append((v / w) @ v.conj().T)
-        grad = grad - op.apply(invs[-1])
-    if work is None:
-        work = _SchurWorkspace(ops)
-    hess = work.assemble(invs, invs)
+    invs = [(v / w) @ v.conj().T for w, v in eigs]
+    hess = (work or _SchurWorkspace(ops)).assemble(invs, invs)
     w, v = eigs[0]
-    m = w.size
-    rot = ops[0].mat @ (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(m * m, m * m)
-    d1 = _log_differences(w)
-    rho_t = v.conj().T @ rho @ v
-    kernel = np.zeros((m, m, m, m), dtype=complex)
-    kernel[:, range(m), range(m), :] = (
-        _log_second_differences(w, d1) * rho_t.T[:, None, :])
-    tmat = rot @ kernel.reshape(m * m, m * m) @ rot.T
-    grad = grad - t * (rot @ (d1 * rho_t.T).ravel()).real
-    hess -= t * (tmat + tmat.T).real
-    return grad, hess
+    n = w.size
+    g, d1, rho_t = _log_gradient(rho, w, v)
+    rot = (ops[0].mat.toarray().reshape(-1, n) @ v).reshape(-1, n, n).transpose(0, 2, 1)
+    rot = (rot.reshape(-1, n) @ v.conj()).reshape(-1, n, n)
+    weights = _log_second_differences(w, d1) * rho_t.T[:, None, :]
+    c = (rot.transpose(1, 0, 2) @ weights.transpose(1, 0, 2)).transpose(1, 0, 2)
+    y = c.real - c.imag + (c.real + c.imag).transpose(0, 2, 1)
+    tmat = y.reshape(-1, n * n) @ (rot.real - rot.imag).reshape(-1, n * n).T
+    hess -= t / 2.0 * (tmat + tmat.T)
+    grad = ops[0].apply(t * g - invs[0])
+    return grad - sum(op.apply(inv) for op, inv in zip(ops[1:], invs[1:])), hess
 
 
 def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: dict,
@@ -410,11 +411,10 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
         if t >= t_end or steps >= cfg.max_iterations:
             break
         t = min(t * _T_GROWTH, t_end)
-
+    del work  # free the Newton buffers before the certificate's SDP
     [(w, v)], f, _ = _evaluate(rho, [ops[0].adjoint(best[1])])
     sigma = (v * w) @ v.conj().T
-    rho_t = v.conj().T @ rho @ v
-    grad = -(v @ (_log_differences(w) * rho_t) @ v.conj().T)
+    grad = _log_gradient(rho, w, v)[0]
     grad = (grad + grad.conj().T) / 2.0
     entropy = von_neumann_entropy(rho)
     value = max(0.0, f / _LN2 - entropy)
@@ -486,7 +486,8 @@ def werner_regularized_ree(d: int, p: float) -> float:
         ``log2((d+2)/d) + (1-p) log2((d-2)/(d+2))``; the two branches agree
         at the breakpoint.
     """
-    if int(d) != d or d < 2:
+    if not (isinstance(d, (int, float, np.integer, np.floating))
+            and 2 <= d < math.inf and int(d) == d):
         raise ValidationError("werner-domain", detail="d must be an integer >= 2")
     d = int(d)
     if not 0.5 < p <= 1.0:
@@ -786,11 +787,10 @@ def eof_convex_roof(state, m: int | None = None,
     keep = eigs > 1e-12
     rank = int(keep.sum())
     cvecs = (vecs[:, keep] * np.sqrt(eigs[keep])).T
-    if m is None:
-        m = rank * rank
-    if m < rank:
+    m = rank * rank if m is None else m
+    if not (_is_integer(m) and m >= rank):
         raise ValidationError(
-            "decomposition-size", detail=f"m={m} is below rank {rank}")
+            "decomposition-size", detail=f"m={m!r} is not an integer >= rank {rank}")
 
     rng = np.random.default_rng(cfg.seed)
     restarts = min(cfg.restarts, 64)

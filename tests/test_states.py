@@ -13,19 +13,32 @@ from entmeas import (
     PureState,
     ValidationError,
     apply_kraus,
+    binary_entropy,
+    catalysis_search,
     conditional_mutual_information,
+    eof_convex_roof,
+    gaussian_is_ppt,
+    gaussian_log_negativity,
     ghz_state,
     max_entangled,
     mutual_information,
+    negativity,
+    optimal_conversion_probability,
     partial_trace,
     partial_transpose,
     permute_subsystems,
+    reduce_modes,
     relative_entropy,
+    schmidt,
     state_from_dict,
     state_to_dict,
+    tangle,
     trace_norm,
+    two_mode_squeezed,
+    two_qubit_conversion_kraus,
     von_neumann_entropy,
     w_state,
+    werner_regularized_ree,
 )
 from conftest import rand_pure, rand_rho, rand_unitary
 
@@ -59,6 +72,57 @@ class TestValidation:
             DensityOperator(np.eye(4) / 4, dims)
         with pytest.raises(ValidationError, match="dims"):
             partial_transpose(np.eye(4), 1, dims)
+
+    @pytest.mark.parametrize("call, invariant", [
+        pytest.param(lambda: reduce_modes(two_mode_squeezed(0.3), [0.5]), "mode-indices",
+                     id="reduce_modes-0.5"),
+        pytest.param(lambda: permute_subsystems(max_entangled(2), (0.5, 1)), "permutation",
+                     id="permute_subsystems-0.5"),
+        pytest.param(lambda: permute_subsystems(max_entangled(2), 1), "permutation",
+                     id="permute_subsystems-int"),
+        pytest.param(lambda: partial_trace(bell_rho(), True), "subsystem-index",
+                     id="partial_trace-True"),
+        pytest.param(lambda: schmidt(max_entangled(2), float("nan")), "bipartition",
+                     id="schmidt-nan"),
+        pytest.param(lambda: negativity(bell_rho(), 1.5), "bipartition", id="negativity-1.5"),
+        pytest.param(lambda: partial_trace(bell_rho(), 1.5), "subsystem-index",
+                     id="partial_trace-1.5"),
+        pytest.param(lambda: tangle(ghz_state(3), 1.5), "dims", id="tangle-1.5"),
+        pytest.param(lambda: gaussian_is_ppt(two_mode_squeezed(0.3), 1.5), "mode-cut",
+                     id="gaussian_is_ppt-1.5"),
+        pytest.param(lambda: gaussian_log_negativity(two_mode_squeezed(0.3), 1.5), "mode-cut",
+                     id="gaussian_log_negativity-1.5"),
+        pytest.param(lambda: catalysis_search([0.4, 0.36, 0.24], [0.5, 0.25, 0.25],
+                                              resolution=2.5), "resolution",
+                     id="catalysis_search-resolution-2.5"),
+        pytest.param(lambda: catalysis_search([0.4, 0.36, 0.24], [0.5, 0.25, 0.25],
+                                              catalyst_rank=2.0), "catalyst-rank",
+                     id="catalysis_search-rank-2.0"),
+        pytest.param(lambda: eof_convex_roof(max_entangled(2), m=2.5), "decomposition-size",
+                     id="eof_convex_roof-2.5"),
+    ])
+    def test_rejects_indices_and_counts_that_are_not_integers(self, call, invariant):
+        with pytest.raises(ValidationError, match=invariant):
+            call()
+
+    @pytest.mark.parametrize("call, invariant", [
+        pytest.param(lambda: binary_entropy(math.nan), "probability", id="binary_entropy-nan"),
+        pytest.param(lambda: werner_regularized_ree(math.inf, 0.9), "werner-domain",
+                     id="werner_regularized_ree-inf"),
+        pytest.param(lambda: werner_regularized_ree(math.nan, 0.9), "werner-domain",
+                     id="werner_regularized_ree-nan"),
+        pytest.param(lambda: optimal_conversion_probability([math.nan, 1.0], [1.0]),
+                     "coefficients", id="optimal_conversion_probability-nan"),
+        pytest.param(lambda: KrausSet([np.full((2, 2), np.nan)]), "non-finite",
+                     id="KrausSet-nan"),
+        pytest.param(lambda: KrausSet([np.full((2, 2), np.nan)], trace_preserving=False),
+                     "non-finite", id="KrausSet-nan-not-trace-preserving"),
+        pytest.param(lambda: two_qubit_conversion_kraus(math.nan, 0.5), "amplitudes",
+                     id="two_qubit_conversion_kraus-nan"),
+    ])
+    def test_rejects_non_finite_scalars(self, call, invariant):
+        with pytest.raises(ValidationError, match=invariant):
+            call()
 
     def test_accepts_numpy_integer_dims(self):
         assert DensityOperator(np.eye(4) / 4, np.array([2, 2])).dims == (2, 2)

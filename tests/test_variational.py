@@ -760,6 +760,48 @@ class TestBarrierNewton:
         assert np.allclose(ops[2].adjoint(x), n, atol=1e-14)
         self.check_derivatives(rho.matrix, ops, x)
 
+    @pytest.mark.parametrize("measure, dims", [(relative_entropy_of_entanglement, (3, 3)),
+                                               (rains_bound, (2, 3))], ids=["ree", "rains"])
+    def test_f_hessian_is_the_daleckii_krein_sum(self, monkeypatch, measure, dims):
+        """The f term of the Hessian, ``-(T + T^T)``, against the four-index
+        sum ``T_ab = sum_ikj F_ikj rho~_ji B_a,ik B_b,kj`` at a generic sigma
+        and at ``sigma = I/n``, where every F entry is a degenerate limit."""
+        def first(x, y):
+            return 2.0 / (x + y) if math.isclose(x, y, rel_tol=1e-8) else (
+                (math.log(x) - math.log(y)) / (x - y))
+
+        def second(*args):
+            a, b, c = sorted(args)
+            if math.isclose(a, c, rel_tol=1e-8):
+                return -0.5 / b ** 2
+            return (first(a, b) - first(b, c)) / (a - c)
+
+        rng = np.random.default_rng(31)
+        n = dims[0] * dims[1]
+        rho = rand_rho(rng, n=n, dims=dims, rank=2).matrix
+        ops = self.operators(monkeypatch, measure, DensityOperator(rho, dims))
+        eye = np.eye(n) / n
+        if measure is rains_bound:  # sigma = (P - N)^Gamma
+            p = 0.8 * eye + 0.05 * rand_rho(rng, n=n, dims=dims).matrix
+            q = 0.1 * eye + 0.05 * rand_rho(rng, n=n, dims=dims).matrix
+            points = [ops[1].apply(1.1 * eye) + ops[2].apply(0.1 * eye),
+                      ops[1].apply(p) + ops[2].apply(q)]
+        else:
+            generic = 0.7 * eye + 0.3 * rand_rho(rng, n=n, dims=dims).matrix
+            points = [ops[0].apply(eye), ops[0].apply(generic)]
+        a = ops[0].mat.toarray().reshape(-1, n, n)
+        for x, degenerate in zip(points, (True, False)):
+            w, v = np.linalg.eigh(ops[0].adjoint(x))
+            assert (np.ptp(w) < 1e-12) == degenerate
+            b = np.einsum("pi,apq,qk->aik", v.conj(), a, v)
+            f = np.array([[[second(wi, wk, wj) for wj in w] for wk in w] for wi in w])
+            t = np.einsum("ikj,ji,aik,bkj->ab", f, v.conj().T @ rho @ v, b, b)
+            expected = -(t + t.T).real
+            eigs = variational._evaluate(rho, [op.adjoint(x) for op in ops])[0]
+            hess = (variational._newton_system(rho, ops, eigs, 1.0)[1]
+                    - variational._newton_system(rho, ops, eigs, 0.0)[1])
+            assert np.linalg.norm(hess - expected) <= 1e-12 * np.linalg.norm(expected)
+
 
 class TestWitnessViolation:
     def test_bell_violation(self):
