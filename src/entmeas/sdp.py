@@ -25,11 +25,12 @@ batched product of rank-2 factors, from which each column k picks its own
 entries.  The build costs O(P n^2 + P^2) for P pair rows and runs in a
 workspace allocated once per solve and shared by the blocks; the matrix
 is factored in place once per iteration for both the predictor and the
-corrector.  Before iterating, a Cholesky factor of the Gram matrix
-``Re(A A^H)`` tests the rows for full rank, which makes the equalities
-consistent for any right-hand side; only rank-deficient rows go on to a
-least-squares consistency test.  A returned ``"optimal"`` is rechecked
-against the problem data by ``_verify``.
+corrector.  The iterates start at multiples of I, so the first Schur matrix
+is a multiple of the Gram matrix ``Re(A A^H)``: its Cholesky factor tests
+the rows for full rank, which makes the equalities consistent for any
+right-hand side; only rank-deficient rows go on to test that b lies in its
+range.  A returned ``"optimal"`` is rechecked against the problem data by
+``_verify``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ValidationError
-from .states import _check_dims, _hermitian, partial_transpose
+from .states import _check_dims, _hermitian, _is_integer, partial_transpose
 
 # the largest block side: a solve's Schur workspace holds about n^4 complex
 # entries for the pair rows and m^2 reals for the Schur matrix, 126 MB for
@@ -267,10 +268,6 @@ class _BlockOperator:
         """The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` of this block."""
         return _SchurWorkspace([self]).assemble([x], [sinv])
 
-    def gram(self) -> np.ndarray:
-        """The real Gram matrix ``Re(A A^H)`` of the rows."""
-        return np.real((self.mat @ self._adj.conj()).toarray())
-
 
 class _SchurWorkspace:
     """The Schur matrix ``sum_j Re tr(A_ij X_j A_kj S_j^-1)`` of a fixed set
@@ -365,31 +362,27 @@ class _SchurWorkspace:
         return acc
 
 
-def _full_row_rank(ops) -> bool:
-    """True when the constraint rows are linearly independent.
+def _full_row_rank(gram: np.ndarray) -> bool:
+    """True when the constraint rows, given a positive multiple of their
+    Gram matrix ``Re(A A^H)``, are linearly independent.
 
     Full row rank makes ``A(X) = b`` consistent for every right-hand side.
-    The test is a Cholesky factor of the Gram matrix ``Re(A A^H)`` with a
-    reciprocal condition estimate well above round-off.
+    The test is a Cholesky factor, written over a Fortran-ordered ``gram``,
+    with a reciprocal condition estimate well above round-off.
     """
-    gram = sum(op.gram() for op in ops)
-    try:
-        factor = scipy.linalg.cholesky(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return False
-    rcond, info = scipy.linalg.lapack.dpocon(
-        factor, float(np.abs(gram).sum(axis=0).max()), uplo="L")
+    norm = scipy.linalg.lapack.dlange("1", gram)
+    factor, info = scipy.linalg.lapack.dpotrf(gram, lower=True, clean=False, overwrite_a=True)
+    if info == 0:
+        rcond, info = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
     return info == 0 and rcond > _RANK_RCOND
 
 
-def _linear_consistency(ops, b) -> bool:
-    """True when the equality system has some Hermitian solution at all."""
-    columns = [op.mat.toarray() for op in ops]
-    design = np.hstack([np.concatenate([c.real, c.imag], axis=1) for c in columns])
-    if design.size == 0:
-        return bool(np.allclose(b, 0.0, atol=1e-9))
-    sol = np.linalg.lstsq(design, b, rcond=None)[0]
-    return float(np.linalg.norm(design @ sol - b)) <= 1e-8 * (1.0 + float(np.linalg.norm(b)))
+def _linear_consistency(gram: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``b`` lies in the range of the rows' Gram matrix, so that
+    the equalities have a Hermitian solution; least squares on a Gram
+    matrix squares the rows' condition number."""
+    sol = np.linalg.lstsq(gram, b, rcond=None)[0]
+    return float(np.linalg.norm(gram @ sol - b)) <= 1e-8 * (1.0 + float(np.linalg.norm(b)))
 
 
 def _apply(problem: SdpProblem, block: int, x: np.ndarray) -> np.ndarray:
@@ -499,7 +492,7 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
     ----------
     problem : SdpProblem
     max_iterations : int
-        Iteration cap (default 100).
+        Iteration cap, an integer >= 1 (default 100).
 
     Returns
     -------
@@ -513,8 +506,11 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         that check and can exceed 1e-7; callers that certify a value
         compare it with their own tolerance.  ``"infeasible"``,
         ``"unbounded"``, and ``"max-iterations"`` flag the respective
-        failure modes.
+        failure modes; inconsistent dependent rows give ``"infeasible"``
+        with 0 iterations.
     """
+    if not (_is_integer(max_iterations) and max_iterations >= 1):
+        raise ValidationError("solver-config", detail="max_iterations must be an integer >= 1")
     dims = problem.block_dims
     nblocks = len(dims)
     b = np.asarray(problem._rhs, dtype=float)
@@ -542,13 +538,8 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
     y = np.zeros(m)
     total_n = sum(dims)
 
-    # independent rows are consistent for any rhs; only a rank-deficient
-    # system needs the least-squares test
-    if not _full_row_rank(ops) and not _linear_consistency(ops, b):
-        return fail("infeasible", 0)
-
     # the Schur build's buffers, then its symmetrized copy, which the
-    # Cholesky factor overwrites; the iterations allocate nothing of size m^2
+    # Cholesky factors overwrite; the iterations allocate nothing of size m^2
     work = _SchurWorkspace(ops)
     schur = np.empty((m, m), order="F")
 
@@ -625,6 +616,14 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         acc = work.assemble(xs, sinvs)
         np.add(acc, acc.T, out=schur)
         schur *= 0.5
+        if it == 1:
+            # X and S are multiples of I, so this is a multiple of the Gram
+            # matrix; the diagonal shift below would hide a dependence
+            independent = _full_row_rank(schur)
+            np.add(acc, acc.T, out=schur)
+            schur *= 0.5
+            if not independent and not _linear_consistency(schur, b):
+                return fail("infeasible", 0)
         schur.flat[::m + 1] += 1e-13 * max(1.0, schur.diagonal().max())
         # one factorization serves the predictor and the corrector
         try:

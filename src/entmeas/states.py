@@ -266,7 +266,9 @@ def _subsystems(indices: Iterable[int] | int, n: int, name: str,
                 invariant: str = "subsystem-index") -> tuple[int, ...]:
     """Sorted distinct subsystem indices, at least one, each in ``range(n)``;
     a failure names ``invariant``."""
-    values = tuple(indices) if isinstance(indices, Iterable) else (indices,)
+    # a 0-d array is iterable by type but not in fact, and is no integer
+    iterable = isinstance(indices, Iterable) and getattr(indices, "ndim", 1) > 0
+    values = tuple(indices) if iterable else (indices,)
     if not all(_is_integer(k) for k in values):
         raise ValidationError(invariant, detail=f"{name}={indices!r} must be integers")
     indices = tuple(sorted(set(int(k) for k in values)))

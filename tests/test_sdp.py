@@ -195,6 +195,11 @@ class TestValidationAndLimits:
         assert prob.num_constraints == 0
         assert prob._coefficients(0).nnz == 0
 
+    @pytest.mark.parametrize("cap", [2.5, 0, -3, True])
+    def test_rejects_an_iteration_cap_that_is_not_a_positive_integer(self, cap):
+        with pytest.raises(ValidationError, match="solver-config"):
+            sdp_solve(ppt_problem((2, 2)), max_iterations=cap)
+
     def test_requires_constraints(self):
         prob = SdpProblem([2])
         prob.set_objective(0, np.eye(2))
@@ -455,6 +460,15 @@ class TestEntryAdjoint:
         assert _verify(prob, sol)
 
 
+def first_schur(prob):
+    """The symmetrized Schur matrix at ``X_j = S_j^-1 = I``, on which the
+    solver's first iteration decides the rows' rank and consistency."""
+    ops = [_BlockOperator(prob, j) for j in range(len(prob.block_dims))]
+    eyes = [np.eye(n) for n in prob.block_dims]
+    acc = sdp._SchurWorkspace(ops).assemble(eyes, eyes)
+    return (acc + acc.T) / 2.0
+
+
 class TestRankPreflight:
     def test_duplicated_consistent_equality_is_solved(self, rng):
         c = herm(rng, 3)
@@ -464,14 +478,46 @@ class TestRankPreflight:
         prob.add_equality({0: np.eye(3)}, 1.0)
         # the repeated row fails the rank test, so the least-squares
         # consistency test decides
-        assert not _full_row_rank([_BlockOperator(prob, 0)])
+        assert not _full_row_rank(first_schur(prob))
         sol = sdp_solve(prob)
         assert sol.status == "optimal"
         assert abs(sol.value - np.linalg.eigvalsh(c)[0]) < 1e-7
 
     def test_independent_rows_pass_the_rank_test(self):
         prob = ppt_problem((2, 3))
-        assert _full_row_rank([_BlockOperator(prob, j) for j in (0, 1)])
+        assert _full_row_rank(first_schur(prob))
+
+    def test_rank_test_factors_in_place(self):
+        gram = np.asfortranarray(first_schur(ppt_problem((4, 5))))
+        tracemalloc.start()
+        try:
+            assert _full_row_rank(gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gram.nbytes / 2
+
+    def test_first_schur_matrix_is_the_gram_matrix(self, rng):
+        prob = mixed_problem(rng, (2, 3))
+        dense = [prob._coefficients(j).toarray() for j in range(3)]
+        want = sum(np.real(c @ c.conj().T) for c in dense)
+        assert np.max(np.abs(first_schur(prob) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("rhs, status", [(1.0, "optimal"), (2.0, "infeasible")])
+    def test_repeated_trace_row_of_an_operator_equation(self, rng, rhs, status):
+        # the trace row's six entries fold back from three pair rows
+        prob = ppt_problem((2, 3))
+        prob.set_objective(0, herm(rng, 6))
+        plain = sdp_solve(prob)
+        prob.add_equality({0: np.eye(6)}, rhs)
+        assert not _full_row_rank(first_schur(prob))
+        sol = sdp_solve(prob)
+        assert sol.status == status
+        if status == "optimal":
+            assert plain.status == "optimal"
+            assert abs(sol.value - plain.value) <= 1e-7
+        else:
+            assert sol.iterations == 0
 
 
 class TestVerify:

@@ -87,6 +87,10 @@ class TestValidation:
         pytest.param(lambda: negativity(bell_rho(), 1.5), "bipartition", id="negativity-1.5"),
         pytest.param(lambda: partial_trace(bell_rho(), 1.5), "subsystem-index",
                      id="partial_trace-1.5"),
+        pytest.param(lambda: partial_trace(bell_rho(), np.array(1)), "subsystem-index",
+                     id="partial_trace-0d-array"),
+        pytest.param(lambda: negativity(bell_rho(), np.array(1)), "bipartition",
+                     id="negativity-0d-array"),
         pytest.param(lambda: tangle(ghz_state(3), 1.5), "dims", id="tangle-1.5"),
         pytest.param(lambda: gaussian_is_ppt(two_mode_squeezed(0.3), 1.5), "mode-cut",
                      id="gaussian_is_ppt-1.5"),
