@@ -15,32 +15,32 @@ operator equation between blocks (``add_operator_equation``), each term a
 block under the partial transpose of any set of its subsystems, the one
 index rule of ``states.partial_transpose``.  A constraint is stored, from
 the moment it is added, only as the sparse entries of its row-major
-flattened coefficients; each block's entries make one ``(m, n^2)`` matrix
-for the solver, while ``_verify`` and ``dual_bound`` sum the entries
-themselves.  The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` is
-gathered over the entries (the structure-exploiting build of Fujisawa,
-Kojima & Nakata, Math. Prog. 79 (1997)): each row's entries on a block
-are split into pair rows of at most two, so every ``S^-1 A_i X`` is one
-batched product of rank-2 factors, from which each column k picks its own
-entries.  The build costs O(P n^2 + P^2) for P pair rows and runs in a
-workspace allocated once per solve and shared by the blocks; the matrix
-is factored in place once per iteration for both the predictor and the
-corrector.  The iterates start at multiples of I, so the first Schur matrix
-is a multiple of the Gram matrix ``Re(A A^H)``: its Cholesky factor tests
-the rows for full rank, which makes the equalities consistent for any
-right-hand side; only rank-deficient rows go on to test that b lies in its
-range.  A returned ``"optimal"`` is rechecked against the problem data by
-``_verify``.
+flattened coefficients, the one form every consumer reads: ``A`` and its
+adjoint are one sum each over a block's entries (``_apply``, ``_adjoint``)
+for the solver, ``_verify`` and ``dual_bound`` alike.  The Schur matrix
+``M_ik = Re tr(A_i X A_k S^-1)`` is gathered over the entries (the
+structure-exploiting build of Fujisawa, Kojima & Nakata, Math. Prog. 79
+(1997)): each row's entries on a block are split into pair rows of at most
+two, so every ``S^-1 A_i X`` is one batched product of rank-2 factors, from
+which each column k picks its own entries.  The build costs O(P n^2 + P^2)
+for P pair rows and runs in a workspace allocated once per solve and shared
+by the blocks; the matrix is factored in place once per iteration for both
+the predictor and the corrector.  The iterates start at multiples of I, so
+the first Schur matrix is a multiple of the Gram matrix ``Re(A A^H)``: its
+Cholesky factor tests the rows for full rank, which makes the equalities
+consistent for any right-hand side; only rank-deficient rows go on to test
+that b lies in its range.  A returned ``"optimal"`` is rechecked against
+the problem data by ``_verify``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import ValidationError
 from .states import _check_dims, _hermitian, _is_integer, partial_transpose
@@ -64,14 +64,24 @@ class SdpProblem:
     Parameters
     ----------
     block_dims : sequence of int
-        Side lengths of the PSD blocks; each must not exceed 36, and
-        their total must not exceed 400.
+        Side lengths of the PSD blocks, positive integers; each must not
+        exceed 36, and their total must not exceed 400.
+
+    A block index must be an integer in ``range(len(block_dims))``, and a
+    right-hand side or a sign a finite real number; bad input is refused
+    before any row is stored.
     """
 
     def __init__(self, block_dims):
-        self.block_dims = tuple(int(n) for n in block_dims)
-        if not self.block_dims or any(n < 1 for n in self.block_dims):
-            raise ValidationError("block-dims", detail="block dimensions must be positive")
+        try:
+            dims = tuple(block_dims)
+        except TypeError:
+            dims = ()
+        if not dims or not all(_is_integer(n) and n >= 1 for n in dims):
+            raise ValidationError(
+                "block-dims",
+                detail=f"block dimensions must be positive integers, got {block_dims!r}")
+        self.block_dims = tuple(int(n) for n in dims)
         if max(self.block_dims) > MAX_BLOCK_DIM:
             raise ValidationError(
                 "block-dims", float(max(self.block_dims)), float(MAX_BLOCK_DIM),
@@ -91,8 +101,16 @@ class SdpProblem:
     def num_constraints(self) -> int:
         return len(self._rhs)
 
+    def _block(self, block) -> int:
+        """A block index given from outside, as an int in range."""
+        if not (_is_integer(block) and 0 <= block < len(self.block_dims)):
+            raise ValidationError(
+                "block-index", detail=f"block {block!r} is not in range({len(self.block_dims)})")
+        return int(block)
+
     def set_objective(self, block: int, matrix) -> None:
         """Set the Hermitian objective coefficient of one block."""
+        block = self._block(block)
         n = self.block_dims[block]
         self._objective[block] = _hermitian(matrix, f"objective block {block}", n)
 
@@ -107,16 +125,17 @@ class SdpProblem:
         """
         if not terms:
             raise ValidationError("constraint", detail="a constraint needs at least one term")
+        rhs = _finite_real(rhs, "right-hand side")
         row = self.num_constraints
         entries = {}
         for block, matrix in terms.items():
-            n = self.block_dims[int(block)]
-            flat = _hermitian(matrix, f"constraint block {block}", n).ravel()
+            block = self._block(block)
+            flat = _hermitian(matrix, f"constraint block {block}", self.block_dims[block]).ravel()
             cols = np.flatnonzero(flat)
-            entries[int(block)] = (np.full(cols.size, row), cols, flat[cols])
+            entries[block] = (np.full(cols.size, row), cols, flat[cols])
         for block, entry in entries.items():
             self._entries[block].append(entry)
-        self._rhs.append(float(rhs))
+        self._rhs.append(rhs)
 
     def add_operator_equation(self, terms: dict, rhs, dims) -> None:
         """Add the n^2 rows of the operator equation ``sum_j s_j T_j(X_j) = R``.
@@ -137,8 +156,10 @@ class SdpProblem:
         """
         if not terms:
             raise ValidationError("constraint", detail="a constraint needs at least one term")
+        terms = {self._block(block): (_finite_real(sign, f"sign of block {block}"), tuple(parties))
+                 for block, (sign, parties) in terms.items()}
         for block in terms:
-            n = self.block_dims[int(block)]
+            n = self.block_dims[block]
             dims = _check_dims(dims, n)
         target = np.zeros((n, n)) if rhs is None else _hermitian(rhs, "operator equation", n)
         k, l = np.triu_indices(n, 1)
@@ -151,31 +172,33 @@ class SdpProblem:
             [scale, scale, -1.0j * scale, 1.0j * scale], k.size)])
         grid = np.arange(n * n).reshape(n, n)
         built = {(): (cols, vals)}
-        for parties in {tuple(parties) for _, parties in terms.values()} - {()}:
+        for parties in {parties for _, parties in terms.values()} - {()}:
             moved = partial_transpose(grid, parties, dims).real.astype(int).ravel()[cols]
             order = np.lexsort((moved, rows))  # each row sorted by column
             built[parties] = (moved[order], vals[order])
         first = self.num_constraints
         for block, (sign, parties) in terms.items():
-            block_cols, block_vals = built[tuple(parties)]
-            self._entries[int(block)].append((rows + first, block_cols, sign * block_vals))
+            block_cols, block_vals = built[parties]
+            self._entries[block].append((rows + first, block_cols, sign * block_vals))
         self._rhs.extend(np.bincount(rows, np.real(vals.conj() * target.ravel()[cols]),
                                      minlength=n * n).tolist())
 
     def _block_entries(self, block: int):
-        """The stored ``(row, column, value)`` entries of one block, joined."""
-        return tuple(np.concatenate(part) for part in zip(*self._entries[block]))
+        """The stored ``(row, column, value)`` entries of one block, in row
+        order, joined once in place."""
+        chunks = self._entries[block]
+        if len(chunks) > 1:
+            chunks[:] = [tuple(np.concatenate(part) for part in zip(*chunks))]
+        return chunks[0]
 
-    def _coefficients(self, block: int):
-        """The constraints of one block as a sparse ``(m, n*n)`` CSR matrix.
 
-        Row i holds the row-major flattened coefficient of constraint i on
-        the block, so that ``<A_i, Z> = Re (A vec(Z^T))_i``.
-        """
-        n, m = self.block_dims[block], self.num_constraints
-        rows, cols, vals = self._block_entries(block)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
-        return scipy.sparse.csr_matrix((vals, cols, indptr), shape=(m, n * n))
+def _finite_real(value, name: str) -> float:
+    """A real number given from outside, as a float."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError("constraint", detail=f"{name} {value!r} is not a real number")
+    if not math.isfinite(value):
+        raise ValidationError("non-finite", detail=f"{name} is {value!r}")
+    return float(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,34 +237,34 @@ class SdpSolution:
 
 
 class _BlockOperator:
-    """The constraints of one block, as a sparse ``(m, n*n)`` matrix ``A``
-    and as pair rows for the Schur build.
+    """The constraints of one block as pair rows for the Schur build, with
+    ``A`` and its adjoint.
 
-    ``A`` is the stored ``SdpProblem._coefficients`` of the block, with its
-    adjoint.  The pair rows hold each row's entries on the block as aligned
-    slots ``(column, value)``, two per pair row, slot-major: ``slot_cols[s,
-    a]`` and ``slot_vals[s, a]``.  A row with k entries has ceil(k/2) pair
-    rows and pads an odd last slot with value 0; a row that does not touch
-    the block has none.  The first pair row of each touched row comes
-    first, in row order (row ``rows[r]`` at index r), then the others, whose
-    own rows ``rows[folds]`` the build folds them back onto.
+    Like ``apply`` and ``adjoint`` (``_apply`` and ``_adjoint`` of the
+    block), the pair rows are read from the problem's stored entries, the
+    only form of the constraints.  They hold each row's entries on the block
+    as aligned slots ``(column, value)``, two per pair row, slot-major:
+    ``slot_cols[s, a]`` and ``slot_vals[s, a]``.  A row with k entries has
+    ceil(k/2) pair rows and pads an odd last slot with value 0; a row that
+    does not touch the block has none.  The first pair row of each touched
+    row comes first, in row order (row ``rows[r]`` at index r), then the
+    others, whose own rows ``rows[folds]`` the build folds them back onto.
     """
 
     def __init__(self, problem: SdpProblem, block: int):
+        self.problem, self.block = problem, block
         self.n = problem.block_dims[block]
         self.m = problem.num_constraints
-        self.mat = problem._coefficients(block)
-        # CSC, whose products sum each entry in the same order as a CSR copy
-        self._adj = self.mat.T
+        rows, cols, vals = problem._block_entries(block)
         # entry `rank` of touched row `group` fills slot rank % 2 of the
         # row's pair row rank // 2: the first at index group, the others
         # after all first ones
-        indptr = self.mat.indptr
-        self.rows = np.flatnonzero(np.diff(indptr))
-        counts = indptr[self.rows + 1] - indptr[self.rows]
+        counts = np.bincount(rows, minlength=self.m)
+        self.rows = np.flatnonzero(counts)
+        counts = counts[self.rows]
         touched = self.rows.size
         group = np.repeat(np.arange(touched), counts)
-        rank = np.arange(group.size) - indptr[self.rows][group]
+        rank = np.arange(group.size) - (np.cumsum(counts) - counts)[group]
         extra = (counts - 1) // 2
         pair = np.where(rank < 2, group,
                         touched + (np.cumsum(extra) - extra)[group] + rank // 2 - 1)
@@ -249,8 +272,8 @@ class _BlockOperator:
         self.pairs = touched + self.folds.size
         self.slot_cols = np.zeros((2, self.pairs), dtype=int)
         self.slot_vals = np.zeros((2, self.pairs), dtype=complex)
-        self.slot_cols[rank % 2, pair] = self.mat.indices
-        self.slot_vals[rank % 2, pair] = self.mat.data
+        self.slot_cols[rank % 2, pair] = cols
+        self.slot_vals[rank % 2, pair] = vals
         lo = int(self.rows[0]) if touched else 0
         self.target = ((slice(lo, lo + touched),) * 2
                        if not touched or self.rows[-1] == lo + touched - 1
@@ -258,15 +281,18 @@ class _BlockOperator:
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """The vector ``Re tr(A_i Z)`` over all rows."""
-        return np.real(self.mat @ z.T.reshape(-1))
+        return _apply(self.problem, self.block, z)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """The matrix ``sum_i y_i A_i``."""
-        return (self._adj @ y).reshape(self.n, self.n)
+        return _adjoint(self.problem, self.block, y)
 
-    def schur(self, x: np.ndarray, sinv: np.ndarray) -> np.ndarray:
-        """The Schur matrix ``M_ik = Re tr(A_i X A_k S^-1)`` of this block."""
-        return _SchurWorkspace([self]).assemble([x], [sinv])
+    def dense(self) -> np.ndarray:
+        """The rows as a dense ``(m, n*n)`` matrix, one scatter of the entries."""
+        rows, cols, vals = self.problem._block_entries(self.block)
+        mat = np.zeros((self.m, self.n * self.n), dtype=complex)
+        mat[rows, cols] = vals
+        return mat
 
 
 class _SchurWorkspace:

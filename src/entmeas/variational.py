@@ -320,7 +320,8 @@ def _newton_system(rho: np.ndarray, ops, eigs, t: float, work=None):
     valid until its next use).  f has gradient ``A_0(G)``, G of
     ``_log_gradient``, and Hessian ``-(T + T^T)``, ``T_ab = sum_ikj F_ikj
     rho~_ji B_a,ik B_b,kj``, with F the second divided differences of log
-    (Daleckii-Krein) and ``B_a = V^H A_a V``; A_a is Hermitian, so ``rot_a =
+    (Daleckii-Krein) and ``B_a = V^H A_a V``, A_a the rows of ``ops[0].dense``
+    (one scatter of its stored entries); A_a is Hermitian, so ``rot_a =
     (A_a V)^T conj(V) = conj(B_a)``.  ``C_a,kj = sum_i B_a,ik F_ikj rho~_ji``
     is one batched product over k, and ``Re T_ab = <Y_a, Re B_b + Im B_b>``,
     ``2 Y = Re C - Im C + (Re C + Im C)^T``, is one real product.
@@ -330,7 +331,7 @@ def _newton_system(rho: np.ndarray, ops, eigs, t: float, work=None):
     w, v = eigs[0]
     n = w.size
     g, d1, rho_t = _log_gradient(rho, w, v)
-    rot = (ops[0].mat.toarray().reshape(-1, n) @ v).reshape(-1, n, n).transpose(0, 2, 1)
+    rot = (ops[0].dense().reshape(-1, n) @ v).reshape(-1, n, n).transpose(0, 2, 1)
     rot = (rot.reshape(-1, n) @ v.conj()).reshape(-1, n, n)
     weights = _log_second_differences(w, d1) * rho_t.T[:, None, :]
     c = (rot.transpose(1, 0, 2) @ weights.transpose(1, 0, 2)).transpose(1, 0, 2)

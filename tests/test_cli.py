@@ -381,6 +381,19 @@ class TestImportCost:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
 
+    def test_package_import_leaves_scipy_sparse_unloaded(self):
+        # the SDP constraints live only as their stored entries, so nothing
+        # needs scipy.sparse; a fresh interpreter, since the tests import it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, entmeas, entmeas.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
 
 class TestSolverErrorBoundary:
     @pytest.fixture

@@ -182,7 +182,7 @@ class TestValidationAndLimits:
         with pytest.raises(ValidationError, match="shape"):
             prob.add_equality({0: np.eye(2), 1: np.eye(3)}, 1.0)
         assert prob.num_constraints == 0
-        assert prob._coefficients(0).nnz == 0
+        assert prob._block_entries(0)[0].size == 0
 
     def test_refused_operator_equation_adds_no_row(self):
         prob = SdpProblem([4, 3])
@@ -193,7 +193,37 @@ class TestValidationAndLimits:
         with pytest.raises(ValidationError, match="constraint"):
             prob.add_operator_equation({}, None, (2, 2))
         assert prob.num_constraints == 0
-        assert prob._coefficients(0).nnz == 0
+        assert prob._block_entries(0)[0].size == 0
+
+    @pytest.mark.parametrize("invariant, action", [
+        ("block-dims", lambda prob: SdpProblem((2.5,))),
+        ("block-dims", lambda prob: SdpProblem((True, 2))),
+        ("block-dims", lambda prob: SdpProblem(3)),
+        ("block-dims", lambda prob: SdpProblem((np.nan, 2))),
+        ("block-index", lambda prob: prob.add_equality({0.5: np.eye(4)}, 1.0)),
+        ("block-index", lambda prob: prob.add_equality({0: np.eye(4), -1: np.eye(4)}, 1.0)),
+        ("block-index", lambda prob: prob.add_equality({2: np.eye(4)}, 1.0)),
+        ("block-index", lambda prob: prob.set_objective(-1, np.eye(4))),
+        ("block-index", lambda prob: prob.add_operator_equation(
+            {0: (1.0, (1,)), -1: (-1.0, ())}, None, (2, 2))),
+        ("non-finite", lambda prob: prob.add_equality({0: np.eye(4)}, np.nan)),
+        ("non-finite", lambda prob: prob.add_equality({0: np.eye(4)}, np.inf)),
+        ("constraint", lambda prob: prob.add_equality({0: np.eye(4)}, 1j)),
+        ("non-finite", lambda prob: prob.add_operator_equation(
+            {0: (np.nan, (1,)), 1: (-1.0, ())}, None, (2, 2))),
+        ("constraint", lambda prob: prob.add_operator_equation(
+            {0: (1.0j, (1,)), 1: (-1.0, ())}, None, (2, 2))),
+    ], ids=["fractional-dim", "bool-dim", "dims-not-a-sequence", "nan-dim",
+            "fractional-index", "negative-index", "index-past-the-end",
+            "negative-objective-index", "negative-equation-index", "nan-rhs", "inf-rhs",
+            "complex-rhs", "nan-sign", "complex-sign"])
+    def test_refuses_bad_dims_indices_and_numbers(self, invariant, action):
+        prob = SdpProblem((4, 4))
+        with pytest.raises(ValidationError, match=invariant):
+            action(prob)
+        assert prob.num_constraints == 0
+        assert all(prob._block_entries(j)[0].size == 0 for j in range(2))
+        assert not any(c.any() for c in prob._objective)
 
     @pytest.mark.parametrize("cap", [2.5, 0, -3, True])
     def test_rejects_an_iteration_cap_that_is_not_a_positive_integer(self, cap):
@@ -252,7 +282,7 @@ def positive(rng, n):
 def dense_schur(problem, block, x, sinv):
     """Reference ``Re tr(A_i X A_k S^-1)`` from a dense stack of the rows."""
     n = problem.block_dims[block]
-    stack = problem._coefficients(block).toarray().reshape(-1, n, n)
+    stack = _BlockOperator(problem, block).dense().reshape(-1, n, n)
     return np.einsum("iab,bc,kcd,da->ik", stack, x, stack, sinv).real
 
 
@@ -273,8 +303,8 @@ class TestOperatorEquationRows:
         prob = SdpProblem((n, n))
         rhs = herm(rng, n)
         prob.add_operator_equation({0: (1.0, ()), 1: (1.0, parties)}, rhs, dims)
-        basis = prob._coefficients(0).toarray().reshape(n * n, n, n)
-        permuted = prob._coefficients(1).toarray().reshape(n * n, n, n)
+        basis = _BlockOperator(prob, 0).dense().reshape(n * n, n, n)
+        permuted = _BlockOperator(prob, 1).dense().reshape(n * n, n, n)
         assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
         gram = np.einsum("aij,bji->ab", basis, basis).real
         assert np.allclose(gram, np.eye(n * n), rtol=0.0, atol=1e-15)
@@ -295,7 +325,7 @@ class TestSparseSchur:
         prob.add_equality({1: herm(rng, n)}, 0.0)
         for block in (0, 1):
             x, sinv = positive(rng, n), positive(rng, n)
-            got = _BlockOperator(prob, block).schur(x, sinv)
+            got = sdp._SchurWorkspace([_BlockOperator(prob, block)]).assemble([x], [sinv])
             ref = dense_schur(prob, block, x, sinv)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -305,7 +335,7 @@ class TestSparseSchur:
         n = dims[0] * dims[1]
         for block in (0, 1):
             x, sinv = positive(rng, n), positive(rng, n)
-            got = _BlockOperator(prob, block).schur(x, sinv)
+            got = sdp._SchurWorkspace([_BlockOperator(prob, block)]).assemble([x], [sinv])
             ref = dense_schur(prob, block, x, sinv)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -313,7 +343,7 @@ class TestSparseSchur:
     def assert_matches_dense(rng, prob):
         for block, n in enumerate(prob.block_dims):
             x, sinv = positive(rng, n), positive(rng, n)
-            got = _BlockOperator(prob, block).schur(x, sinv)
+            got = sdp._SchurWorkspace([_BlockOperator(prob, block)]).assemble([x], [sinv])
             ref = dense_schur(prob, block, x, sinv)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -328,7 +358,7 @@ class TestSparseSchur:
         n = 4
         prob = ppt_problem((2, 2))
         prob.add_equality({0: herm(rng, n), 1: herm(rng, n)}, 0.0)
-        assert prob._coefficients(0)[n * n + 1].nnz == n * n
+        assert np.count_nonzero(_BlockOperator(prob, 0).dense()[n * n + 1]) == n * n
         self.assert_matches_dense(rng, prob)
 
     def test_row_absent_from_one_block(self, rng):
@@ -340,7 +370,8 @@ class TestSparseSchur:
         assert list(_BlockOperator(prob, 1).rows) == [0, 2]
         assert _BlockOperator(prob, 2).pairs == 0
         self.assert_matches_dense(rng, prob)
-        assert not _BlockOperator(prob, 2).schur(positive(rng, n), positive(rng, n)).any()
+        assert not sdp._SchurWorkspace([_BlockOperator(prob, 2)]).assemble(
+            [positive(rng, n)], [positive(rng, n)]).any()
 
     def test_three_party_operator_equation(self, rng):
         prob = SdpProblem((8, 8))
@@ -425,7 +456,7 @@ class TestEntryAdjoint:
         n = dims[0] * dims[1]
         y = rng.standard_normal(prob.num_constraints)
         for block in range(3):
-            stack = prob._coefficients(block).toarray().reshape(-1, n, n)
+            stack = _BlockOperator(prob, block).dense().reshape(-1, n, n)
             x = herm(rng, n)
             want_apply = np.einsum("iab,ba->i", stack, x).real
             want_adjoint = np.einsum("i,iab->ab", y, stack)
@@ -441,7 +472,7 @@ class TestEntryAdjoint:
         y = rng.standard_normal(prob.num_constraints)
         want = float(np.dot(prob._rhs, y))
         for block, objective in enumerate(prob._objective):
-            stack = prob._coefficients(block).toarray().reshape(-1, n, n)
+            stack = _BlockOperator(prob, block).dense().reshape(-1, n, n)
             slack = objective - np.einsum("i,iab->ab", y, stack)
             want += min(0.0, float(np.linalg.eigvalsh(slack)[0]))
         assert abs(dual_bound(prob, y) - want) <= 1e-12 * abs(want)
@@ -499,7 +530,7 @@ class TestRankPreflight:
 
     def test_first_schur_matrix_is_the_gram_matrix(self, rng):
         prob = mixed_problem(rng, (2, 3))
-        dense = [prob._coefficients(j).toarray() for j in range(3)]
+        dense = [_BlockOperator(prob, j).dense() for j in range(3)]
         want = sum(np.real(c @ c.conj().T) for c in dense)
         assert np.max(np.abs(first_schur(prob) - want)) <= 1e-14 * np.max(np.abs(want))
 

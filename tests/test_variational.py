@@ -789,7 +789,7 @@ class TestBarrierNewton:
         else:
             generic = 0.7 * eye + 0.3 * rand_rho(rng, n=n, dims=dims).matrix
             points = [ops[0].apply(eye), ops[0].apply(generic)]
-        a = ops[0].mat.toarray().reshape(-1, n, n)
+        a = ops[0].dense().reshape(-1, n, n)
         for x, degenerate in zip(points, (True, False)):
             w, v = np.linalg.eigh(ops[0].adjoint(x))
             assert (np.ptp(w) < 1e-12) == degenerate
