@@ -25,7 +25,11 @@ two, so every ``S^-1 A_i X`` is one batched product of rank-2 factors, from
 which each column k picks its own entries.  The build costs O(P n^2 + P^2)
 for P pair rows and runs in a workspace allocated once per solve and shared
 by the blocks; the matrix is factored in place once per iteration for both
-the predictor and the corrector.  The iterates start at multiples of I, so
+the predictor and the corrector.  Each X and S block is factored by its
+eigendecomposition alone (``_eigen_blocks``, as in the barrier method of
+``variational``), for its positivity test, ``S^-1`` and the step whitening
+of ``_max_step``; a block off the interior or a failed Schur factorization
+ends the solve at its best iterate.  The iterates start at multiples of I, so
 the first Schur matrix is a multiple of the Gram matrix ``Re(A A^H)``: its
 Cholesky factor tests the rows for full rank, which makes the equalities
 consistent for any right-hand side; only rank-deficient rows go on to test
@@ -38,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -67,9 +72,9 @@ class SdpProblem:
         Side lengths of the PSD blocks, positive integers; each must not
         exceed 36, and their total must not exceed 400.
 
-    A block index must be an integer in ``range(len(block_dims))``, and a
-    right-hand side or a sign a finite real number; bad input is refused
-    before any row is stored.
+    ``terms`` must be a non-empty mapping, a block index an integer in
+    ``range(len(block_dims))``, and a right-hand side or a sign a finite real
+    number; bad input is refused before any row is stored.
     """
 
     def __init__(self, block_dims):
@@ -123,8 +128,8 @@ class SdpProblem:
             Maps block index -> Hermitian coefficient matrix.
         rhs : float
         """
-        if not terms:
-            raise ValidationError("constraint", detail="a constraint needs at least one term")
+        if not isinstance(terms, Mapping) or not terms:
+            raise ValidationError("constraint", detail="terms must be a non-empty mapping")
         rhs = _finite_real(rhs, "right-hand side")
         row = self.num_constraints
         entries = {}
@@ -154,10 +159,9 @@ class SdpProblem:
         entry c of ``partial_transpose`` of the index grid.  Each distinct
         party set builds its rows once.
         """
-        if not terms:
-            raise ValidationError("constraint", detail="a constraint needs at least one term")
-        terms = {self._block(block): (_finite_real(sign, f"sign of block {block}"), tuple(parties))
-                 for block, (sign, parties) in terms.items()}
+        if not isinstance(terms, Mapping) or not terms:
+            raise ValidationError("constraint", detail="terms must be a non-empty mapping")
+        terms = {self._block(block): _operator_term(block, term) for block, term in terms.items()}
         for block in terms:
             n = self.block_dims[block]
             dims = _check_dims(dims, n)
@@ -190,6 +194,15 @@ class SdpProblem:
         if len(chunks) > 1:
             chunks[:] = [tuple(np.concatenate(part) for part in zip(*chunks))]
         return chunks[0]
+
+
+def _operator_term(block, term) -> tuple[float, tuple]:
+    """A term ``(sign, parties)`` given from outside, parties a sequence of integers."""
+    if not (isinstance(term, Sequence) and len(term) == 2 and isinstance(term[1], Sequence)
+            and all(_is_integer(p) for p in term[1])):
+        raise ValidationError(
+            "constraint", detail=f"term of block {block!r} is not (sign, parties): {term!r}")
+    return _finite_real(term[0], f"sign of block {block}"), tuple(term[1])
 
 
 def _finite_real(value, name: str) -> float:
@@ -437,10 +450,11 @@ def _verify(problem: SdpProblem, sol: SdpSolution,
             gap_tolerance: float = _GAP_TOL) -> bool:
     """Recheck a solution against the problem data alone.
 
-    Recomputes from the stored constraint entries, not from the solver's
-    operators, the relative primal and dual residuals, the smallest
-    eigenvalue of every primal and dual block, the relative duality gap and
-    the two reported objectives, and applies the solver's acceptance test.
+    Recomputes, from the returned iterate and the problem data alone, the
+    relative primal and dual residuals, the smallest eigenvalue of every
+    primal and dual block, the relative duality gap and the two reported
+    objectives, and applies the solver's acceptance test.  A and A* are the
+    solver's ``_apply`` and ``_adjoint``, checked by ``TestEntryAdjoint``.
     """
     b = np.asarray(problem._rhs, dtype=float)
     xs, ss, y = sol.blocks, sol.dual_blocks, sol.y
@@ -479,28 +493,24 @@ def dual_bound(problem: SdpProblem, y: np.ndarray) -> float:
     return bound
 
 
-def _chol(mat: np.ndarray) -> np.ndarray:
-    jitter = 0.0
-    eye = np.eye(mat.shape[0])
-    for _ in range(6):
-        try:
-            return scipy.linalg.cholesky(mat + jitter * eye, lower=True,
-                                         check_finite=False)
-        except np.linalg.LinAlgError:
-            jitter = max(1e-14, 10.0 * jitter) * max(1.0, float(np.trace(mat).real))
-    raise np.linalg.LinAlgError("block lost positive definiteness")
+def _eigen_blocks(mats):
+    """The ascending eigendecompositions ``(w, V)`` of Hermitian blocks, or
+    None when one is off the interior: its least eigenvalue is not positive,
+    or ``eigh`` fails."""
+    try:
+        eigs = [np.linalg.eigh(mat) for mat in mats]
+    except np.linalg.LinAlgError:
+        return None
+    return eigs if all(w[0] > 0.0 for w, _ in eigs) else None
 
 
-def _inverse_factor(mat: np.ndarray) -> np.ndarray:
-    """``L^-1`` for the Cholesky factor ``L`` of a positive definite matrix."""
-    chol_l = _chol(mat)
-    return scipy.linalg.solve_triangular(chol_l, np.eye(mat.shape[0]), lower=True,
-                                         check_finite=False)
-
-
-def _max_step(inv_l: np.ndarray, direction: np.ndarray) -> float:
-    """Largest a with M + a*D >= 0, given ``L^-1`` for the Cholesky factor of M."""
-    w = inv_l @ direction @ inv_l.conj().T
+def _max_step(eig, direction: np.ndarray) -> float:
+    """Largest a with M + a*D >= 0, given the eigenpair ``(w, V)`` of M:
+    ``-1 / lambda_min(W D W^H)`` for the whitening ``W = (V / sqrt(w))^H``,
+    or 10 when ``W D W^H >= 0``."""
+    w, v = eig
+    whiten = (v / np.sqrt(w)).conj().T
+    w = whiten @ direction @ whiten.conj().T
     w = (w + w.conj().T) / 2.0
     lo = float(np.linalg.eigvalsh(w)[0])
     if lo >= -1e-14:
@@ -540,16 +550,16 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
     dims = problem.block_dims
     nblocks = len(dims)
     b = np.asarray(problem._rhs, dtype=float)
-    cmats = [c.copy() for c in problem._objective]
+    cmats = problem._objective
     m = b.size
     if m == 0:
         raise ValidationError("constraint", detail="at least one constraint is required")
     ops = [_BlockOperator(problem, j) for j in range(nblocks)]
 
+    # the iterates are rebound, never written in place, so need no copies
     def fail(status, iterations):
         return SdpSolution(status, float("nan"), float("nan"), float("inf"),
-                           iterations, tuple(x.copy() for x in xs), y.copy(),
-                           tuple(s.copy() for s in ss))
+                           iterations, tuple(xs), y, tuple(ss))
 
     def checked(sol, feas_tol, gap_tol):
         # "optimal" only stands when the independent recheck agrees
@@ -585,8 +595,7 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         gap = max(abs(pobj - dobj),
                   sum(float(np.real(np.vdot(x, s))) for x, s in zip(xs, ss)))
         return SdpSolution("max-iterations", pobj, dobj, gap, iterations,
-                           tuple(x.copy() for x in xs), y.copy(),
-                           tuple(s.copy() for s in ss))
+                           tuple(xs), y, tuple(ss))
 
     tau = 0.98
     for it in range(1, max_iterations + 1):
@@ -604,8 +613,7 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         if best is None or merit < best["merit"]:
             best = {"merit": merit, "pobj": pobj, "dobj": dobj,
                     "gap": max(gap_abs, abs(pobj - dobj)),
-                    "xs": tuple(x.copy() for x in xs), "y": y.copy(),
-                    "ss": tuple(s.copy() for s in ss)}
+                    "xs": tuple(xs), "y": y, "ss": tuple(ss)}
             stall = 0
         else:
             stall += 1
@@ -613,7 +621,7 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         if err_p <= _FEAS_TOL and err_d <= _FEAS_TOL and rel_gap <= _GAP_TOL:
             gap = max(gap_abs, abs(pobj - dobj))
             return checked(SdpSolution("optimal", pobj, dobj, gap, it - 1,
-                                       tuple(xs), y.copy(), tuple(ss)),
+                                       tuple(xs), y, tuple(ss)),
                            _FEAS_TOL, _GAP_TOL)
         # ten iterations without merit progress means the iterates are
         # wandering at the numerical floor of this instance
@@ -631,12 +639,10 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
             return fail("unbounded", it)
 
         mu = gap_abs / total_n
-        try:
-            inv_x = [_inverse_factor(x) for x in xs]
-            inv_s = [_inverse_factor(s) for s in ss]
-        except np.linalg.LinAlgError:
+        eigs = _eigen_blocks([*xs, *ss])
+        if eigs is None:
             return finalize(it - 1)
-        sinvs = [l.conj().T @ l for l in inv_s]
+        sinvs = [(v / w) @ v.conj().T for w, v in eigs[nblocks:]]
         sinvs = [(si + si.conj().T) / 2.0 for si in sinvs]
 
         acc = work.assemble(xs, sinvs)
@@ -655,10 +661,7 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         try:
             factor = scipy.linalg.cho_factor(schur, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
-            # the failed factorization overwrote part of schur
-            factor = None
-            np.add(acc, acc.T, out=schur)
-            schur *= 0.5
+            return finalize(it - 1)
         base = [x + x @ rd @ si for x, rd, si in zip(xs, rds, sinvs)]
 
         def directions(sigma_mu, corr_mats):
@@ -666,18 +669,15 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
             # dS = rd - A^T(dy) is M dy = rp + A(X + X rd S^-1 - sigma_mu S^-1 + corr)
             rhs = rp + sum(op.apply(bm - sigma_mu * si + cm)
                            for op, bm, si, cm in zip(ops, base, sinvs, corr_mats))
-            if factor is None:
-                dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
-            else:
-                dy = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            dy = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
             dss = [rd - op.adjoint(dy) for rd, op in zip(rds, ops)]
             dxs = [sigma_mu * si - x - x @ ds @ si - cm
                    for x, ds, si, cm in zip(xs, dss, sinvs, corr_mats)]
             return dy, [(dx + dx.conj().T) / 2.0 for dx in dxs], dss
 
         def step_lengths(dxs, dss):
-            ap = min(1.0, tau * min(_max_step(l, dx) for l, dx in zip(inv_x, dxs)))
-            ad = min(1.0, tau * min(_max_step(l, ds) for l, ds in zip(inv_s, dss)))
+            ap = min(1.0, tau * min(_max_step(e, dx) for e, dx in zip(eigs, dxs)))
+            ad = min(1.0, tau * min(_max_step(e, ds) for e, ds in zip(eigs[nblocks:], dss)))
             return ap, ad
 
         dy_a, dxs_a, dss_a = directions(0.0, [0.0] * nblocks)

@@ -31,6 +31,7 @@ from .sdp import (
     SdpSolution,
     _BlockOperator,
     _SchurWorkspace,
+    _eigen_blocks,
     _max_step,
     dual_bound,
     sdp_solve,
@@ -302,8 +303,8 @@ def _log_second_differences(w: np.ndarray, d1: np.ndarray) -> np.ndarray:
 def _evaluate(rho: np.ndarray, mats):
     """The blocks' eigendecompositions, ``f = -tr(rho log M_0)`` and the
     barrier ``-sum_j log det M_j``; None off the interior."""
-    eigs = [np.linalg.eigh(mat) for mat in mats]
-    if not all(w[0] > 0.0 for w, _ in eigs):
+    eigs = _eigen_blocks(mats)
+    if eigs is None:
         return None
     w, v = eigs[0]
     weights = np.real(np.sum(v.conj() * (rho @ v), axis=0))
@@ -391,11 +392,9 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
             if decrement / 2.0 <= max(_CENTERED, _RESOLVED * abs(merit)):
                 break
             steps += 1
-            # cap the step at 0.99 of the way to the boundary, then backtrack
-            # (Armijo); any W with W M W^H = I serves _max_step
+            # cap the step at 0.99 of the way to the boundary, then backtrack (Armijo)
             dirs = [op.adjoint(dx) for op in ops]
-            step = min(1.0, 0.99 * min(_max_step((v / np.sqrt(w)).conj().T, d)
-                                       for d, (w, v) in zip(dirs, eigs)))
+            step = min(1.0, 0.99 * min(_max_step(eig, d) for d, eig in zip(dirs, eigs)))
             while step >= 1e-10:
                 trial_mats = [mat + step * d for mat, d in zip(mats, dirs)]
                 trial = _evaluate(rho, trial_mats)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from entmeas import ValidationError, partial_transpose, sdp
@@ -13,7 +14,9 @@ from entmeas.sdp import (
     _BlockOperator,
     _adjoint,
     _apply,
+    _eigen_blocks,
     _full_row_rank,
+    _max_step,
     _verify,
     dual_bound,
     sdp_solve,
@@ -224,6 +227,25 @@ class TestValidationAndLimits:
         assert prob.num_constraints == 0
         assert all(prob._block_entries(j)[0].size == 0 for j in range(2))
         assert not any(c.any() for c in prob._objective)
+
+    @pytest.mark.parametrize("action", [
+        lambda prob: prob.add_equality([np.eye(4)], 1.0),
+        lambda prob: prob.add_equality(np.eye(4), 1.0),
+        lambda prob: prob.add_operator_equation([(1.0, (1,))], None, (2, 2)),
+        lambda prob: prob.add_operator_equation({0: 1.0}, None, (2, 2)),
+        lambda prob: prob.add_operator_equation({0: (1.0, 1)}, None, (2, 2)),
+        lambda prob: prob.add_operator_equation({0: (1.0, (1,), 2)}, None, (2, 2)),
+        lambda prob: prob.add_operator_equation({0: (1.0, (0.5,))}, None, (2, 2)),
+        lambda prob: prob.add_operator_equation(
+            {0: (1.0, (1,)), 1: (-1.0, "0")}, None, (2, 2)),
+    ], ids=["equality-list", "equality-array", "equation-list", "bare-sign",
+            "parties-not-a-sequence", "three-part-term", "fractional-party", "string-parties"])
+    def test_refuses_malformed_terms(self, action):
+        prob = SdpProblem((4, 4))
+        with pytest.raises(ValidationError, match="constraint"):
+            action(prob)
+        assert prob.num_constraints == 0
+        assert all(prob._block_entries(j)[0].size == 0 for j in range(2))
 
     @pytest.mark.parametrize("cap", [2.5, 0, -3, True])
     def test_rejects_an_iteration_cap_that_is_not_a_positive_integer(self, cap):
@@ -591,3 +613,54 @@ class TestVerify:
         prob.add_equality({0: np.eye(2)}, 1.0)
         monkeypatch.setattr(sdp, "_verify", lambda *args: False)
         assert sdp_solve(prob).status == "max-iterations"
+
+
+class TestEigenFactorization:
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_max_step_is_the_largest_step_that_stays_semidefinite(self, rng, n):
+        for _ in range(5):
+            mat, direction = positive(rng, n), herm(rng, n)
+            # a direction with a negative eigenvalue, so the step is finite
+            direction -= max(0.0, np.linalg.eigvalsh(direction)[0] + 0.5) * np.eye(n)
+            step = _max_step(np.linalg.eigh(mat), direction)
+            assert np.linalg.eigvalsh(mat + step * (1.0 - 1e-10) * direction)[0] >= 0.0
+            assert np.linalg.eigvalsh(mat + step * (1.0 + 1e-10) * direction)[0] < 0.0
+
+    def test_max_step_caps_a_semidefinite_direction(self, rng):
+        eig = np.linalg.eigh(positive(rng, 3))
+        assert _max_step(eig, positive(rng, 3)) == 10.0
+        assert _max_step(eig, np.zeros((3, 3))) == 10.0
+
+    def test_eigen_blocks_refuse_a_block_off_the_interior(self, rng, monkeypatch):
+        mat = positive(rng, 3)
+        w, v = np.linalg.eigh(mat)
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(_eigen_blocks([mat])[0], (w, v)))
+        singular = (v * np.array([0.0, 1.0, 2.0])) @ v.conj().T
+        assert _eigen_blocks([mat, singular - 1e-12 * np.eye(3)]) is None
+        assert _eigen_blocks([mat, -mat]) is None
+        assert _eigen_blocks([mat, np.full((3, 3), np.nan)]) is None
+
+        def fails(mat):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(sdp.np.linalg, "eigh", fails)
+        assert _eigen_blocks([mat]) is None
+
+    def test_failed_schur_factorization_ends_at_the_best_iterate(self, rng, monkeypatch):
+        prob = ppt_problem((2, 2))
+        prob.set_objective(0, herm(rng, 4))
+        plain = sdp_solve(prob)
+        assert plain.status == "optimal"
+        factor, calls = scipy.linalg.cho_factor, []
+
+        def fails_on_the_sixth_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6:
+                raise np.linalg.LinAlgError("not positive definite")
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(sdp.scipy.linalg, "cho_factor", fails_on_the_sixth_call)
+        sol = sdp_solve(prob)
+        assert sol.iterations == 5
+        assert dual_bound(prob, sol.y) <= plain.value
