@@ -17,6 +17,7 @@ from .states import (
     PPT_TOL,
     PureState,
     _as_density,
+    _as_pure,
     _bipartition,
     _is_integer,
     partial_trace,
@@ -196,7 +197,7 @@ def residual_tangle(psi: PureState, pivot: int = 0) -> float:
     float
         Nonnegative.
     """
-    if psi.dims != (2, 2, 2):
+    if _as_pure(psi, "residual_tangle").dims != (2, 2, 2):
         raise ValidationError("dims", detail="residual tangle requires three qubits")
     if pivot not in (0, 1, 2):
         raise ValidationError("subsystem-index", detail=f"pivot {pivot} out of range")
@@ -245,7 +246,7 @@ def ckw_check(psi: PureState) -> TangleReport:
     -------
     TangleReport
     """
-    dims = psi.dims
+    dims = _as_pure(psi, "ckw_check").dims
     n = len(dims)
     if n < 3 or any(d != 2 for d in dims):
         raise ValidationError("dims", detail="the monogamy check requires >= 3 qubits")

@@ -262,6 +262,14 @@ def _as_density(state, context: str, bipartite: bool = False) -> DensityOperator
     return state
 
 
+def _as_pure(state, context: str) -> PureState:
+    """A pure-state argument; anything but a PureState is refused."""
+    if not isinstance(state, PureState):
+        raise ValidationError(
+            "state-type", detail=f"{context} expects a PureState, got {type(state).__name__}")
+    return state
+
+
 def _subsystems(indices: Iterable[int] | int, n: int, name: str,
                 invariant: str = "subsystem-index") -> tuple[int, ...]:
     """Sorted distinct subsystem indices, at least one, each in ``range(n)``;
@@ -475,12 +483,12 @@ def trace_norm(operator) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 
-def mutual_information(rho: DensityOperator) -> float:
+def mutual_information(rho: DensityOperator | PureState) -> float:
     """Quantum mutual information ``S(A) + S(B) - S(AB)`` in bits.
 
     Parameters
     ----------
-    rho : DensityOperator
+    rho : DensityOperator or PureState
         Bipartite state (exactly two subsystems).
 
     Returns
@@ -488,6 +496,7 @@ def mutual_information(rho: DensityOperator) -> float:
     float
         Nonnegative.
     """
+    rho = _as_density(rho, "mutual_information")
     if len(rho.dims) != 2:
         raise ValidationError("dims", detail="mutual information requires exactly 2 subsystems")
     s_a = von_neumann_entropy(partial_trace(rho, 0))
@@ -496,7 +505,7 @@ def mutual_information(rho: DensityOperator) -> float:
     return max(0.0, s_a + s_b - s_ab)
 
 
-def conditional_mutual_information(rho: DensityOperator) -> float:
+def conditional_mutual_information(rho: DensityOperator | PureState) -> float:
     """Conditional mutual information ``I(A;B|E)`` of a tripartite state.
 
     Computed as ``S(AE) + S(BE) - S(ABE) - S(E)``; values within 1e-9
@@ -504,7 +513,7 @@ def conditional_mutual_information(rho: DensityOperator) -> float:
 
     Parameters
     ----------
-    rho : DensityOperator
+    rho : DensityOperator or PureState
         Tripartite state with subsystem order (A, B, E).
 
     Returns
@@ -512,6 +521,7 @@ def conditional_mutual_information(rho: DensityOperator) -> float:
     float
         Nonnegative.
     """
+    rho = _as_density(rho, "conditional_mutual_information")
     if len(rho.dims) != 3:
         raise ValidationError("dims",
                               detail="conditional mutual information requires 3 subsystems")
@@ -525,13 +535,13 @@ def conditional_mutual_information(rho: DensityOperator) -> float:
     return max(0.0, value)
 
 
-def apply_kraus(kraus: KrausSet, rho: DensityOperator, mode: str = "averaged"):
+def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "averaged"):
     """Apply a Kraus operation to a state.
 
     Parameters
     ----------
     kraus : KrausSet
-    rho : DensityOperator
+    rho : DensityOperator or PureState
     mode : {"averaged", "selective"}
         ``"averaged"`` returns the channel output ``sum_i A_i rho A_i^dag``
         (renormalized by its trace to absorb roundoff).  ``"selective"``
@@ -542,6 +552,7 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator, mode: str = "averaged"):
     -------
     DensityOperator or list of (float, DensityOperator)
     """
+    rho = _as_density(rho, "apply_kraus")
     d = rho.dim
     for op in kraus.operators:
         if op.shape[1] != d:

@@ -41,6 +41,7 @@ from .states import (
     MeasureResult,
     PureState,
     _as_density,
+    _as_pure,
     _check_dims,
     _hermitian,
     _is_integer,
@@ -203,6 +204,20 @@ _PPT_SET = [{0: (1.0, (1,)), 1: (-1.0, ())}]
 _RAINS_SET = [{0: (1.0, (1,)), 1: (-1.0, ()), 2: (1.0, ())}]
 
 
+def _coordinates(equations) -> list:
+    """The free coordinates of homogeneous operator equations, each with one
+    ``(-1, ())`` slack block ``X_k = sum_j s_j T_j(X_j)``.
+
+    Every other block j is a free variable: a table entry, in block order,
+    mapping its own block to ``(1, ())`` (first) and each slack it enters to
+    its term there, the ``terms`` of ``SdpProblem.add_operator_equation``.
+    """
+    slacks = [next(k for k, term in terms.items() if term == (-1.0, ())) for terms in equations]
+    free = sorted({j for terms in equations for j in terms} - set(slacks))
+    return [{j: (1.0, ()), **{k: terms[j] for k, terms in zip(slacks, equations) if j in terms}}
+            for j in free]
+
+
 def _linear_minimum(objective: np.ndarray, dims, equations, trace) -> tuple:
     """Certified ``min <G, X_0>`` over blocks tied by ``equations`` with
     ``sum_{j in trace} tr X_j = 1``.
@@ -319,12 +334,14 @@ def _newton_system(rho: np.ndarray, ops, eigs, t: float, work=None):
     ``tr(M_j^-1 A_a M_j^-1 A_b)``, the Schur matrix at ``X = S^-1 = M_j^-1``,
     built in the accumulator of ``work`` (a ``_SchurWorkspace`` of ``ops``,
     valid until its next use).  f has gradient ``A_0(G)``, G of
-    ``_log_gradient``, and Hessian ``-(T + T^T)``, ``T_ab = sum_ikj F_ikj
-    rho~_ji B_a,ik B_b,kj``, with F the second divided differences of log
-    (Daleckii-Krein) and ``B_a = V^H A_a V``, A_a the rows of ``ops[0].dense``
-    (one scatter of its stored entries); A_a is Hermitian, so ``rot_a =
-    (A_a V)^T conj(V) = conj(B_a)``.  ``C_a,kj = sum_i B_a,ik F_ikj rho~_ji``
-    is one batched product over k, and ``Re T_ab = <Y_a, Re B_b + Im B_b>``,
+    ``_log_gradient``, and Hessian ``-(T + T^T)`` on the rows that touch
+    block 0 (``ops[0].rows``, read and added at ``ops[0].target`` like the
+    Schur build's), zero elsewhere: ``T_ab = sum_ikj F_ikj rho~_ji B_a,ik
+    B_b,kj``, with F the second divided differences of log (Daleckii-Krein)
+    and ``B_a = V^H A_a V``, A_a those rows of ``ops[0].dense`` (one scatter
+    of its stored entries); A_a is Hermitian, so ``rot_a = (A_a V)^T conj(V)
+    = conj(B_a)``.  ``C_a,kj = sum_i B_a,ik F_ikj rho~_ji`` is one batched
+    product over k, and ``Re T_ab = <Y_a, Re B_b + Im B_b>``,
     ``2 Y = Re C - Im C + (Re C + Im C)^T``, is one real product.
     """
     invs = [(v / w) @ v.conj().T for w, v in eigs]
@@ -332,30 +349,34 @@ def _newton_system(rho: np.ndarray, ops, eigs, t: float, work=None):
     w, v = eigs[0]
     n = w.size
     g, d1, rho_t = _log_gradient(rho, w, v)
-    rot = (ops[0].dense().reshape(-1, n) @ v).reshape(-1, n, n).transpose(0, 2, 1)
+    # block 0's rows, picked like the Schur build's (a view when they are
+    # contiguous); no name holds the (m, n^2) scatter, so it is freed here
+    rot = ops[0].dense()[ops[0].target[0]].reshape(-1, n) @ v
+    rot = rot.reshape(-1, n, n).transpose(0, 2, 1)
     rot = (rot.reshape(-1, n) @ v.conj()).reshape(-1, n, n)
     weights = _log_second_differences(w, d1) * rho_t.T[:, None, :]
     c = (rot.transpose(1, 0, 2) @ weights.transpose(1, 0, 2)).transpose(1, 0, 2)
     y = c.real - c.imag + (c.real + c.imag).transpose(0, 2, 1)
     tmat = y.reshape(-1, n * n) @ (rot.real - rot.imag).reshape(-1, n * n).T
-    hess -= t / 2.0 * (tmat + tmat.T)
+    hess[ops[0].target] -= t / 2.0 * (tmat + tmat.T)
     grad = ops[0].apply(t * g - invs[0])
     return grad - sum(op.apply(inv) for op, inv in zip(ops[1:], invs[1:])), hess
 
 
-def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: dict,
-                    cfg: SolverConfig, linear_minimum):
-    """Minimize ``S(rho || M_0(x))`` by a barrier method, then certify it.
+def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
+                    cfg: SolverConfig):
+    """Minimize ``S(rho || X_0)`` over the blocks tied by ``equations`` with
+    ``sum_{j in trace} tr X_j = 1`` (the sets of ``_linear_minimum``) by a
+    barrier method, then certify it.
 
-    The homogeneous operator equations (each the ``terms`` of
-    ``SdpProblem.add_operator_equation``), read in dual form, give the blocks
-    ``M_j(x) = sum_i x_i A_ij`` with barrier ``-log det M_j`` (parameter nu,
-    the sum of the block sizes).  ``sum_j tr M_j = 1`` over the blocks of
-    ``start`` holds throughout, from ``M_j = start[j] I / n_j``.  Damped
-    Newton steps center ``t f + barrier``, ``f = -tr(rho log M_0)``; t grows
-    from 1 until ``nu / (t ln 2)`` is half the gap tolerance, unless the
-    steps reach ``cfg.max_iterations`` first.  With
-    ``L = linear_minimum(G)`` below ``min tr(G sigma)`` on the feasible set,
+    Each variable of ``_coordinates(equations)``, read in dual form, gives
+    the blocks ``M_j(x) = sum_i x_i A_ij`` with barrier ``-log det M_j``
+    (parameter nu, the sum of the block sizes).  The trace row holds
+    throughout, from every variable at the multiple of I that meets it.
+    Damped Newton steps center ``t f + barrier``, ``f = -tr(rho log M_0)``;
+    t grows from 1 until ``nu / (t ln 2)`` is half the gap tolerance, unless
+    the steps reach ``cfg.max_iterations`` first.  With the certified
+    ``L = _linear_minimum(G, ...)`` below ``min tr(G sigma)`` on the set,
     ``S + L - <G, sigma>`` at the gradient G of f bounds the minimum below.
 
     Returns sigma and a MeasureResult whose payload holds the certified
@@ -366,17 +387,20 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
     if is_ppt(rho, 1, dims):
         return rho.copy(), MeasureResult(0.0, "converged", witness_payload={
             "lower_bound": 0.0, "objective_trace": [0.0]})
-    prob = _equation_problem(rho.shape[0], dims, equations)
+    n = rho.shape[0]
+    coordinates = _coordinates(equations)
+    prob = _equation_problem(n, dims, coordinates)
     ops = [_BlockOperator(prob, j) for j in range(len(prob.block_dims))]
     work = _SchurWorkspace(ops)
-    traces = {j: ops[j].apply(np.eye(ops[j].n)) for j in start}
-    equality = sum(traces.values())
-    x = sum(share * traces[j] / ops[j].n for j, share in start.items())
+    equality = sum(ops[j].apply(np.eye(n)) for j in trace)
+    # every variable at I on its own block, then scaled onto the trace row
+    x = sum(ops[next(iter(terms))].apply(np.eye(n)) for terms in coordinates)
+    x = x / (equality @ x)
     mats = [op.adjoint(x) for op in ops]
     eigs, f, barrier = _evaluate(rho, mats)
     # half the tolerance: the bound needs exact centering, and the SDP has its error
     t, t_end = 1.0, 2.0 * sum(op.n for op in ops) / (_LN2 * cfg.gap_tolerance)
-    steps, best, trace = 0, (math.inf, x), []
+    steps, best, kept = 0, (math.inf, x), []
     while True:
         while steps < cfg.max_iterations:
             grad, hess = _newton_system(rho, ops, eigs, t, work)
@@ -407,7 +431,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
             eigs, f, barrier = trial
         if f <= best[0]:
             best = (f, x)
-        trace.append(best[0])
+        kept.append(best[0])
         if t >= t_end or steps >= cfg.max_iterations:
             break
         t = min(t * _T_GROWTH, t_end)
@@ -418,14 +442,14 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, start: di
     grad = (grad + grad.conj().T) / 2.0
     entropy = von_neumann_entropy(rho)
     value = max(0.0, f / _LN2 - entropy)
-    lower = (f + linear_minimum(grad)
+    lower = (f + _linear_minimum(grad, dims, equations, trace)[0]
              - float(np.real(np.vdot(sigma, grad)))) / _LN2 - entropy
     gap = max(0.0, value - lower)
     return sigma, MeasureResult(
         value, "converged" if gap <= cfg.gap_tolerance else "best_effort", gap=gap,
         iterations=steps, witness_payload={
             "lower_bound": lower,
-            "objective_trace": [kept / _LN2 - entropy for kept in trace]})
+            "objective_trace": [s / _LN2 - entropy for s in kept]})
 
 
 def relative_entropy_of_entanglement(state,
@@ -458,9 +482,7 @@ def relative_entropy_of_entanglement(state,
     """
     rho, dims = _bipartite(state, "relative_entropy_of_entanglement", PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    # blocks sigma and sigma^Gamma in the coordinates of sigma, tr sigma = 1
-    sigma, result = _barrier_newton(rho, dims, [{0: (1.0, ()), 1: (1.0, (1,))}], {0: 1.0},
-                                    cfg, lambda grad: minimize_over_ppt_states(grad, dims)[0])
+    sigma, result = _barrier_newton(rho, dims, _PPT_SET, (0,), cfg)
     result.witness_payload.update(
         closest_state=sigma,
         separable_set="exact" if tuple(sorted(dims)) in _EXACT_PPT_DIMS
@@ -857,10 +879,7 @@ def geometric_measure(psi: PureState,
         ``-log2`` of the best squared overlap; payload records restart
         statistics and the optimizing product vectors.
     """
-    if not isinstance(psi, PureState):
-        raise ValidationError(
-            "state-type", detail="geometric_measure expects a PureState")
-    dims = tuple(psi.dims)
+    dims = _as_pure(psi, "geometric_measure").dims
     _check_limit(int(np.prod(dims)), "geometric_measure", GEOMETRIC_DIM_LIMIT)
     tensor = psi.vector.reshape(dims)
     nparties = len(dims)
@@ -930,8 +949,8 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
     """Rains bound ``min S(rho || sigma)`` over ``sigma >= 0, ||sigma^Gamma||_1 <= 1``.
 
     A convex problem (Rains, IEEE Trans. Inf. Theory 47, 2921 (2001)),
-    solved like the relative entropy of entanglement with
-    ``sigma = (P - N)^Gamma`` on ``tr P + tr N = 1`` (which reaches every
+    solved like the relative entropy of entanglement over sigma and N with
+    ``P = sigma^Gamma + N`` on ``tr P + tr N = 1`` (which reaches every
     sigma of the set) and the barrier
     ``-log det sigma - log det P - log det N``, and certified by one linear
     minimization over the same set (an SDP).
@@ -954,11 +973,7 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
     """
     rho, dims = _bipartite(state, "rains_bound", RAINS_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    # blocks sigma = (P - N)^Gamma, P and N in the coordinates of (P, N)
-    equations = [{0: (1.0, (1,)), 1: (1.0, ())}, {0: (-1.0, (1,)), 2: (1.0, ())}]
-    sigma, result = _barrier_newton(
-        rho, dims, equations, {1: 0.9, 2: 0.1}, cfg,
-        lambda grad: _linear_minimum(grad, dims, _RAINS_SET, (1, 2))[0])
+    sigma, result = _barrier_newton(rho, dims, _RAINS_SET, (1, 2), cfg)
     result.witness_payload["minimizing_state"] = sigma
     return result
 

@@ -15,7 +15,9 @@ from entmeas import (
     apply_kraus,
     binary_entropy,
     catalysis_search,
+    ckw_check,
     conditional_mutual_information,
+    entropy_of_entanglement,
     eof_convex_roof,
     gaussian_is_ppt,
     gaussian_log_negativity,
@@ -29,6 +31,7 @@ from entmeas import (
     permute_subsystems,
     reduce_modes,
     relative_entropy,
+    residual_tangle,
     schmidt,
     state_from_dict,
     state_to_dict,
@@ -436,6 +439,35 @@ class TestApplyKraus:
         avg = apply_kraus(ks, rho, mode="averaged")
         mix = sum(p * s.matrix for p, s in apply_kraus(ks, rho, mode="selective"))
         assert np.allclose(avg.matrix, mix, atol=1e-10)
+
+
+class TestStateArguments:
+    """A state argument of the wrong type is a ``state-type`` error, and the
+    density-operator functions take a pure state as its projector."""
+
+    DEPHASE = KrausSet([np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0, 1.0])])
+
+    @pytest.mark.parametrize("call", [
+        lambda: schmidt(bell_rho()),
+        lambda: entropy_of_entanglement(bell_rho()),
+        lambda: ckw_check(ghz_state(3).to_density()),
+        lambda: residual_tangle(ghz_state(3).to_density()),
+        lambda: apply_kraus(TestStateArguments.DEPHASE, np.eye(4) / 4),
+        lambda: mutual_information(np.eye(4) / 4),
+        lambda: conditional_mutual_information(np.eye(8) / 8),
+    ], ids=["schmidt", "entropy_of_entanglement", "ckw_check", "residual_tangle",
+            "apply_kraus", "mutual_information", "conditional_mutual_information"])
+    def test_refuses_wrong_type(self, call):
+        with pytest.raises(ValidationError, match="state-type"):
+            call()
+
+    @pytest.mark.parametrize("measure, state", [
+        (lambda s: apply_kraus(TestStateArguments.DEPHASE, s).matrix, max_entangled(2)),
+        (mutual_information, max_entangled(2)),
+        (conditional_mutual_information, ghz_state(3)),
+    ], ids=["apply_kraus", "mutual_information", "conditional_mutual_information"])
+    def test_density_functions_take_pure_states(self, measure, state):
+        assert np.array_equal(measure(state), measure(state.to_density()))
 
 
 class TestJsonFormat:

@@ -752,13 +752,22 @@ class TestBarrierNewton:
         rho = rand_rho(rng, n=6, dims=dims, rank=2)
         ops = self.operators(monkeypatch, rains_bound, rho)
         assert len(ops) == 3
-        p = 0.8 * np.eye(6) / 6 + 0.05 * rand_rho(rng, n=6, dims=dims).matrix
+        s = 0.8 * np.eye(6) / 6 + 0.05 * rand_rho(rng, n=6, dims=dims).matrix
         n = 0.1 * np.eye(6) / 6 + 0.05 * rand_rho(rng, n=6, dims=dims).matrix
-        x = ops[1].apply(p) + ops[2].apply(n)
-        assert np.allclose(ops[0].adjoint(x), pt_matrix(p - n, dims), atol=1e-14)
-        assert np.allclose(ops[1].adjoint(x), p, atol=1e-14)
+        x = ops[0].apply(s) + ops[2].apply(n)
+        assert np.allclose(ops[0].adjoint(x), s, atol=1e-14)
+        assert np.allclose(ops[1].adjoint(x), pt_matrix(s, dims) + n, atol=1e-14)
         assert np.allclose(ops[2].adjoint(x), n, atol=1e-14)
+        assert np.array_equal(ops[0].rows, np.arange(36))
         self.check_derivatives(rho.matrix, ops, x)
+
+    def test_coordinates_eliminate_each_slack(self):
+        """Each certificate table's slack block becomes a sum of the free
+        blocks: sigma^Gamma for the PPT set, and sigma^Gamma + N for Rains."""
+        assert variational._coordinates(variational._PPT_SET) == [
+            {0: (1.0, ()), 1: (1.0, (1,))}]
+        assert variational._coordinates(variational._RAINS_SET) == [
+            {0: (1.0, ()), 1: (1.0, (1,))}, {2: (1.0, ()), 1: (1.0, ())}]
 
     @pytest.mark.parametrize("measure, dims", [(relative_entropy_of_entanglement, (3, 3)),
                                                (rains_bound, (2, 3))], ids=["ree", "rains"])
