@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .states import (
     DensityOperator,
     _as_density,
+    _is_finite_real,
     is_ppt,
     partial_trace,
     von_neumann_entropy,
@@ -151,6 +152,8 @@ def werner_state(d: int, p: float) -> DensityOperator:
     if not (isinstance(d, (int, np.integer)) and d >= 2):
         raise ValidationError("werner-dimension",
                               detail=f"local dimension must be >= 2, got {d!r}")
+    if not _is_finite_real(p):
+        raise ValidationError("werner-weight", detail=f"{p!r} is not a finite real number")
     if not 0.0 <= p <= 1.0:
         raise ValidationError("werner-weight", residual=float(p),
                               detail="antisymmetric weight must lie in [0, 1]")

@@ -19,6 +19,7 @@ from .states import (
     _as_density,
     _as_pure,
     _bipartition,
+    _is_finite_real,
     _is_integer,
     partial_trace,
     partial_transpose,
@@ -31,6 +32,8 @@ _SYY = np.kron(_SY, _SY)
 
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy in bits, with ``0 log 0 = 0``."""
+    if not _is_finite_real(p):
+        raise ValidationError("probability", detail=f"{p!r} is not a finite real number")
     if not 0.0 <= p <= 1.0:
         if -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
             p = min(max(p, 0.0), 1.0)

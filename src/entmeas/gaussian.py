@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError, ValidationError
-from .states import _is_integer, _numeric_array, _subsystems
+from .states import _is_finite_real, _is_integer, _numeric_array, _subsystems
 
 __all__ = [
     "CovarianceMatrix",
@@ -46,8 +46,16 @@ PAIRING_TOLERANCE = 1e-9
 MODE_LIMIT = 32
 
 
+def _check_mode_count(n_modes) -> None:
+    if not (_is_integer(n_modes) and 1 <= n_modes <= MODE_LIMIT):
+        raise ValidationError("mode-count",
+                              detail=f"mode count must be an integer in [1, {MODE_LIMIT}], "
+                              f"got {n_modes!r}")
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Symplectic form for n modes in interleaved x, p ordering."""
+    """Symplectic form for n modes in interleaved x, p ordering, 1 <= n <= 32."""
+    _check_mode_count(n_modes)
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for j in range(n_modes):
@@ -377,9 +385,9 @@ def two_mode_squeezed(r: float) -> CovarianceMatrix:
         Pure two-mode state with ``cosh(2r)`` diagonal blocks and
         ``sinh(2r) diag(1, -1)`` correlations.
     """
-    if not r >= 0.0:
+    if not (_is_finite_real(r) and r >= 0.0):
         raise ValidationError("squeezing-domain",
-                              detail=f"squeezing parameter must be >= 0, got {r!r}")
+                              detail=f"squeezing parameter must be finite and >= 0, got {r!r}")
     c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
     z = np.diag([1.0, -1.0])
     mat = np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]])
@@ -388,28 +396,32 @@ def two_mode_squeezed(r: float) -> CovarianceMatrix:
 
 def vacuum(n_modes: int) -> CovarianceMatrix:
     """Covariance of the n-mode vacuum: the identity."""
-    if not (isinstance(n_modes, (int, np.integer)) and 1 <= n_modes <= MODE_LIMIT):
-        raise ValidationError("mode-count",
-                              detail=f"mode count must be in [1, {MODE_LIMIT}]")
+    _check_mode_count(n_modes)
     return CovarianceMatrix(np.eye(2 * n_modes))
 
 
 def thermal(mu: float) -> CovarianceMatrix:
     """Single thermal mode with symplectic eigenvalue mu >= 1."""
-    if not mu >= 1.0:
+    if not (_is_finite_real(mu) and mu >= 1.0):
         raise ValidationError("thermal-domain",
-                              detail=f"thermal parameter must be >= 1, got {mu!r}")
+                              detail=f"thermal parameter must be finite and >= 1, got {mu!r}")
     return CovarianceMatrix(np.diag([float(mu), float(mu)]))
 
 
 def mode_rotation(theta: float) -> np.ndarray:
     """Single-mode phase rotation; orthogonal, hence symplectic."""
+    if not _is_finite_real(theta):
+        raise ValidationError("rotation-angle",
+                              detail=f"angle must be a finite real number, got {theta!r}")
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [-s, c]])
 
 
 def two_mode_squeezer(r: float) -> np.ndarray:
     """Symplectic matrix generating two-mode squeezing from the vacuum."""
+    if not _is_finite_real(r):
+        raise ValidationError("squeezing-domain",
+                              detail=f"squeezing parameter must be finite, got {r!r}")
     c, s = np.cosh(r), np.sinh(r)
     z = np.diag([1.0, -1.0])
     return np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .states import (KrausSet, PureState, SPECTRUM_CUTOFF, _as_pure, _bipartition,
-                     _entropy_of_spectrum, _is_integer)
+                     _entropy_of_spectrum, _is_finite_real, _is_integer)
 
 COEFF_SUM_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-9
@@ -266,6 +266,8 @@ def two_qubit_conversion_kraus(alpha: float, beta: float) -> KrausSet:
     KrausSet
         Two operators on the two-qubit space, trace preserving.
     """
+    if not (_is_finite_real(alpha) and _is_finite_real(beta)):
+        raise ValidationError("amplitudes", detail="amplitudes must be finite real numbers")
     if alpha < 0 or beta < 0:
         raise ValidationError("amplitudes", detail="amplitudes must be nonnegative")
     resid = abs(alpha ** 2 + beta ** 2 - 1.0)

@@ -28,27 +28,28 @@ by the blocks; the matrix is factored in place once per iteration for both
 the predictor and the corrector.  Each X and S block is factored by its
 eigendecomposition alone (``_eigen_blocks``, as in the barrier method of
 ``variational``), for its positivity test, ``S^-1`` and the step whitening
-of ``_max_step``; a block off the interior or a failed Schur factorization
-ends the solve at its best iterate.  The iterates start at multiples of I, so
-the first Schur matrix is a multiple of the Gram matrix ``Re(A A^H)``: its
-Cholesky factor tests the rows for full rank, which makes the equalities
-consistent for any right-hand side; only rank-deficient rows go on to test
-that b lies in its range.  A returned ``"optimal"`` is rechecked against
-the problem data by ``_verify``.
+of ``_max_step``.  The iterates start at multiples of I, so the first Schur
+matrix is a multiple of the Gram matrix ``Re(A A^H)``: its Cholesky factor
+tests the rows for full rank, which makes the equalities consistent for any
+right-hand side; only rank-deficient rows go on to test that b lies in its
+range.  A returned ``"optimal"`` is rechecked against the problem data by
+``_verify``.  Each iteration wraps its iterate as one ``SdpSolution``; every
+ending short of the targets but a divergence (a stall, a block off the
+interior, a failed Schur factorization, the cap) leaves the loop for one
+judgement: the best iterate if it passes the recheck at 1e-7, else the last.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ValidationError
-from .states import _check_dims, _hermitian, _is_integer, partial_transpose
+from .states import _check_dims, _hermitian, _is_finite_real, _is_integer, partial_transpose
 
 # the largest block side: a solve's Schur workspace holds about n^4 complex
 # entries for the pair rows and m^2 reals for the Schur matrix, 126 MB for
@@ -206,11 +207,12 @@ def _operator_term(block, term) -> tuple[float, tuple]:
 
 
 def _finite_real(value, name: str) -> float:
-    """A real number given from outside, as a float."""
-    if not isinstance(value, numbers.Real):
+    """A finite real number given from outside, as a float; only a float can
+    be NaN or infinite."""
+    if not _is_finite_real(value):
+        if isinstance(value, (float, np.floating)):
+            raise ValidationError("non-finite", detail=f"{name} is {value!r}")
         raise ValidationError("constraint", detail=f"{name} {value!r} is not a real number")
-    if not math.isfinite(value):
-        raise ValidationError("non-finite", detail=f"{name} is {value!r}")
     return float(value)
 
 
@@ -518,6 +520,20 @@ def _max_step(eig, direction: np.ndarray) -> float:
     return -1.0 / lo
 
 
+def _checked(problem: SdpProblem, sol: SdpSolution, feas_tol: float,
+             gap_tol: float) -> SdpSolution:
+    """``sol`` as ``"optimal"`` if the recheck ``_verify`` agrees, else as ``"max-iterations"``."""
+    status = "optimal" if _verify(problem, sol, feas_tol, gap_tol) else "max-iterations"
+    return dataclasses.replace(sol, status=status)
+
+
+def _diverged(sol: SdpSolution, status: str, iterations: int) -> SdpSolution:
+    """``sol`` as ``"infeasible"`` or ``"unbounded"``: no objectives, infinite gap."""
+    return dataclasses.replace(sol, status=status, value=float("nan"),
+                               dual_value=float("nan"), gap=float("inf"),
+                               iterations=iterations)
+
+
 def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
     """Solve a semidefinite program to high accuracy.
 
@@ -536,14 +552,14 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         ``status == "optimal"`` has passed the recheck of ``_verify`` at
         1e-7 or tighter: relative primal and dual residuals, relative gap
         ``sum <X_j, S_j> / (1 + |pobj| + |dobj|)``, block positivity and
-        the two reported objectives; a solution that fails it is returned
-        as ``"max-iterations"``.  The reported absolute
-        ``gap = max(sum <X_j, S_j>, |pobj - dobj|)`` is not bounded by
-        that check and can exceed 1e-7; callers that certify a value
-        compare it with their own tolerance.  ``"infeasible"``,
-        ``"unbounded"``, and ``"max-iterations"`` flag the respective
-        failure modes; inconsistent dependent rows give ``"infeasible"``
-        with 0 iterations.
+        the two reported objectives.  A stall, a block off the interior, a
+        failed Schur factorization or the cap returns the best iterate if
+        it passes the recheck at 1e-7, else the last as ``"max-iterations"``.
+        The reported absolute ``gap = max(sum <X_j, S_j>, |pobj - dobj|)``
+        is not bounded by that check and can exceed 1e-7; callers that
+        certify a value compare it with their own tolerance.  A diverging
+        dual or primal objective gives ``"infeasible"`` or ``"unbounded"``;
+        inconsistent dependent rows give ``"infeasible"`` with 0 iterations.
     """
     if not (_is_integer(max_iterations) and max_iterations >= 1):
         raise ValidationError("solver-config", detail="max_iterations must be an integer >= 1")
@@ -555,17 +571,6 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
     if m == 0:
         raise ValidationError("constraint", detail="at least one constraint is required")
     ops = [_BlockOperator(problem, j) for j in range(nblocks)]
-
-    # the iterates are rebound, never written in place, so need no copies
-    def fail(status, iterations):
-        return SdpSolution(status, float("nan"), float("nan"), float("inf"),
-                           iterations, tuple(xs), y, tuple(ss))
-
-    def checked(sol, feas_tol, gap_tol):
-        # "optimal" only stands when the independent recheck agrees
-        if _verify(problem, sol, feas_tol, gap_tol):
-            return sol
-        return dataclasses.replace(sol, status="max-iterations")
 
     norm_b = float(np.linalg.norm(b))
     norm_c = max(float(np.linalg.norm(c)) for c in cmats)
@@ -579,54 +584,42 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
     work = _SchurWorkspace(ops)
     schur = np.empty((m, m), order="F")
 
-    # best iterate seen so far, by worst-of-three merit; lets the solver
-    # return a certified answer even when the last steps stall in noise
+    # (merit, solution) of the best iterate by worst-of-three merit; lets the
+    # solver return a certified answer even when the last steps stall in noise
     best = None
     stall = 0
 
-    def finalize(iterations):
-        if best is not None and best["merit"] <= _BEST_TOL:
-            return checked(SdpSolution("optimal", best["pobj"], best["dobj"],
-                                       best["gap"], iterations, best["xs"],
-                                       best["y"], best["ss"]),
-                           _BEST_TOL, _BEST_TOL)
-        pobj = sum(float(np.real(np.vdot(x, c))) for c, x in zip(cmats, xs))
-        dobj = float(b @ y)
-        gap = max(abs(pobj - dobj),
-                  sum(float(np.real(np.vdot(x, s))) for x, s in zip(xs, ss)))
-        return SdpSolution("max-iterations", pobj, dobj, gap, iterations,
-                           tuple(xs), y, tuple(ss))
-
     tau = 0.98
-    for it in range(1, max_iterations + 1):
+    # the pass at max_iterations + 1 only wraps the capped iterate
+    for it in range(1, max_iterations + 2):
         pobj = sum(float(np.real(np.vdot(x, c))) for c, x in zip(cmats, xs))
         dobj = float(b @ y)
+        gap_abs = sum(float(np.real(np.vdot(x, s))) for x, s in zip(xs, ss))
+        # the iterates are rebound, never written in place, so need no copies
+        last = SdpSolution("max-iterations", pobj, dobj, max(gap_abs, abs(pobj - dobj)),
+                           it - 1, tuple(xs), y, tuple(ss))
+        if it > max_iterations:
+            break
         adj_y = [op.adjoint(y) for op in ops]
         rp = b - sum(op.apply(x) for op, x in zip(ops, xs))
         rds = [c - ay - s for c, ay, s in zip(cmats, adj_y, ss)]
-        gap_abs = sum(float(np.real(np.vdot(x, s))) for x, s in zip(xs, ss))
         err_p = float(np.linalg.norm(rp)) / (1.0 + norm_b)
         err_d = max(float(np.linalg.norm(rd)) for rd in rds) / (1.0 + norm_c)
         rel_gap = gap_abs / (1.0 + abs(pobj) + abs(dobj))
 
         merit = max(err_p, err_d, rel_gap)
-        if best is None or merit < best["merit"]:
-            best = {"merit": merit, "pobj": pobj, "dobj": dobj,
-                    "gap": max(gap_abs, abs(pobj - dobj)),
-                    "xs": tuple(xs), "y": y, "ss": tuple(ss)}
+        if best is None or merit < best[0]:
+            best = (merit, last)
             stall = 0
         else:
             stall += 1
 
         if err_p <= _FEAS_TOL and err_d <= _FEAS_TOL and rel_gap <= _GAP_TOL:
-            gap = max(gap_abs, abs(pobj - dobj))
-            return checked(SdpSolution("optimal", pobj, dobj, gap, it - 1,
-                                       tuple(xs), y, tuple(ss)),
-                           _FEAS_TOL, _GAP_TOL)
+            return _checked(problem, last, _FEAS_TOL, _GAP_TOL)
         # ten iterations without merit progress means the iterates are
         # wandering at the numerical floor of this instance
         if stall >= 10:
-            return finalize(it - 1)
+            break
 
         # a wildly diverging dual objective signals primal infeasibility,
         # a diverging primal objective signals unboundedness
@@ -634,14 +627,14 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
             scale = float(np.linalg.norm(y))
             lam = max(float(np.linalg.eigvalsh(ay)[-1]) for ay in adj_y)
             if b @ (y / scale) > 1e-12 and lam / scale < _CERT_TOL:
-                return fail("infeasible", it)
+                return _diverged(last, "infeasible", it)
         if pobj < -_DIVERGE * (1.0 + norm_b) and err_p < _CERT_TOL:
-            return fail("unbounded", it)
+            return _diverged(last, "unbounded", it)
 
         mu = gap_abs / total_n
         eigs = _eigen_blocks([*xs, *ss])
         if eigs is None:
-            return finalize(it - 1)
+            break
         sinvs = [(v / w) @ v.conj().T for w, v in eigs[nblocks:]]
         sinvs = [(si + si.conj().T) / 2.0 for si in sinvs]
 
@@ -655,13 +648,13 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
             np.add(acc, acc.T, out=schur)
             schur *= 0.5
             if not independent and not _linear_consistency(schur, b):
-                return fail("infeasible", 0)
+                return _diverged(last, "infeasible", 0)
         schur.flat[::m + 1] += 1e-13 * max(1.0, schur.diagonal().max())
         # one factorization serves the predictor and the corrector
         try:
             factor = scipy.linalg.cho_factor(schur, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
-            return finalize(it - 1)
+            break
         base = [x + x @ rd @ si for x, rd, si in zip(xs, rds, sinvs)]
 
         def directions(sigma_mu, corr_mats):
@@ -695,4 +688,9 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
             ss[j] = ss[j] + ad * dss[j]
         y = y + ad * dy
 
-    return finalize(max_iterations)
+    # every other ending short of the targets: the best iterate if it
+    # passes the recheck at 1e-7, with the step count of the exit
+    if best[0] <= _BEST_TOL:
+        return _checked(problem, dataclasses.replace(best[1], iterations=last.iterations),
+                        _BEST_TOL, _BEST_TOL)
+    return last

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,6 +58,12 @@ def _hermitian(data, name: str = "matrix", size: int | None = None) -> np.ndarra
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer; bools are not counts."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """True for a finite real number, Python or numpy; bools are not numbers."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) < math.inf)
 
 
 def _check_dims(dims: Sequence[int], size: int) -> tuple[int, ...]:
@@ -587,8 +594,8 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "
 
 def max_entangled(d: int = 2) -> PureState:
     """Maximally entangled state ``sum_i |ii> / sqrt(d)`` on two qudits."""
-    if d < 2:
-        raise ValidationError("dims", detail="local dimension must be at least 2")
+    if not (_is_integer(d) and d >= 2):
+        raise ValidationError("dims", detail=f"local dimension must be an integer >= 2, got {d!r}")
     vec = np.zeros(d * d, dtype=complex)
     vec[:: d + 1] = 1.0 / np.sqrt(d)
     return PureState(vec, (d, d))
@@ -596,8 +603,9 @@ def max_entangled(d: int = 2) -> PureState:
 
 def ghz_state(n: int = 3) -> PureState:
     """GHZ state ``(|0...0> + |1...1>)/sqrt(2)`` on ``n`` qubits."""
-    if n < 2:
-        raise ValidationError("dims", detail="GHZ needs at least 2 qubits")
+    if not (_is_integer(n) and n >= 2):
+        raise ValidationError(
+            "dims", detail=f"GHZ needs an integer number of qubits >= 2, got {n!r}")
     vec = np.zeros(2 ** n, dtype=complex)
     vec[0] = vec[-1] = 1.0 / np.sqrt(2)
     return PureState(vec, (2,) * n)
@@ -605,8 +613,9 @@ def ghz_state(n: int = 3) -> PureState:
 
 def w_state(n: int = 3) -> PureState:
     """W state, the uniform superposition of single-excitation basis states."""
-    if n < 2:
-        raise ValidationError("dims", detail="W needs at least 2 qubits")
+    if not (_is_integer(n) and n >= 2):
+        raise ValidationError(
+            "dims", detail=f"W needs an integer number of qubits >= 2, got {n!r}")
     vec = np.zeros(2 ** n, dtype=complex)
     for k in range(n):
         vec[2 ** k] = 1.0 / np.sqrt(n)

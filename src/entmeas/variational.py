@@ -44,6 +44,7 @@ from .states import (
     _as_pure,
     _check_dims,
     _hermitian,
+    _is_finite_real,
     _is_integer,
     conditional_mutual_information,
     is_ppt,
@@ -107,7 +108,11 @@ class ConeSpec:
         if self.kind not in CONE_KINDS:
             raise ValidationError(
                 "cone-kind", detail=f"unknown cone kind {self.kind!r}")
-        alpha = float(self.normalization)
+        alpha = self.normalization
+        if not _is_finite_real(alpha):
+            raise ValidationError(
+                "cone-normalization",
+                detail=f"normalization must be a finite real number, got {alpha!r}")
         if self.kind == "negated-PSD":
             if not alpha < 0.0:
                 raise ValidationError(
@@ -154,8 +159,7 @@ class SolverConfig:
         if self.seed < 0:
             raise ValidationError("solver-config", detail="seed must be >= 0")
         gap = self.gap_tolerance
-        if not ((_is_integer(gap) or isinstance(gap, (float, np.floating)))
-                and 0.0 < gap < math.inf):
+        if not (_is_finite_real(gap) and gap > 0.0):
             raise ValidationError(
                 "solver-config", detail="gap tolerance must be a finite positive number")
 
@@ -512,8 +516,8 @@ def werner_regularized_ree(d: int, p: float) -> float:
             and 2 <= d < math.inf and int(d) == d):
         raise ValidationError("werner-domain", detail="d must be an integer >= 2")
     d = int(d)
-    if not 0.5 < p <= 1.0:
-        raise ValidationError("werner-domain", detail="p must lie in (1/2, 1]")
+    if not (_is_finite_real(p) and 0.5 < p <= 1.0):
+        raise ValidationError("werner-domain", detail="p must be a real number in (1/2, 1]")
     breakpoint_p = (d + 2.0) / (2.0 * d)
     if p <= breakpoint_p:
         return 1.0 - binary_entropy(p)

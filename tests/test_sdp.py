@@ -145,6 +145,21 @@ class TestStatuses:
         sol = sdp_solve(prob, max_iterations=2)
         assert sol.status == "max-iterations"
 
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_capped_solve_reports_its_own_iterate(self, rng, cap):
+        prob = ppt_problem((2, 2))
+        prob.set_objective(0, herm(rng, 4))
+        sol = sdp_solve(prob, max_iterations=cap)
+        assert sol.status == "max-iterations"
+        assert sol.iterations == cap
+        value = sum(np.real(np.vdot(c, x)) for c, x in zip(prob._objective, sol.blocks))
+        dual_value = float(np.dot(prob._rhs, sol.y))
+        complementarity = sum(np.real(np.vdot(x, s)) for x, s in zip(sol.blocks, sol.dual_blocks))
+        assert sol.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert sol.dual_value == pytest.approx(dual_value, rel=1e-12, abs=1e-12)
+        assert sol.gap == pytest.approx(max(abs(value - dual_value), complementarity),
+                                        rel=1e-12, abs=1e-12)
+
     def test_determinism(self, rng):
         c = herm(rng, 4)
         prob = SdpProblem([4])
@@ -661,6 +676,22 @@ class TestEigenFactorization:
             return factor(*args, **kwargs)
 
         monkeypatch.setattr(sdp.scipy.linalg, "cho_factor", fails_on_the_sixth_call)
+        sol = sdp_solve(prob)
+        assert sol.iterations == 5
+        assert dual_bound(prob, sol.y) <= plain.value
+
+    def test_block_off_the_interior_ends_at_the_best_iterate(self, rng, monkeypatch):
+        prob = ppt_problem((2, 2))
+        prob.set_objective(0, herm(rng, 4))
+        plain = sdp_solve(prob)
+        assert plain.status == "optimal"
+        eigen_blocks, calls = sdp._eigen_blocks, []
+
+        def off_on_the_sixth_call(mats):
+            calls.append(None)
+            return None if len(calls) == 6 else eigen_blocks(mats)
+
+        monkeypatch.setattr(sdp, "_eigen_blocks", off_on_the_sixth_call)
         sol = sdp_solve(prob)
         assert sol.iterations == 5
         assert dual_bound(prob, sol.y) <= plain.value

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entmeas import (
+    ConeSpec,
     DensityOperator,
     KrausSet,
     MeasureResult,
@@ -42,7 +43,9 @@ from entmeas import (
     von_neumann_entropy,
     w_state,
     werner_regularized_ree,
+    werner_state,
 )
+from entmeas.gaussian import mode_rotation, symplectic_form, thermal, two_mode_squeezer, vacuum
 from conftest import rand_pure, rand_rho, rand_unitary
 
 
@@ -107,6 +110,14 @@ class TestValidation:
                      id="catalysis_search-rank-2.0"),
         pytest.param(lambda: eof_convex_roof(max_entangled(2), m=2.5), "decomposition-size",
                      id="eof_convex_roof-2.5"),
+        pytest.param(lambda: max_entangled(2.0), "dims", id="max_entangled-2.0"),
+        pytest.param(lambda: max_entangled(None), "dims", id="max_entangled-None"),
+        pytest.param(lambda: ghz_state(3.0), "dims", id="ghz_state-3.0"),
+        pytest.param(lambda: w_state("a"), "dims", id="w_state-str"),
+        pytest.param(lambda: symplectic_form(2.0), "mode-count", id="symplectic_form-2.0"),
+        pytest.param(lambda: symplectic_form(-1), "mode-count", id="symplectic_form-negative"),
+        pytest.param(lambda: symplectic_form(33), "mode-count", id="symplectic_form-over-limit"),
+        pytest.param(lambda: vacuum(True), "mode-count", id="vacuum-True"),
     ])
     def test_rejects_indices_and_counts_that_are_not_integers(self, call, invariant):
         with pytest.raises(ValidationError, match=invariant):
@@ -126,6 +137,25 @@ class TestValidation:
                      "non-finite", id="KrausSet-nan-not-trace-preserving"),
         pytest.param(lambda: two_qubit_conversion_kraus(math.nan, 0.5), "amplitudes",
                      id="two_qubit_conversion_kraus-nan"),
+        pytest.param(lambda: binary_entropy(None), "probability", id="binary_entropy-None"),
+        pytest.param(lambda: binary_entropy(True), "probability", id="binary_entropy-True"),
+        pytest.param(lambda: werner_state(2, None), "werner-weight", id="werner_state-None"),
+        pytest.param(lambda: werner_regularized_ree(3, None), "werner-domain",
+                     id="werner_regularized_ree-None"),
+        pytest.param(lambda: thermal(None), "thermal-domain", id="thermal-None"),
+        pytest.param(lambda: thermal(True), "thermal-domain", id="thermal-True"),
+        pytest.param(lambda: two_mode_squeezed("a"), "squeezing-domain",
+                     id="two_mode_squeezed-str"),
+        pytest.param(lambda: two_mode_squeezer(None), "squeezing-domain",
+                     id="two_mode_squeezer-None"),
+        pytest.param(lambda: mode_rotation("a"), "rotation-angle", id="mode_rotation-str"),
+        pytest.param(lambda: two_qubit_conversion_kraus(None, 1.0), "amplitudes",
+                     id="two_qubit_conversion_kraus-None"),
+        pytest.param(lambda: ConeSpec("all-PSD", None), "cone-normalization",
+                     id="ConeSpec-None"),
+        pytest.param(lambda: ConeSpec("all-PSD", "a"), "cone-normalization", id="ConeSpec-str"),
+        pytest.param(lambda: ConeSpec("all-PSD", math.inf), "cone-normalization",
+                     id="ConeSpec-inf"),
     ])
     def test_rejects_non_finite_scalars(self, call, invariant):
         with pytest.raises(ValidationError, match=invariant):

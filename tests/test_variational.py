@@ -790,7 +790,7 @@ class TestBarrierNewton:
         rho = rand_rho(rng, n=n, dims=dims, rank=2).matrix
         ops = self.operators(monkeypatch, measure, DensityOperator(rho, dims))
         eye = np.eye(n) / n
-        if measure is rains_bound:  # sigma = (P - N)^Gamma
+        if measure is rains_bound:  # (sigma, N) = (1.1 I, 1.2 I), then (p^Gamma, p + q)
             p = 0.8 * eye + 0.05 * rand_rho(rng, n=n, dims=dims).matrix
             q = 0.1 * eye + 0.05 * rand_rho(rng, n=n, dims=dims).matrix
             points = [ops[1].apply(1.1 * eye) + ops[2].apply(0.1 * eye),
