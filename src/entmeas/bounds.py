@@ -10,6 +10,7 @@ into a single consistency-checked report.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,9 @@ from .errors import ValidationError
 from .states import (
     DensityOperator,
     _as_density,
+    _choice,
     _is_finite_real,
+    _is_integer,
     is_ppt,
     partial_trace,
     von_neumann_entropy,
@@ -149,7 +152,7 @@ def werner_state(d: int, p: float) -> DensityOperator:
     DensityOperator
         The Werner state with dims ``(d, d)``.
     """
-    if not (isinstance(d, (int, np.integer)) and d >= 2):
+    if not (_is_integer(d) and d >= 2):
         raise ValidationError("werner-dimension",
                               detail=f"local dimension must be >= 2, got {d!r}")
     if not _is_finite_real(p):
@@ -211,10 +214,10 @@ def bounds_report(rho, config: SolverConfig | None = None,
         entanglement to exactly 0.
     """
     rho = _as_density(rho, "bounds_report", bipartite=True)
-    unknown = set(skip) - {"rains", "ree"}
-    if unknown:
-        raise ValidationError("skip-names",
-                              detail=f"unknown bound names {sorted(unknown)}")
+    if isinstance(skip, str) or not isinstance(skip, Iterable):
+        raise ValidationError(
+            "skip-names", detail=f"skip must be a sequence of bound names, got {skip!r}")
+    skip = {_choice(name, ("rains", "ree"), "skip-names", "bound name") for name in skip}
     # the witness exists exactly when is_ppt fails, so flag and note agree
     witness, violation = witness_violation(rho)
     ppt = witness is None

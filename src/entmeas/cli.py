@@ -42,7 +42,7 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from .locc import catalysis_search, optimal_conversion_probability, schmidt
-from .states import PureState, load_state
+from .states import PureState, _choice, load_state
 from .variational import (
     SolverConfig,
     best_separable_approximation,
@@ -56,6 +56,7 @@ from .variational import (
 
 __all__ = ["RunConfig", "main", "run"]
 
+COMMANDS = ("measure", "bounds", "convert", "gaussian", "batch")
 GAUSSIAN_OPS = ("validate", "spectrum", "entropy", "logneg", "ppt")
 UNCERTAIN = "best_effort"
 
@@ -156,11 +157,7 @@ def _solver_config(gap, restarts, seed) -> SolverConfig | None:
 
 
 def _measure_payload(state_path: str, name: str, cfg) -> dict:
-    if name not in MEASURES:
-        raise ValidationError(
-            "measure-name",
-            detail=f"unknown measure {name!r}; valid names: "
-                   f"{', '.join(sorted(MEASURES))}")
+    name = _choice(name, MEASURES, "measure-name", "measure")
     return MEASURES[name](load_state(state_path), cfg)
 
 
@@ -191,9 +188,9 @@ def _convert_payload(config: RunConfig) -> dict:
 
 
 def _gaussian_payload(config: RunConfig) -> dict:
+    op = _choice(config.op, GAUSSIAN_OPS, "gaussian-op", "op")
     with open(config.cov, "r", encoding="utf-8") as fh:
         cov = covariance_from_dict(json.load(fh))
-    op = config.op
     if op == "validate":
         margin = cov.uncertainty_margin()
         return {"modes": cov.n_modes, "physical": bool(margin >= -UNCERTAINTY_TOLERANCE),
@@ -204,16 +201,12 @@ def _gaussian_payload(config: RunConfig) -> dict:
         return {"value": gaussian_entropy(cov)}
     if op == "logneg":
         return {"value": gaussian_log_negativity(cov, cut=config.cut)}
-    if op == "ppt":
-        try:
-            return {"separable": gaussian_ppt_separable(cov, cut=config.cut),
-                    "criterion": "exact"}
-        except UnsupportedCaseError:
-            return {"ppt": gaussian_is_ppt(cov, cut=config.cut),
-                    "criterion": "necessary-condition"}
-    raise ValidationError(
-        "gaussian-op",
-        detail=f"unknown op {op!r}; valid ops: {', '.join(GAUSSIAN_OPS)}")
+    try:
+        return {"separable": gaussian_ppt_separable(cov, cut=config.cut),
+                "criterion": "exact"}
+    except UnsupportedCaseError:
+        return {"ppt": gaussian_is_ppt(cov, cut=config.cut),
+                "criterion": "necessary-condition"}
 
 
 def _batch_payload(config: RunConfig) -> list:
@@ -265,21 +258,20 @@ def _error_text(exc: Exception) -> str:
 
 
 def _dispatch(config: RunConfig):
+    command = _choice(config.command, COMMANDS, "command", "command")
     cfg = _solver_config(config.gap, config.restarts, config.seed)
-    if config.command == "measure":
+    if command == "measure":
         return _measure_payload(config.state, config.measure, cfg)
-    if config.command == "bounds":
+    if command == "bounds":
         report = bounds_report(load_state(config.state), config=cfg,
                                skip=tuple(config.skip))
         return {"lower": dict(report.lower), "upper": dict(report.upper),
                 "ppt": report.ppt, "notes": dict(report.notes)}
-    if config.command == "convert":
+    if command == "convert":
         return _convert_payload(config)
-    if config.command == "gaussian":
+    if command == "gaussian":
         return _gaussian_payload(config)
-    if config.command == "batch":
-        return _batch_payload(config)
-    raise ValidationError("command", detail=f"unknown command {config.command!r}")
+    return _batch_payload(config)
 
 
 def _round12(value):

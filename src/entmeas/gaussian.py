@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError, ValidationError
-from .states import _is_finite_real, _is_integer, _numeric_array, _subsystems
+from .states import _choice, _is_finite_real, _is_integer, _numbers, _subsystems
 
 __all__ = [
     "CovarianceMatrix",
@@ -85,7 +85,7 @@ class CovarianceMatrix:
     physical: bool = True
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = _numbers(self.matrix, "covariance", float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError("cov-shape",
                                   detail=f"expected a square matrix, got {mat.shape}")
@@ -94,26 +94,22 @@ class CovarianceMatrix:
             raise ValidationError(
                 "cov-shape",
                 detail=f"side must be even and in [2, {2 * MODE_LIMIT}], got {side}")
-        # NaN, infinite and overflowing entries all leave sym non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            asym = float(np.max(np.abs(mat - mat.T)))
+        # finite entries can still overflow in the symmetrization
+        with np.errstate(over="ignore"):
+            asym = float(np.abs(mat - mat.T).max())
             sym = (mat + mat.T) / 2
-        if not np.all(np.isfinite(sym)):
-            raise ValidationError("non-finite",
-                                  detail="covariance has NaN, infinite or overflowing entries")
+        if not np.isfinite(sym).all():
+            raise ValidationError("non-finite", detail="covariance has overflowing entries")
         if asym > SYMMETRY_TOLERANCE:
             raise ValidationError("cov-symmetry", residual=asym,
                                   limit=SYMMETRY_TOLERANCE)
         object.__setattr__(self, "matrix", sym)
         if self.first_moments is not None:
-            mean = np.asarray(self.first_moments, dtype=float).reshape(-1)
+            mean = _numbers(self.first_moments, "mean", float).reshape(-1)
             if mean.shape != (side,):
                 raise ValidationError(
                     "cov-moments",
                     detail=f"first moments must have length {side}, got {mean.shape}")
-            if not np.all(np.isfinite(mean)):
-                raise ValidationError("non-finite",
-                                      detail="first moments have NaN or infinite entries")
             object.__setattr__(self, "first_moments", mean)
         if self.physical:
             _require_physical(self)
@@ -135,7 +131,7 @@ class SymplecticSpectrum:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(_numbers(self.values, "symplectic spectrum", float).reshape(-1).tolist())
         if any(b > a + PAIRING_TOLERANCE for a, b in zip(values, values[1:])):
             raise ValidationError("spectrum-order",
                                   detail="values must be nonincreasing")
@@ -354,7 +350,7 @@ def apply_symplectic(gamma: CovarianceMatrix, s: np.ndarray) -> CovarianceMatrix
         Transformed covariance; the symplectic spectrum is unchanged.
     """
     gamma = _as_cov(gamma)
-    s = np.asarray(s, dtype=float)
+    s = _numbers(s, "symplectic matrix", float)
     sigma = symplectic_form(gamma.n_modes)
     if s.shape != sigma.shape:
         raise ValidationError("symplectic-shape",
@@ -388,10 +384,7 @@ def two_mode_squeezed(r: float) -> CovarianceMatrix:
     if not (_is_finite_real(r) and r >= 0.0):
         raise ValidationError("squeezing-domain",
                               detail=f"squeezing parameter must be finite and >= 0, got {r!r}")
-    c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    z = np.diag([1.0, -1.0])
-    mat = np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]])
-    return CovarianceMatrix(mat)
+    return CovarianceMatrix(two_mode_squeezer(2.0 * r))
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:
@@ -452,26 +445,20 @@ def covariance_from_dict(payload: dict) -> CovarianceMatrix:
     if not (_is_integer(n) and n >= 1):
         raise ValidationError("cov-payload",
                               detail=f"modes must be a positive integer, got {n!r}")
-    ordering = payload.get("ordering", "xpxp")
-    if ordering not in ("xpxp", "xxpp"):
-        raise ValidationError("cov-ordering",
-                              detail=f"unknown ordering {ordering!r}")
-    mat = _numeric_array(payload["cov"])
-    if mat is None:
-        raise ValidationError("cov-payload", detail="cov must be rows of numbers")
+    ordering = _choice(payload.get("ordering", "xpxp"), ("xpxp", "xxpp"), "cov-ordering",
+                       "ordering")
+    mat = _numbers(payload["cov"], "cov", float)
     if mat.shape != (2 * n, 2 * n):
         raise ValidationError(
             "cov-shape", detail=f"expected shape {(2 * n, 2 * n)}, got {mat.shape}")
     mean = payload.get("mean")
-    if mean is not None:
-        mean = _numeric_array(mean)
-        if mean is None:
-            raise ValidationError("cov-payload", detail="mean must be a list of numbers")
     if ordering == "xxpp":
         perm = np.concatenate([[m, n + m] for m in range(n)])
         mat = mat[np.ix_(perm, perm)]
         if mean is not None:
-            mean = mean[perm]
+            mean = _numbers(mean, "mean", float).reshape(-1)
+            # a mean of another length is left for CovarianceMatrix to refuse
+            mean = mean[perm] if mean.size == 2 * n else mean
     return CovarianceMatrix(mat, mean)
 
 
@@ -491,7 +478,7 @@ def covariance_to_dict(gamma: CovarianceMatrix) -> dict:
 def _as_cov(gamma) -> CovarianceMatrix:
     if isinstance(gamma, CovarianceMatrix):
         return gamma
-    return CovarianceMatrix(np.asarray(gamma, dtype=float))
+    return CovarianceMatrix(gamma)
 
 
 def _require_physical(gamma) -> CovarianceMatrix:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .states import (KrausSet, PureState, SPECTRUM_CUTOFF, _as_pure, _bipartition,
-                     _entropy_of_spectrum, _is_finite_real, _is_integer)
+                     _entropy_of_spectrum, _is_finite_real, _is_integer, _numbers)
 
 COEFF_SUM_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-9
@@ -88,7 +88,7 @@ def entropy_of_entanglement(psi: PureState, side_a: Sequence[int] | int | None =
 
 
 def _clean_coefficients(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = _numbers(values, name, float, "coefficients").reshape(-1)
     if arr.size == 0 or not np.all(arr >= -MAJORIZATION_SLACK):
         raise ValidationError("coefficients",
                               detail=f"{name} must be a nonempty nonnegative vector")

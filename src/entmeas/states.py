@@ -2,7 +2,10 @@
 
 All entropies and logarithms are base 2, so every quantity is reported in
 bits.  Subsystems are ordered left to right in row-major (C) tensor order,
-matching ``numpy.kron``.
+matching ``numpy.kron``.  Each kind of value taken from outside has one
+intake here, refusing with a ``ValidationError``: ``_numbers`` for arrays,
+``_choice`` for names, ``_is_integer`` for counts and ``_is_finite_real``
+for real scalars.
 """
 
 from __future__ import annotations
@@ -30,8 +33,34 @@ PPT_TOL = 1e-12
 _STATUSES = ("exact", "converged", "best_effort")
 
 
+def _numbers(data, name: str, dtype=complex, invariant: str = "non-finite") -> np.ndarray:
+    """``data`` as a ``dtype`` array: a rectangular nest of integers or floats,
+    and of complex numbers when ``dtype`` is complex.  Strings, bools, None,
+    objects, ragged rows and NaN or infinite entries name ``invariant``."""
+    try:
+        arr = np.asarray(data)
+    except ValueError:  # ragged rows
+        arr = np.asarray(None)
+    if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        what = "numbers" if dtype is complex else "real numbers"
+        raise ValidationError(invariant, detail=f"{name} must be an array of {what}")
+    arr = np.asarray(arr, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise ValidationError(invariant, detail=f"{name} has NaN or infinite entries")
+    return arr
+
+
+def _choice(value, options, invariant: str, what: str):
+    """``value`` when it is a string among ``options``; anything else is
+    refused naming ``invariant``, with the valid options listed."""
+    if isinstance(value, str) and value in options:
+        return value
+    raise ValidationError(
+        invariant, detail=f"unknown {what} {value!r}; valid {what}s: {', '.join(sorted(options))}")
+
+
 def _square(data, name: str, size: int | None = None) -> np.ndarray:
-    mat = np.asarray(data, dtype=complex)
+    mat = _numbers(data, name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or size not in (None, mat.shape[0]):
         want = "square" if size is None else f"{size}x{size}"
         raise ValidationError("shape", detail=f"{name} must be {want}, got {mat.shape}")
@@ -41,16 +70,12 @@ def _square(data, name: str, size: int | None = None) -> np.ndarray:
 def _hermitian(data, name: str = "matrix", size: int | None = None) -> np.ndarray:
     """Validate a Hermitian operator given from outside; return its symmetrized copy.
 
-    Checks the shape (``size x size`` when given), then requires
-    ``max|M - M^H| <= 1e-10``.  A NaN or infinite entry makes that residual
-    NaN or infinite, so non-finite input is told apart only on the failure
-    branch and costs valid input nothing.
+    Takes finite numbers only (``_numbers``), checks the shape (``size x
+    size`` when given), then requires ``max|M - M^H| <= 1e-10``.
     """
     mat = _square(data, name, size)
-    resid = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    resid = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
     if not resid <= HERMITICITY_TOL:
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError("non-finite", detail=f"{name} has NaN or infinite entries")
         raise ValidationError("hermiticity", resid, HERMITICITY_TOL, detail=name)
     return (mat + mat.conj().T) / 2.0
 
@@ -142,9 +167,7 @@ class PureState:
     __slots__ = ("vector", "dims")
 
     def __init__(self, vector, dims: Sequence[int]):
-        vec = np.asarray(vector, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError("non-finite", detail="vector has NaN or infinite entries")
+        vec = _numbers(vector, "vector").reshape(-1).copy()
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValidationError("normalization", abs(nrm - 1.0), NORM_TOL)
@@ -183,18 +206,18 @@ class KrausSet:
     __slots__ = ("operators", "trace_preserving")
 
     def __init__(self, operators: Sequence, trace_preserving: bool = True):
-        ops = [np.asarray(op, dtype=complex) for op in operators]
+        if not isinstance(operators, Iterable):
+            raise ValidationError(
+                "kraus-set", detail=f"operators must be a sequence, got {operators!r}")
+        ops = [_numbers(op, f"Kraus operator {k}").copy() for k, op in enumerate(operators)]
         if not ops:
             raise ValidationError("kraus-set", detail="at least one operator is required")
-        d_in = ops[0].shape[-1]
         for op in ops:
-            if op.ndim != 2 or op.shape[1] != d_in:
+            if op.ndim != 2 or op.shape[1] != ops[0].shape[1]:
                 raise ValidationError(
-                    "kraus-set", detail="operators must share a common input dimension")
-            if not np.all(np.isfinite(op)):
-                raise ValidationError(
-                    "non-finite", detail="Kraus operators have NaN or infinite entries")
+                    "kraus-set", detail="operators must be matrices with a common input dimension")
             op.setflags(write=False)
+        d_in = ops[0].shape[1]
         if trace_preserving:
             total = sum(op.conj().T @ op for op in ops)
             resid = float(np.max(np.abs(total - np.eye(d_in))))
@@ -235,8 +258,7 @@ class MeasureResult:
     witness_payload: dict | None = None
 
     def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValidationError("status", detail=f"unknown status {self.status!r}")
+        _choice(self.status, _STATUSES, "status", "status value")
         if not self.value >= 0.0:
             raise ValidationError("value", detail="measure values must be nonnegative")
         if self.status == "exact" and self.gap != 0.0:
@@ -338,8 +360,8 @@ def partial_transpose(rho, parties: Iterable[int] | int,
     Parameters
     ----------
     rho : DensityOperator, PureState, or ndarray
-        A raw square array is transposed as it is, without validation of
-        its entries, and needs ``dims``.
+        A raw square array of finite numbers is transposed as it is,
+        Hermitian or not, and needs ``dims``.
     parties : int or iterable of int
         Subsystem indices to transpose.
     dims : sequence of int, optional
@@ -560,6 +582,10 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "
     DensityOperator or list of (float, DensityOperator)
     """
     rho = _as_density(rho, "apply_kraus")
+    if not isinstance(kraus, KrausSet):
+        raise ValidationError(
+            "kraus-set", detail=f"apply_kraus expects a KrausSet, got {type(kraus).__name__}")
+    mode = _choice(mode, ("averaged", "selective"), "mode", "mode")
     d = rho.dim
     for op in kraus.operators:
         if op.shape[1] != d:
@@ -576,20 +602,18 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "
         if tr < OUTCOME_CUTOFF:
             raise ValidationError("trace-preservation", detail="channel output has vanishing trace")
         return DensityOperator(total / tr, out_dims(kraus.operators[0]))
-    if mode == "selective":
-        outcomes = []
-        total_p = 0.0
-        for op in kraus.operators:
-            raw = op @ rho.matrix @ op.conj().T
-            p = float(np.real(np.trace(raw)))
-            total_p += p
-            if p < OUTCOME_CUTOFF:
-                continue
-            outcomes.append((p, DensityOperator(raw / p, out_dims(op))))
-        if kraus.trace_preserving and abs(total_p - 1.0) > COMPLETENESS_TOL:
-            raise ValidationError("trace-preservation", abs(total_p - 1.0), COMPLETENESS_TOL)
-        return outcomes
-    raise ValidationError("mode", detail=f"unknown mode {mode!r}")
+    outcomes = []
+    total_p = 0.0
+    for op in kraus.operators:
+        raw = op @ rho.matrix @ op.conj().T
+        p = float(np.real(np.trace(raw)))
+        total_p += p
+        if p < OUTCOME_CUTOFF:
+            continue
+        outcomes.append((p, DensityOperator(raw / p, out_dims(op))))
+    if kraus.trace_preserving and abs(total_p - 1.0) > COMPLETENESS_TOL:
+        raise ValidationError("trace-preservation", abs(total_p - 1.0), COMPLETENESS_TOL)
+    return outcomes
 
 
 def max_entangled(d: int = 2) -> PureState:
@@ -622,19 +646,9 @@ def w_state(n: int = 3) -> PureState:
     return PureState(vec, (2,) * n)
 
 
-def _numeric_array(data) -> np.ndarray | None:
-    """``data`` as a float array, or None unless it is a rectangular nest of
-    numbers: strings, bools, nulls, objects and ragged rows all give None."""
-    try:
-        arr = np.asarray(data)
-    except ValueError:
-        return None
-    return np.asarray(arr, dtype=float) if arr.dtype.kind in "iuf" else None
-
-
 def _pairs_to_array(data, name: str) -> np.ndarray:
-    arr = _numeric_array(data)
-    if arr is None or arr.ndim < 1 or arr.shape[-1] != 2:
+    arr = _numbers(data, name, float)
+    if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError("state-format",
                               detail=f"{name} entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -43,6 +43,7 @@ from .states import (
     _as_density,
     _as_pure,
     _check_dims,
+    _choice,
     _hermitian,
     _is_finite_real,
     _is_integer,
@@ -71,7 +72,6 @@ __all__ = [
     "squashed_eval",
 ]
 
-CONE_KINDS = ("PPT-operators", "separable-outer", "all-PSD", "negated-PSD")
 
 # dimensions at which the PPT set equals the separable set
 _EXACT_PPT_DIMS = {(2, 2), (2, 3)}
@@ -83,6 +83,17 @@ PPT_DIM_LIMIT = MAX_BLOCK_DIM
 ROOF_DIM_LIMIT = 16
 RAINS_DIM_LIMIT = 16
 GEOMETRIC_DIM_LIMIT = 64
+
+
+# per cone kind, the (sign s, parties) blocks s T(M) whose positivity puts M
+# in the cone, T the partial transpose of the parties (the identity for ())
+_CONE_BLOCKS = {
+    "PPT-operators": ((1.0, (1,)),),
+    "separable-outer": ((1.0, ()), (1.0, (1,))),
+    "all-PSD": ((1.0, ()),),
+    "negated-PSD": ((-1.0, ()),),
+}
+CONE_KINDS = tuple(_CONE_BLOCKS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,9 +116,7 @@ class ConeSpec:
     normalization: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in CONE_KINDS:
-            raise ValidationError(
-                "cone-kind", detail=f"unknown cone kind {self.kind!r}")
+        _choice(self.kind, CONE_KINDS, "cone-kind", "cone kind")
         alpha = self.normalization
         if not _is_finite_real(alpha):
             raise ValidationError(
@@ -530,14 +539,6 @@ def _solver_result_guard(sol: SdpSolution, context: str, gap_tolerance: float) -
     return "converged" if sol.status == "optimal" and sol.gap <= gap_tolerance else "best_effort"
 
 
-# per cone kind, the (sign s, parties) blocks s T(M) whose positivity puts M
-# in the cone, T the partial transpose of the parties (the identity for ())
-_CONE_BLOCKS = {
-    "all-PSD": ((1.0, ()),),
-    "negated-PSD": ((-1.0, ()),),
-    "PPT-operators": ((1.0, (1,)),),
-    "separable-outer": ((1.0, ()), (1.0, (1,))),
-}
 _NOISE_CONES = {"global": ConeSpec("all-PSD"), "separable": ConeSpec("separable-outer")}
 
 
@@ -596,8 +597,7 @@ def robustness(state, noise: str = "global",
         ``witness_payload["noise_state"]`` holds the optimal noise when
         ``t > 0``.
     """
-    if noise not in _NOISE_CONES:
-        raise ValidationError("noise-kind", detail=f"unknown noise model {noise!r}")
+    noise = _choice(noise, _NOISE_CONES, "noise-kind", "noise model")
     rho, dims = _bipartite(state, "robustness", PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
     sol = _base_norm_sdp(rho, dims, ConeSpec("PPT-operators"), _NOISE_CONES[noise],

@@ -333,6 +333,12 @@ class TestSerialization:
             "mean": [1.0, 2.0, 3.0, 4.0]})
         assert cov.first_moments.tolist() == [1.0, 3.0, 2.0, 4.0]
 
+    @pytest.mark.parametrize("mean", [[1.0], [1.0, 2.0, 3.0, 4.0, 5.0]], ids=len)
+    def test_grouped_mean_of_another_length_is_refused(self, mean):
+        with pytest.raises(ValidationError, match="cov-moments"):
+            covariance_from_dict({"modes": 2, "ordering": "xxpp",
+                                  "cov": np.eye(4).tolist(), "mean": mean})
+
     def test_rejects_malformed_payloads(self):
         with pytest.raises(ValidationError, match="cov-payload"):
             covariance_from_dict({"modes": 2})

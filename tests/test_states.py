@@ -8,22 +8,30 @@ import pytest
 
 from entmeas import (
     ConeSpec,
+    CovarianceMatrix,
     DensityOperator,
     KrausSet,
     MeasureResult,
     PureState,
+    SymplecticSpectrum,
     ValidationError,
     apply_kraus,
+    apply_symplectic,
+    base_norm,
     binary_entropy,
+    bounds_report,
     catalysis_search,
     ckw_check,
     conditional_mutual_information,
     entropy_of_entanglement,
     eof_convex_roof,
+    gaussian_entropy,
     gaussian_is_ppt,
     gaussian_log_negativity,
     ghz_state,
+    majorization_convertible,
     max_entangled,
+    minimize_over_ppt_states,
     mutual_information,
     negativity,
     optimal_conversion_probability,
@@ -33,10 +41,12 @@ from entmeas import (
     reduce_modes,
     relative_entropy,
     residual_tangle,
+    robustness,
     schmidt,
     state_from_dict,
     state_to_dict,
     tangle,
+    symplectic_eigenvalues,
     trace_norm,
     two_mode_squeezed,
     two_qubit_conversion_kraus,
@@ -45,7 +55,9 @@ from entmeas import (
     werner_regularized_ree,
     werner_state,
 )
-from entmeas.gaussian import mode_rotation, symplectic_form, thermal, two_mode_squeezer, vacuum
+from entmeas.gaussian import (covariance_from_dict, mode_rotation, symplectic_form, thermal,
+                              two_mode_squeezer, vacuum)
+from entmeas.sdp import SdpProblem
 from conftest import rand_pure, rand_rho, rand_unitary
 
 
@@ -156,6 +168,15 @@ class TestValidation:
         pytest.param(lambda: ConeSpec("all-PSD", "a"), "cone-normalization", id="ConeSpec-str"),
         pytest.param(lambda: ConeSpec("all-PSD", math.inf), "cone-normalization",
                      id="ConeSpec-inf"),
+        pytest.param(lambda: KrausSet(None), "kraus-set", id="KrausSet-None"),
+        pytest.param(lambda: KrausSet([1.0]), "kraus-set", id="KrausSet-scalar"),
+        pytest.param(lambda: apply_kraus(None, bell_rho()), "kraus-set", id="apply_kraus-None"),
+        pytest.param(lambda: bounds_report(bell_rho(), skip=None), "skip-names",
+                     id="bounds_report-skip-None"),
+        pytest.param(lambda: bounds_report(bell_rho(), skip="ree"), "skip-names",
+                     id="bounds_report-skip-str"),
+        pytest.param(lambda: robustness(bell_rho(), ["global"]), "noise-kind",
+                     id="robustness-noise-list"),
     ])
     def test_rejects_non_finite_scalars(self, call, invariant):
         with pytest.raises(ValidationError, match=invariant):
@@ -187,6 +208,12 @@ class TestValidation:
             DensityOperator(mat, [2, 2])
         with pytest.raises(ValidationError, match="non-finite"):
             DensityOperator(np.full((4, 4), np.nan), [2, 2])
+
+    def test_states_and_kraus_sets_keep_their_own_copy(self):
+        vec, op = np.array([1.0, 0.0], dtype=complex), np.eye(2, dtype=complex)
+        psi, ks = PureState(vec, [2]), KrausSet([op])
+        vec[0] = op[0, 0] = 5.0
+        assert psi.vector[0] == 1.0 and ks.operators[0][0, 0] == 1.0
 
     def test_kraus_completeness(self):
         half = np.eye(2) / np.sqrt(2)
@@ -469,6 +496,67 @@ class TestApplyKraus:
         avg = apply_kraus(ks, rho, mode="averaged")
         mix = sum(p * s.matrix for p, s in apply_kraus(ks, rho, mode="selective"))
         assert np.allclose(avg.matrix, mix, atol=1e-10)
+
+
+# Every public entry point that takes an array, as (name, call on the array,
+# shape of a valid array, kinds of BAD_ARRAYS that are valid there, refused
+# invariant).
+CPLX = ("complex",)
+ARRAY_INTAKES = [
+    ("DensityOperator", lambda a: DensityOperator(a, [2]), (2, 2), CPLX, "non-finite"),
+    ("PureState", lambda a: PureState(a, [2]), (2,), CPLX, "non-finite"),
+    ("KrausSet", lambda a: KrausSet([a]), (2, 2), CPLX, "non-finite"),
+    ("trace_norm", trace_norm, (2, 2), CPLX, "non-finite"),
+    ("von_neumann_entropy", von_neumann_entropy, (2, 2), CPLX, "non-finite"),
+    ("relative_entropy", lambda a: relative_entropy(a, np.eye(2) / 2), (2, 2), CPLX,
+     "non-finite"),
+    ("partial_transpose", lambda a: partial_transpose(a, 1, (2, 2)), (4, 4), CPLX,
+     "non-finite"),
+    ("minimize_over_ppt_states", lambda a: minimize_over_ppt_states(a, (2, 2)), (4, 4), CPLX,
+     "non-finite"),
+    ("base_norm", lambda a: base_norm(a, ConeSpec("PPT-operators"), ConeSpec("all-PSD"), (2, 2)),
+     (4, 4), CPLX, "non-finite"),
+    ("SdpProblem", lambda a: SdpProblem((2,)).set_objective(0, a), (2, 2), CPLX, "non-finite"),
+    ("state_from_dict", lambda a: state_from_dict({"dims": [2], "matrix": a}), (2, 2, 2), (),
+     "non-finite"),
+    ("CovarianceMatrix", CovarianceMatrix, (2, 2), (), "non-finite"),
+    ("CovarianceMatrix-mean", lambda a: CovarianceMatrix(np.eye(2), a), (2,), ("None",),
+     "non-finite"),
+    ("covariance_from_dict", lambda a: covariance_from_dict({"modes": 1, "cov": a}), (2, 2),
+     (), "non-finite"),
+    ("SymplecticSpectrum", SymplecticSpectrum, (1,), (), "non-finite"),
+    ("apply_symplectic", lambda a: apply_symplectic(vacuum(1), a), (2, 2), (), "non-finite"),
+    ("gaussian_entropy", gaussian_entropy, (2, 2), (), "non-finite"),
+    ("symplectic_eigenvalues", symplectic_eigenvalues, (2, 2), (), "non-finite"),
+    ("majorization_convertible", lambda a: majorization_convertible(a, [1.0]), (2,), (),
+     "coefficients"),
+]
+
+BAD_ARRAYS = {
+    "string": lambda shape: np.full(shape, "a"),
+    "None": lambda shape: None,
+    "ragged": lambda shape: [[1.0, 0.0], [0.0]],
+    "object": lambda shape: np.full(shape, object()),
+    "bool": lambda shape: np.ones(shape, dtype=bool),
+    "complex": lambda shape: np.full(shape, 0.5 + 0.5j),
+    "nan": lambda shape: np.full(shape, math.nan),
+}
+
+
+class TestArrayIntake:
+    """Every array argument passes one intake, ``states._numbers``: values
+    that are not a rectangular nest of finite numbers, or complex where real
+    numbers are required, are refused with a ``ValidationError``."""
+
+    @pytest.mark.parametrize("call, data, invariant", [
+        pytest.param(call, make(shape), invariant, id=f"{name}-{kind}")
+        for name, call, shape, valid, invariant in ARRAY_INTAKES
+        for kind, make in BAD_ARRAYS.items() if kind not in valid
+    ])
+    def test_refuses_values_that_are_not_finite_numbers(self, call, data, invariant):
+        with pytest.raises(ValidationError) as info:
+            call(data)
+        assert info.value.invariant == invariant
 
 
 class TestStateArguments:
