@@ -21,8 +21,8 @@ from .states import (
     DensityOperator,
     _as_density,
     _choice,
-    _is_finite_real,
-    _is_integer,
+    _count,
+    _real,
     is_ppt,
     partial_trace,
     von_neumann_entropy,
@@ -152,14 +152,8 @@ def werner_state(d: int, p: float) -> DensityOperator:
     DensityOperator
         The Werner state with dims ``(d, d)``.
     """
-    if not (_is_integer(d) and d >= 2):
-        raise ValidationError("werner-dimension",
-                              detail=f"local dimension must be >= 2, got {d!r}")
-    if not _is_finite_real(p):
-        raise ValidationError("werner-weight", detail=f"{p!r} is not a finite real number")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("werner-weight", residual=float(p),
-                              detail="antisymmetric weight must lie in [0, 1]")
+    d = _count(d, "local dimension", "werner-dimension", low=2)
+    p = _real(p, "antisymmetric weight", "werner-weight", low=0.0, high=1.0)
     flip = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
     eye = np.eye(d * d)
     sigma_a = (eye - flip) / (d * d - d)

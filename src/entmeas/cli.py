@@ -42,7 +42,7 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from .locc import catalysis_search, optimal_conversion_probability, schmidt
-from .states import PureState, _choice, load_state
+from .states import PureState, _choice, _path, load_state
 from .variational import (
     SolverConfig,
     best_separable_approximation,
@@ -58,6 +58,7 @@ __all__ = ["RunConfig", "main", "run"]
 
 COMMANDS = ("measure", "bounds", "convert", "gaussian", "batch")
 GAUSSIAN_OPS = ("validate", "spectrum", "entropy", "logneg", "ppt")
+FORMATS = ("table", "json")
 UNCERTAIN = "best_effort"
 
 
@@ -71,7 +72,8 @@ class RunConfig:
         One of ``measure``, ``bounds``, ``convert``, ``gaussian``,
         ``batch``.
     state, source, target, cov, manifest : str or None
-        Input file paths, as required by the command.
+        Input file paths, as required by the command; a needed path that
+        is None or not a ``str`` or ``os.PathLike`` exits 2 naming ``path``.
     measure : str or None
         Measure name for the ``measure`` command.
     op : str or None
@@ -86,7 +88,8 @@ class RunConfig:
         Solver overrides; None keeps each measure's own default.  The
         effective seed is always 0 unless overridden.
     fmt : str
-        ``table`` or ``json``; both render identical values.
+        ``table`` or ``json``; both render identical values.  Anything else
+        exits 2 naming ``format``.
     strict : bool
         Exit 3 instead of 0 when any emitted status is best-effort.
     """
@@ -189,7 +192,7 @@ def _convert_payload(config: RunConfig) -> dict:
 
 def _gaussian_payload(config: RunConfig) -> dict:
     op = _choice(config.op, GAUSSIAN_OPS, "gaussian-op", "op")
-    with open(config.cov, "r", encoding="utf-8") as fh:
+    with open(_path(config.cov, "covariance file"), "r", encoding="utf-8") as fh:
         cov = covariance_from_dict(json.load(fh))
     if op == "validate":
         margin = cov.uncertainty_margin()
@@ -210,7 +213,7 @@ def _gaussian_payload(config: RunConfig) -> dict:
 
 
 def _batch_payload(config: RunConfig) -> list:
-    with open(config.manifest, "r", encoding="utf-8") as fh:
+    with open(_path(config.manifest, "manifest"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, list):
         raise ValidationError("manifest", detail="manifest must be a JSON array")
@@ -259,6 +262,7 @@ def _error_text(exc: Exception) -> str:
 
 def _dispatch(config: RunConfig):
     command = _choice(config.command, COMMANDS, "command", "command")
+    _choice(config.fmt, FORMATS, "format", "format")
     cfg = _solver_config(config.gap, config.restarts, config.seed)
     if command == "measure":
         return _measure_payload(config.state, config.measure, cfg)
@@ -361,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, solver=False):
-        p.add_argument("--format", dest="fmt", choices=("table", "json"),
+        p.add_argument("--format", dest="fmt", choices=FORMATS,
                        default="table", help="output rendering")
         if solver:
             p.add_argument("--gap", type=float, default=None,
@@ -404,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="manifest JSON file")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any result is best-effort")
-    p.add_argument("--format", dest="fmt", choices=("table", "json"),
+    p.add_argument("--format", dest="fmt", choices=FORMATS,
                    default="json", help="output rendering")
     return parser
 

@@ -19,8 +19,9 @@ from .states import (
     _as_density,
     _as_pure,
     _bipartition,
-    _is_finite_real,
+    _count,
     _is_integer,
+    _real,
     partial_trace,
     partial_transpose,
 )
@@ -31,14 +32,9 @@ _SYY = np.kron(_SY, _SY)
 
 
 def binary_entropy(p: float) -> float:
-    """Binary Shannon entropy in bits, with ``0 log 0 = 0``."""
-    if not _is_finite_real(p):
-        raise ValidationError("probability", detail=f"{p!r} is not a finite real number")
-    if not 0.0 <= p <= 1.0:
-        if -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
-            p = min(max(p, 0.0), 1.0)
-        else:
-            raise ValidationError("probability", detail=f"{p} outside [0, 1]")
+    """Binary Shannon entropy in bits, with ``0 log 0 = 0``; residue within
+    1e-10 outside [0, 1] is clamped."""
+    p = min(max(_real(p, "p", "probability", -CLAMP_TOL, 1.0 + CLAMP_TOL), 0.0), 1.0)
     total = 0.0
     for q in (p, 1.0 - p):
         if q > 0.0:
@@ -202,8 +198,7 @@ def residual_tangle(psi: PureState, pivot: int = 0) -> float:
     """
     if _as_pure(psi, "residual_tangle").dims != (2, 2, 2):
         raise ValidationError("dims", detail="residual tangle requires three qubits")
-    if pivot not in (0, 1, 2):
-        raise ValidationError("subsystem-index", detail=f"pivot {pivot} out of range")
+    pivot = _count(pivot, "pivot", "subsystem-index", high=2)
     one_to_rest = tangle(psi, qubit=pivot)
     rho = psi.to_density()
     # concurrence is swap-symmetric, so the pair order inside keep is irrelevant

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedCaseError, ValidationError
-from .states import _choice, _is_finite_real, _is_integer, _numbers, _subsystems
+from .states import _choice, _count, _numbers, _real, _subsystems
 
 __all__ = [
     "CovarianceMatrix",
@@ -46,16 +46,9 @@ PAIRING_TOLERANCE = 1e-9
 MODE_LIMIT = 32
 
 
-def _check_mode_count(n_modes) -> None:
-    if not (_is_integer(n_modes) and 1 <= n_modes <= MODE_LIMIT):
-        raise ValidationError("mode-count",
-                              detail=f"mode count must be an integer in [1, {MODE_LIMIT}], "
-                              f"got {n_modes!r}")
-
-
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Symplectic form for n modes in interleaved x, p ordering, 1 <= n <= 32."""
-    _check_mode_count(n_modes)
+    n_modes = _count(n_modes, "mode count", "mode-count", 1, MODE_LIMIT)
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for j in range(n_modes):
@@ -261,9 +254,7 @@ def _reversed_across(gamma, cut: int) -> CovarianceMatrix:
     """Partial time reversal of a physical covariance across a mode cut:
     the leading ``cut`` modes form party A, and party B's momenta flip."""
     gamma = _require_physical(gamma)
-    if not (_is_integer(cut) and 1 <= cut < gamma.n_modes):
-        raise ValidationError(
-            "mode-cut", detail=f"cut must split {gamma.n_modes} modes, got {cut}")
+    cut = _count(cut, "cut", "mode-cut", 1, gamma.n_modes - 1)
     return partial_time_reversal(gamma, range(cut, gamma.n_modes))
 
 
@@ -381,40 +372,32 @@ def two_mode_squeezed(r: float) -> CovarianceMatrix:
         Pure two-mode state with ``cosh(2r)`` diagonal blocks and
         ``sinh(2r) diag(1, -1)`` correlations.
     """
-    if not (_is_finite_real(r) and r >= 0.0):
-        raise ValidationError("squeezing-domain",
-                              detail=f"squeezing parameter must be finite and >= 0, got {r!r}")
+    r = _real(r, "squeezing parameter", "squeezing-domain", low=0.0)
     return CovarianceMatrix(two_mode_squeezer(2.0 * r))
 
 
 def vacuum(n_modes: int) -> CovarianceMatrix:
     """Covariance of the n-mode vacuum: the identity."""
-    _check_mode_count(n_modes)
+    n_modes = _count(n_modes, "mode count", "mode-count", 1, MODE_LIMIT)
     return CovarianceMatrix(np.eye(2 * n_modes))
 
 
 def thermal(mu: float) -> CovarianceMatrix:
     """Single thermal mode with symplectic eigenvalue mu >= 1."""
-    if not (_is_finite_real(mu) and mu >= 1.0):
-        raise ValidationError("thermal-domain",
-                              detail=f"thermal parameter must be finite and >= 1, got {mu!r}")
-    return CovarianceMatrix(np.diag([float(mu), float(mu)]))
+    mu = _real(mu, "thermal parameter", "thermal-domain", low=1.0)
+    return CovarianceMatrix(np.diag([mu, mu]))
 
 
 def mode_rotation(theta: float) -> np.ndarray:
     """Single-mode phase rotation; orthogonal, hence symplectic."""
-    if not _is_finite_real(theta):
-        raise ValidationError("rotation-angle",
-                              detail=f"angle must be a finite real number, got {theta!r}")
+    theta = _real(theta, "angle", "rotation-angle")
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [-s, c]])
 
 
 def two_mode_squeezer(r: float) -> np.ndarray:
     """Symplectic matrix generating two-mode squeezing from the vacuum."""
-    if not _is_finite_real(r):
-        raise ValidationError("squeezing-domain",
-                              detail=f"squeezing parameter must be finite, got {r!r}")
+    r = _real(r, "squeezing parameter", "squeezing-domain")
     c, s = np.cosh(r), np.sinh(r)
     z = np.diag([1.0, -1.0])
     return np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]])
@@ -441,10 +424,7 @@ def covariance_from_dict(payload: dict) -> CovarianceMatrix:
     if missing:
         raise ValidationError("cov-payload",
                               detail=f"missing keys {sorted(missing)}")
-    n = payload["modes"]
-    if not (_is_integer(n) and n >= 1):
-        raise ValidationError("cov-payload",
-                              detail=f"modes must be a positive integer, got {n!r}")
+    n = _count(payload["modes"], "modes", "cov-payload", low=1)
     ordering = _choice(payload.get("ordering", "xpxp"), ("xpxp", "xxpp"), "cov-ordering",
                        "ordering")
     mat = _numbers(payload["cov"], "cov", float)

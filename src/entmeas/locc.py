@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .states import (KrausSet, PureState, SPECTRUM_CUTOFF, _as_pure, _bipartition,
-                     _entropy_of_spectrum, _is_finite_real, _is_integer, _numbers)
+                     _count, _entropy_of_spectrum, _numbers, _real)
 
 COEFF_SUM_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-9
@@ -185,19 +185,17 @@ def optimal_conversion_probability(source, target) -> ConversionVerdict:
 
 
 def _catalyst_grid(rank: int, resolution: int):
-    """Descending rational catalysts on the 1/resolution grid, lexicographically."""
+    """Descending rational catalysts of rank 2 or 3 on the 1/resolution grid,
+    lexicographically."""
     if rank == 2:
         for k in range((resolution + 1) // 2, resolution + 1):
             yield np.array([k, resolution - k], dtype=float) / resolution
         return
-    if rank == 3:
-        for k1 in range((resolution + 2) // 3, resolution + 1):
-            for k2 in range((resolution - k1 + 1) // 2, min(k1, resolution - k1) + 1):
-                k3 = resolution - k1 - k2
-                if 0 <= k3 <= k2:
-                    yield np.array([k1, k2, k3], dtype=float) / resolution
-        return
-    raise ValidationError("catalyst-rank", detail="supported catalyst ranks are 2 and 3")
+    for k1 in range((resolution + 2) // 3, resolution + 1):
+        for k2 in range((resolution - k1 + 1) // 2, min(k1, resolution - k1) + 1):
+            k3 = resolution - k1 - k2
+            if 0 <= k3 <= k2:
+                yield np.array([k1, k2, k3], dtype=float) / resolution
 
 
 def catalysis_search(source, target, catalyst_rank: int = 2,
@@ -232,13 +230,8 @@ def catalysis_search(source, target, catalyst_rank: int = 2,
         raise ValidationError(
             "catalysis-precondition",
             detail="the conversion is already deterministic without a catalyst")
-    if not _is_integer(catalyst_rank):
-        raise ValidationError(
-            "catalyst-rank", detail=f"catalyst rank must be an integer, got {catalyst_rank!r}")
-    if not _is_integer(resolution) or resolution < catalyst_rank:
-        raise ValidationError(
-            "resolution", detail=f"grid resolution must be an integer >= the catalyst rank, "
-                                 f"got {resolution!r}")
+    catalyst_rank = _count(catalyst_rank, "catalyst rank", "catalyst-rank", 2, 3)
+    resolution = _count(resolution, "grid resolution", "resolution", low=catalyst_rank)
     for cand in _catalyst_grid(catalyst_rank, resolution):
         cand = cand[cand > 0.0]
         if majorization_convertible(np.outer(src, cand).reshape(-1),
@@ -266,10 +259,8 @@ def two_qubit_conversion_kraus(alpha: float, beta: float) -> KrausSet:
     KrausSet
         Two operators on the two-qubit space, trace preserving.
     """
-    if not (_is_finite_real(alpha) and _is_finite_real(beta)):
-        raise ValidationError("amplitudes", detail="amplitudes must be finite real numbers")
-    if alpha < 0 or beta < 0:
-        raise ValidationError("amplitudes", detail="amplitudes must be nonnegative")
+    alpha = _real(alpha, "alpha", "amplitudes", low=0.0)
+    beta = _real(beta, "beta", "amplitudes", low=0.0)
     resid = abs(alpha ** 2 + beta ** 2 - 1.0)
     if not resid <= COEFF_SUM_TOL:
         raise ValidationError("amplitudes", resid, COEFF_SUM_TOL,

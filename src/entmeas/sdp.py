@@ -49,7 +49,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ValidationError
-from .states import _check_dims, _hermitian, _is_finite_real, _is_integer, partial_transpose
+from .states import (_check_dims, _count, _hermitian, _is_finite_real, _is_integer,
+                     partial_transpose)
 
 # the largest block side: a solve's Schur workspace holds about n^4 complex
 # entries for the pair rows and m^2 reals for the Schur matrix, 126 MB for
@@ -109,10 +110,7 @@ class SdpProblem:
 
     def _block(self, block) -> int:
         """A block index given from outside, as an int in range."""
-        if not (_is_integer(block) and 0 <= block < len(self.block_dims)):
-            raise ValidationError(
-                "block-index", detail=f"block {block!r} is not in range({len(self.block_dims)})")
-        return int(block)
+        return _count(block, "block", "block-index", high=len(self.block_dims) - 1)
 
     def set_objective(self, block: int, matrix) -> None:
         """Set the Hermitian objective coefficient of one block."""
@@ -561,8 +559,7 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         dual or primal objective gives ``"infeasible"`` or ``"unbounded"``;
         inconsistent dependent rows give ``"infeasible"`` with 0 iterations.
     """
-    if not (_is_integer(max_iterations) and max_iterations >= 1):
-        raise ValidationError("solver-config", detail="max_iterations must be an integer >= 1")
+    max_iterations = _count(max_iterations, "max_iterations", "solver-config", low=1)
     dims = problem.block_dims
     nblocks = len(dims)
     b = np.asarray(problem._rhs, dtype=float)

@@ -3,9 +3,11 @@
 All entropies and logarithms are base 2, so every quantity is reported in
 bits.  Subsystems are ordered left to right in row-major (C) tensor order,
 matching ``numpy.kron``.  Each kind of value taken from outside has one
-intake here, refusing with a ``ValidationError``: ``_numbers`` for arrays,
-``_choice`` for names, ``_is_integer`` for counts and ``_is_finite_real``
-for real scalars.
+intake here, returning it as a plain type or refusing it with a
+``ValidationError``: ``_numbers`` for arrays, ``_choice`` for names,
+``_count`` for counts, ``_real`` for real scalars and ``_path`` for file
+paths.  The predicates ``_is_integer`` and ``_is_finite_real`` remain for
+the element tests of sequences and for refusals that split by kind.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -59,6 +62,35 @@ def _choice(value, options, invariant: str, what: str):
         invariant, detail=f"unknown {what} {value!r}; valid {what}s: {', '.join(sorted(options))}")
 
 
+def _count(value, name: str, invariant: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, in
+    ``[low, high]``; anything else is refused naming ``invariant``."""
+    if _is_integer(value) and low <= value and (high is None or value <= high):
+        return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValidationError(invariant, detail=f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _real(value, name: str, invariant: str, low: float = -math.inf,
+          high: float = math.inf) -> float:
+    """``value`` as a float: a finite real number, not a bool, in the closed
+    interval ``[low, high]``; anything else is refused naming ``invariant``."""
+    if _is_finite_real(value) and low <= value <= high:
+        return float(value)
+    bound = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
+    raise ValidationError(
+        invariant, detail=f"{name} must be a finite real number{bound}, got {value!r}")
+
+
+def _path(value, name: str):
+    """``value`` when it is a file path, a ``str`` or ``os.PathLike``; an int
+    file descriptor, which ``open`` would read and close, or anything else
+    is refused naming ``path``."""
+    if isinstance(value, (str, os.PathLike)):
+        return value
+    raise ValidationError("path", detail=f"{name} must be a file path, got {value!r}")
+
+
 def _square(data, name: str, size: int | None = None) -> np.ndarray:
     mat = _numbers(data, name)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or size not in (None, mat.shape[0]):
@@ -71,13 +103,20 @@ def _hermitian(data, name: str = "matrix", size: int | None = None) -> np.ndarra
     """Validate a Hermitian operator given from outside; return its symmetrized copy.
 
     Takes finite numbers only (``_numbers``), checks the shape (``size x
-    size`` when given), then requires ``max|M - M^H| <= 1e-10``.
+    size`` when given), then requires ``max|M - M^H| <= 1e-10`` and a
+    symmetrized copy that does not overflow.
     """
     mat = _square(data, name, size)
-    resid = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
+    # finite entries can still overflow in the residual and the symmetrization,
+    # where a complex infinity halved is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
+        sym = (mat + mat.conj().T) / 2.0
     if not resid <= HERMITICITY_TOL:
         raise ValidationError("hermiticity", resid, HERMITICITY_TOL, detail=name)
-    return (mat + mat.conj().T) / 2.0
+    if not np.isfinite(sym).all():
+        raise ValidationError("non-finite", detail=f"{name} has overflowing entries")
+    return sym
 
 
 def _is_integer(value) -> bool:
@@ -168,7 +207,8 @@ class PureState:
 
     def __init__(self, vector, dims: Sequence[int]):
         vec = _numbers(vector, "vector").reshape(-1).copy()
-        nrm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):  # huge finite entries overflow to an infinite norm
+            nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValidationError("normalization", abs(nrm - 1.0), NORM_TOL)
         vec.setflags(write=False)
@@ -618,8 +658,7 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "
 
 def max_entangled(d: int = 2) -> PureState:
     """Maximally entangled state ``sum_i |ii> / sqrt(d)`` on two qudits."""
-    if not (_is_integer(d) and d >= 2):
-        raise ValidationError("dims", detail=f"local dimension must be an integer >= 2, got {d!r}")
+    d = _count(d, "local dimension", "dims", low=2)
     vec = np.zeros(d * d, dtype=complex)
     vec[:: d + 1] = 1.0 / np.sqrt(d)
     return PureState(vec, (d, d))
@@ -627,9 +666,7 @@ def max_entangled(d: int = 2) -> PureState:
 
 def ghz_state(n: int = 3) -> PureState:
     """GHZ state ``(|0...0> + |1...1>)/sqrt(2)`` on ``n`` qubits."""
-    if not (_is_integer(n) and n >= 2):
-        raise ValidationError(
-            "dims", detail=f"GHZ needs an integer number of qubits >= 2, got {n!r}")
+    n = _count(n, "GHZ qubit count", "dims", low=2)
     vec = np.zeros(2 ** n, dtype=complex)
     vec[0] = vec[-1] = 1.0 / np.sqrt(2)
     return PureState(vec, (2,) * n)
@@ -637,9 +674,7 @@ def ghz_state(n: int = 3) -> PureState:
 
 def w_state(n: int = 3) -> PureState:
     """W state, the uniform superposition of single-excitation basis states."""
-    if not (_is_integer(n) and n >= 2):
-        raise ValidationError(
-            "dims", detail=f"W needs an integer number of qubits >= 2, got {n!r}")
+    n = _count(n, "W qubit count", "dims", low=2)
     vec = np.zeros(2 ** n, dtype=complex)
     for k in range(n):
         vec[2 ** k] = 1.0 / np.sqrt(n)
@@ -694,7 +729,8 @@ def load_state(path):
 
     Parameters
     ----------
-    path : str or Path
+    path : str or os.PathLike
+        A file descriptor is refused, not read.
 
     Returns
     -------
@@ -705,15 +741,16 @@ def load_state(path):
     json.JSONDecodeError
         For malformed JSON (carries line and column).
     ValidationError
-        For structurally invalid payloads.
+        For a path that is not a ``str`` or ``os.PathLike`` and for
+        structurally invalid payloads.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_path(path, "state file"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     return state_from_dict(payload)
 
 
 def save_state(state, path) -> None:
     """Write a state to a JSON file in the canonical dictionary form."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_path(path, "state file"), "w", encoding="utf-8") as fh:
         json.dump(state_to_dict(state), fh)
         fh.write("\n")

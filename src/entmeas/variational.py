@@ -44,9 +44,9 @@ from .states import (
     _as_pure,
     _check_dims,
     _choice,
+    _count,
     _hermitian,
     _is_finite_real,
-    _is_integer,
     conditional_mutual_information,
     is_ppt,
     partial_trace,
@@ -159,14 +159,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(_is_integer(v) for v in (self.max_iterations, self.restarts, self.seed)):
-            raise ValidationError(
-                "solver-config", detail="iterations, restarts and seed must be integers")
-        if self.max_iterations < 1 or self.restarts < 1:
-            raise ValidationError(
-                "solver-config", detail="iteration and restart counts must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("solver-config", detail="seed must be >= 0")
+        _count(self.max_iterations, "max_iterations", "solver-config", low=1)
+        _count(self.restarts, "restarts", "solver-config", low=1)
+        _count(self.seed, "seed", "solver-config")
         gap = self.gap_tolerance
         if not (_is_finite_real(gap) and gap > 0.0):
             raise ValidationError(
@@ -521,10 +516,7 @@ def werner_regularized_ree(d: int, p: float) -> float:
         ``log2((d+2)/d) + (1-p) log2((d-2)/(d+2))``; the two branches agree
         at the breakpoint.
     """
-    if not (isinstance(d, (int, float, np.integer, np.floating))
-            and 2 <= d < math.inf and int(d) == d):
-        raise ValidationError("werner-domain", detail="d must be an integer >= 2")
-    d = int(d)
+    d = _count(d, "d", "werner-domain", low=2)
     if not (_is_finite_real(p) and 0.5 < p <= 1.0):
         raise ValidationError("werner-domain", detail="p must be a real number in (1/2, 1]")
     breakpoint_p = (d + 2.0) / (2.0 * d)
@@ -814,9 +806,7 @@ def eof_convex_roof(state, m: int | None = None,
     rank = int(keep.sum())
     cvecs = (vecs[:, keep] * np.sqrt(eigs[keep])).T
     m = rank * rank if m is None else m
-    if not (_is_integer(m) and m >= rank):
-        raise ValidationError(
-            "decomposition-size", detail=f"m={m!r} is not an integer >= rank {rank}")
+    m = _count(m, "m", "decomposition-size", low=rank)
 
     rng = np.random.default_rng(cfg.seed)
     restarts = min(cfg.restarts, 64)

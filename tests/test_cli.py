@@ -211,6 +211,33 @@ class TestBoundsCommand:
         assert code == 0
 
 
+def _leaves(data, prefix=""):
+    """Each JSON leaf as (dotted key, the text a table prints for it)."""
+    items = (data.items() if isinstance(data, dict)
+             else enumerate(data) if isinstance(data, list) else None)
+    if items is None:
+        yield prefix[:-1], data if isinstance(data, str) else json.dumps(data)
+        return
+    for key, val in items:
+        yield from _leaves(val, f"{prefix}{key}.")
+
+
+class TestTableFormat:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--state", "bell", "--skip", "rains", "--skip", "ree"],
+        ["batch", "--manifest", "broken"],
+    ], ids=["bounds", "batch"])
+    def test_table_prints_every_json_leaf(self, files, capsys, argv):
+        argv = [files.get(arg, arg) for arg in argv]
+        code, parsed = run_json(argv, capsys)
+        assert code == 0
+        assert main(argv + ["--format", "table"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line]
+        rows = dict(line.split(": ", 1) for line in lines)
+        assert len(rows) == len(lines)
+        assert rows == dict(_leaves(parsed))
+
+
 class TestConvertCommand:
     def test_probabilistic_conversion(self, files, capsys):
         code, out = run_json(
@@ -236,6 +263,15 @@ class TestConvertCommand:
         assert out["catalyst"] is not None
         assert out["catalyst_note"] == "verified"
         assert sum(out["catalyst"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_catalyst_not_needed_for_a_deterministic_pair(self, files, capsys):
+        code, out = run_json(
+            ["convert", "--source", files["tgt"], "--target", files["src"],
+             "--catalyst-rank", "2"], capsys)
+        assert code == 0
+        assert out["deterministic"] is True
+        assert out["catalyst"] is None
+        assert out["catalyst_note"] == "not needed; conversion is deterministic"
 
     def test_rejects_mixed_inputs(self, files, capsys):
         code = main(["convert", "--source", files["bell"],
@@ -320,6 +356,19 @@ class TestBatchCommand:
         assert code == 0
         assert "error" in out[0]
         assert out[1]["value"] == 1.0
+
+    @pytest.mark.parametrize("measures, code", [
+        (["logneg", "negativity"], 0),
+        (["logneg", "eof-roof"], 3),
+    ], ids=["exact", "eof-roof"])
+    def test_strict_looks_into_every_entry(self, files, tmp_path, capsys, measures, code):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"state": files["bell"], "measure": name, "overrides": {"restarts": 2}}
+            for name in measures]))
+        got, out = run_json(["batch", "--manifest", str(manifest), "--strict"], capsys)
+        assert got == code
+        assert [e["measure"] for e in out] == measures
 
     @pytest.mark.parametrize("bad", [
         {"overrides": {"restarts": "abc"}},
@@ -500,3 +549,21 @@ class TestRunConfig:
         assert config.seed is None
         assert config.fmt == "table"
         assert config.strict is False
+
+    @pytest.mark.parametrize("fields", [
+        {"command": "measure", "measure": "logneg"},
+        {"command": "bounds"},
+        {"command": "convert"},
+        {"command": "gaussian", "op": "entropy"},
+        {"command": "batch"},
+    ], ids=lambda f: f["command"])
+    def test_a_missing_path_exits_2(self, fields):
+        code, text = run(RunConfig(**fields))
+        assert code == 2
+        assert text.startswith("error: path")
+
+    def test_an_unknown_format_exits_2(self, files):
+        code, text = run(RunConfig(command="measure", state=files["bell"], measure="logneg",
+                                   fmt="yaml"))
+        assert code == 2
+        assert text.startswith("error: format")

@@ -82,6 +82,14 @@ class TestFormation:
         assert binary_entropy(1.0) == 0.0
         assert abs(binary_entropy(0.64) - 0.9426831892554922) < 1e-14
 
+    def test_binary_entropy_clamps_residue_and_refuses_the_rest(self):
+        assert binary_entropy(-5e-11) == 0.0
+        assert binary_entropy(1.0 + 5e-11) == 0.0
+        for p in (1.1, -1e-9):
+            with pytest.raises(ValidationError) as info:
+                binary_entropy(p)
+            assert info.value.invariant == "probability"
+
     def test_bell_state_is_one_bit(self):
         assert abs(eof_two_qubit(max_entangled(2)) - 1.0) < 1e-12
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ class TestValidation:
         pytest.param(lambda: symplectic_form(-1), "mode-count", id="symplectic_form-negative"),
         pytest.param(lambda: symplectic_form(33), "mode-count", id="symplectic_form-over-limit"),
         pytest.param(lambda: vacuum(True), "mode-count", id="vacuum-True"),
+        pytest.param(lambda: werner_regularized_ree(3.0, 0.9), "werner-domain",
+                     id="werner_regularized_ree-3.0"),
+        pytest.param(lambda: residual_tangle(ghz_state(3), True), "subsystem-index",
+                     id="residual_tangle-True"),
+        pytest.param(lambda: residual_tangle(ghz_state(3), 1.0), "subsystem-index",
+                     id="residual_tangle-1.0"),
+        pytest.param(lambda: residual_tangle(ghz_state(3), 3), "subsystem-index",
+                     id="residual_tangle-3"),
+        pytest.param(lambda: catalysis_search([0.4, 0.36, 0.24], [0.5, 0.25, 0.25],
+                                              catalyst_rank=4), "catalyst-rank",
+                     id="catalysis_search-rank-4"),
+        pytest.param(lambda: werner_state(2.0, 0.5), "werner-dimension",
+                     id="werner_state-2.0"),
+        pytest.param(lambda: covariance_from_dict({"modes": 1.0, "cov": np.eye(2)}),
+                     "cov-payload", id="covariance_from_dict-1.0"),
+        pytest.param(lambda: SdpProblem((2,)).set_objective(True, np.eye(2)), "block-index",
+                     id="SdpProblem-block-True"),
     ])
     def test_rejects_indices_and_counts_that_are_not_integers(self, call, invariant):
         with pytest.raises(ValidationError, match=invariant):
@@ -177,6 +195,13 @@ class TestValidation:
                      id="bounds_report-skip-str"),
         pytest.param(lambda: robustness(bell_rho(), ["global"]), "noise-kind",
                      id="robustness-noise-list"),
+        pytest.param(lambda: werner_state(2, 1.5), "werner-weight", id="werner_state-1.5"),
+        pytest.param(lambda: two_mode_squeezed(-0.1), "squeezing-domain",
+                     id="two_mode_squeezed-negative"),
+        pytest.param(lambda: thermal(0.5), "thermal-domain", id="thermal-0.5"),
+        pytest.param(lambda: mode_rotation(math.inf), "rotation-angle", id="mode_rotation-inf"),
+        pytest.param(lambda: two_qubit_conversion_kraus(1.0, True), "amplitudes",
+                     id="two_qubit_conversion_kraus-True"),
     ])
     def test_rejects_non_finite_scalars(self, call, invariant):
         with pytest.raises(ValidationError, match=invariant):
@@ -557,6 +582,76 @@ class TestArrayIntake:
         with pytest.raises(ValidationError) as info:
             call(data)
         assert info.value.invariant == invariant
+
+
+class TestHugeFiniteEntries:
+    """Finite entries whose norm or symmetrization overflows are refused
+    without an overflow warning, which the suite would turn into an error."""
+
+    HUGE = np.diag([1.7e308, 1.7e308])
+
+    @pytest.mark.parametrize("call, invariant", [
+        pytest.param(lambda: PureState([7e165, 0], [2]), "normalization", id="PureState"),
+        pytest.param(lambda: DensityOperator(TestHugeFiniteEntries.HUGE, [2]), "non-finite",
+                     id="DensityOperator"),
+        pytest.param(lambda: trace_norm(TestHugeFiniteEntries.HUGE), "non-finite",
+                     id="trace_norm"),
+        pytest.param(lambda: SdpProblem((2,)).set_objective(0, TestHugeFiniteEntries.HUGE),
+                     "non-finite", id="SdpProblem"),
+        pytest.param(lambda: DensityOperator([[0.5, 1.7e308], [-1.7e308, 0.5]], [2]),
+                     "hermiticity", id="DensityOperator-antisymmetric"),
+    ])
+    def test_refused_without_a_warning(self, call, invariant):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.invariant == invariant
+
+
+class TestScalarIntake:
+    """Counts pass ``states._count``, real scalars ``states._real`` and file
+    paths ``states._path``: each returns a plain type or names its
+    invariant."""
+
+    def test_count_returns_an_int_in_range(self):
+        from entmeas.states import _count
+
+        assert type(_count(np.int64(3), "n", "dims", 1, 3)) is int
+        for bad in (True, 3.0, "3", None, 0, 4):
+            with pytest.raises(ValidationError, match="dims"):
+                _count(bad, "n", "dims", 1, 3)
+
+    def test_real_returns_a_float_in_the_closed_interval(self):
+        from entmeas.states import _real
+
+        assert type(_real(np.float32(0.5), "p", "probability", 0.0, 1.0)) is float
+        assert _real(1, "p", "probability", 0.0, 1.0) == 1.0
+        for bad in (True, math.nan, math.inf, "0.5", None, 1.5, -0.1):
+            with pytest.raises(ValidationError, match="probability"):
+                _real(bad, "p", "probability", 0.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["load_state", "save_state"])
+    def test_file_descriptors_are_refused_and_left_open(self, tmp_path, name):
+        from entmeas import load_state, save_state
+
+        call = {"load_state": load_state,
+                "save_state": lambda fd: save_state(max_entangled(2), fd)}[name]
+        path = tmp_path / "bell.json"
+        save_state(max_entangled(2), path)
+        fd = os.open(path, os.O_RDWR)
+        try:
+            with pytest.raises(ValidationError) as info:
+                call(fd)
+            assert info.value.invariant == "path"
+            os.fstat(fd)  # OSError once the descriptor is closed
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("path", [None, 1.5, b"bell.json"], ids=repr)
+    def test_other_non_paths_are_refused(self, path):
+        from entmeas import load_state
+
+        with pytest.raises(ValidationError, match="path"):
+            load_state(path)
 
 
 class TestStateArguments:
