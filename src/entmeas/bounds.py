@@ -106,7 +106,7 @@ def conditional_entropy(rho) -> float:
         usable for distillation.
     """
     rho = _as_density(rho, "conditional_entropy", bipartite=True)
-    return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, 0))
+    return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, 1))
 
 
 def hashing_lower_bound(rho) -> float:
@@ -128,8 +128,8 @@ def hashing_lower_bound(rho) -> float:
     """
     rho = _as_density(rho, "hashing_lower_bound", bipartite=True)
     s_ab = von_neumann_entropy(rho)
-    s_a = von_neumann_entropy(partial_trace(rho, 1))
-    s_b = von_neumann_entropy(partial_trace(rho, 0))
+    s_a = von_neumann_entropy(partial_trace(rho, 0))
+    s_b = von_neumann_entropy(partial_trace(rho, 1))
     return max(s_a - s_ab, s_b - s_ab, 0.0)
 
 

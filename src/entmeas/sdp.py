@@ -46,7 +46,6 @@ import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .states import (_check_dims, _count, _hermitian, _is_finite_real, _is_integer,
@@ -409,11 +408,23 @@ def _full_row_rank(gram: np.ndarray) -> bool:
     The test is a Cholesky factor, written over a Fortran-ordered ``gram``,
     with a reciprocal condition estimate well above round-off.
     """
-    norm = scipy.linalg.lapack.dlange("1", gram)
-    factor, info = scipy.linalg.lapack.dpotrf(gram, lower=True, clean=False, overwrite_a=True)
+    from scipy.linalg import lapack
+    norm = lapack.dlange("1", gram)
+    factor, info = lapack.dpotrf(gram, lower=True, clean=False, overwrite_a=True)
     if info == 0:
-        rcond, info = scipy.linalg.lapack.dpocon(factor, norm, uplo="L")
+        rcond, info = lapack.dpocon(factor, norm, uplo="L")
     return info == 0 and rcond > _RANK_RCOND
+
+
+def _cholesky(mat: np.ndarray):
+    """``rhs -> mat^-1 rhs`` by the upper Cholesky factor of ``mat`` (written
+    over it when Fortran-ordered), or None if ``mat`` is not positive definite:
+    the one factorization of both interior-point engines, loading scipy lazily."""
+    from scipy.linalg import lapack
+    factor, info = lapack.dpotrf(mat, lower=False, clean=False, overwrite_a=True)
+    if info != 0:
+        return None
+    return lambda rhs: lapack.dpotrs(factor, rhs, lower=False)[0]
 
 
 def _linear_consistency(gram: np.ndarray, b: np.ndarray) -> bool:
@@ -648,9 +659,8 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
                 return _diverged(last, "infeasible", 0)
         schur.flat[::m + 1] += 1e-13 * max(1.0, schur.diagonal().max())
         # one factorization serves the predictor and the corrector
-        try:
-            factor = scipy.linalg.cho_factor(schur, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        solve = _cholesky(schur)
+        if solve is None:
             break
         base = [x + x @ rd @ si for x, rd, si in zip(xs, rds, sinvs)]
 
@@ -659,7 +669,7 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
             # dS = rd - A^T(dy) is M dy = rp + A(X + X rd S^-1 - sigma_mu S^-1 + corr)
             rhs = rp + sum(op.apply(bm - sigma_mu * si + cm)
                            for op, bm, si, cm in zip(ops, base, sinvs, corr_mats))
-            dy = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            dy = solve(rhs)
             dss = [rd - op.adjoint(dy) for rd, op in zip(rds, ops)]
             dxs = [sigma_mu * si - x - x @ ds @ si - cm
                    for x, ds, si, cm in zip(xs, dss, sinvs, corr_mats)]

@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,6 +35,8 @@ CMI_TOL = 1e-9
 PPT_TOL = 1e-12
 
 _STATUSES = ("exact", "converged", "best_effort")
+# the largest float, exactly, as an int
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def _numbers(data, name: str, dtype=complex, invariant: str = "non-finite") -> np.ndarray:
@@ -125,9 +128,14 @@ def _is_integer(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
-    """True for a finite real number, Python or numpy; bools are not numbers."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) < math.inf)
+    """True for a finite real number, Python or numpy, that a float holds;
+    bools are not numbers.  An integer is compared as an integer, so a
+    Python int past the float range is refused instead of overflowing."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    if isinstance(value, numbers.Integral):
+        return abs(int(value)) <= _FLOAT_MAX
+    return abs(value) < math.inf
 
 
 def _check_dims(dims: Sequence[int], size: int) -> tuple[int, ...]:

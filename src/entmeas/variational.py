@@ -21,7 +21,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .closed_form import binary_entropy
 from .errors import ValidationError
@@ -31,6 +30,7 @@ from .sdp import (
     SdpSolution,
     _BlockOperator,
     _SchurWorkspace,
+    _cholesky,
     _eigen_blocks,
     _max_step,
     dual_bound,
@@ -412,12 +412,10 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
     while True:
         while steps < cfg.max_iterations:
             grad, hess = _newton_system(rho, ops, eigs, t, work)
-            try:
-                factor = scipy.linalg.cho_factor(hess)
-            except np.linalg.LinAlgError:
+            solve = _cholesky(hess)
+            if solve is None:
                 break
-            dx = -scipy.linalg.cho_solve(factor, grad)
-            toward = scipy.linalg.cho_solve(factor, equality)
+            dx, toward = solve(np.column_stack((-grad, equality))).T
             dx -= toward * (equality @ dx) / (equality @ toward)
             decrement = -float(grad @ dx)
             merit = t * f + barrier

@@ -54,6 +54,11 @@ class TestConditionalEntropy:
         rho = DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
         assert conditional_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
+    def test_conditions_on_the_second_party(self):
+        # |0><0| (x) I/2: S(AB) = S(B) = 1, so S(A|B) = 0 while S(B|A) = 1
+        rho = DensityOperator(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2))
+        assert conditional_entropy(rho) == pytest.approx(0.0, abs=1e-12)
+
     def test_requires_bipartite_input(self):
         with pytest.raises(ValidationError, match="bipartite"):
             conditional_entropy(DensityOperator(np.eye(8) / 8, (2, 2, 2)))

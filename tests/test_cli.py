@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import json
 import math
 import os
@@ -382,6 +383,7 @@ class TestBatchCommand:
         {"state": None},
         {"state": 0},
         {"state": 1},
+        {"overrides": {"tolerance": 1e-6}},
     ], ids=repr)
     def test_malformed_entry_is_its_own_error(self, files, tmp_path, capsys, bad):
         manifest = tmp_path / "manifest.json"
@@ -393,6 +395,22 @@ class TestBatchCommand:
         assert code == 0
         assert "value" not in out[0]
         assert out[0]["error"].startswith(("solver-config", "manifest-entry"))
+        assert out[1]["value"] == 1.0
+
+    def test_manifest_that_is_not_an_array_is_refused(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"state": "bell.json", "measure": "logneg"}))
+        code, text = run(RunConfig(command="batch", manifest=str(manifest), fmt="json"))
+        assert code == 2
+        assert "manifest" in text
+
+    @pytest.mark.parametrize("entry", [3, {"state": "bell.json"}], ids=["number", "no-measure"])
+    def test_entry_that_is_no_request_is_its_own_error(self, files, tmp_path, capsys, entry):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([entry, {"state": files["bell"], "measure": "logneg"}]))
+        code, out = run_json(["batch", "--manifest", str(manifest)], capsys)
+        assert code == 0
+        assert out[0]["error"].startswith("manifest-entry")
         assert out[1]["value"] == 1.0
 
 
@@ -442,6 +460,45 @@ class TestImportCost:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    def test_exact_commands_load_no_scipy(self, tmp_path):
+        # scipy's LAPACK is loaded by the first SDP or barrier solve alone
+        path = tmp_path / "bell.json"
+        save_state(max_entangled(2).to_density(), path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = (
+            "import sys, entmeas, entmeas.cli as cli\n"
+            f"config = dict(command='measure', state={str(path)!r}, fmt='json')\n"
+            "assert cli.run(cli.RunConfig(**config, measure='logneg'))[0] == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "assert cli.run(cli.RunConfig(**config, measure='robustness'))[0] == 0\n"
+            "print('scipy.linalg' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:2] == ["[]", "True"]
+
+    def test_only_sdp_imports_scipy_and_only_inside_functions(self):
+        package = Path(__file__).resolve().parents[1] / "src" / "entmeas"
+        found = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inside = {id(node) for func in ast.walk(tree)
+                      if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      for node in ast.walk(func)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    found.append((path.name, node.lineno, id(node) in inside))
+        assert found, "sdp.py imports scipy for its solvers"
+        assert all(name == "sdp.py" and inside for name, _, inside in found), found
 
 
 class TestSolverErrorBoundary:

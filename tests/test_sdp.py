@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 
 from entmeas import ValidationError, partial_transpose, sdp
@@ -231,10 +230,13 @@ class TestValidationAndLimits:
             {0: (np.nan, (1,)), 1: (-1.0, ())}, None, (2, 2))),
         ("constraint", lambda prob: prob.add_operator_equation(
             {0: (1.0j, (1,)), 1: (-1.0, ())}, None, (2, 2))),
+        ("constraint", lambda prob: prob.add_equality({0: np.eye(4)}, 10**400)),
+        ("constraint", lambda prob: prob.add_operator_equation(
+            {0: (10**400, (1,)), 1: (-1.0, ())}, None, (2, 2))),
     ], ids=["fractional-dim", "bool-dim", "dims-not-a-sequence", "nan-dim",
             "fractional-index", "negative-index", "index-past-the-end",
             "negative-objective-index", "negative-equation-index", "nan-rhs", "inf-rhs",
-            "complex-rhs", "nan-sign", "complex-sign"])
+            "complex-rhs", "nan-sign", "complex-sign", "huge-int-rhs", "huge-int-sign"])
     def test_refuses_bad_dims_indices_and_numbers(self, invariant, action):
         prob = SdpProblem((4, 4))
         with pytest.raises(ValidationError, match=invariant):
@@ -667,15 +669,13 @@ class TestEigenFactorization:
         prob.set_objective(0, herm(rng, 4))
         plain = sdp_solve(prob)
         assert plain.status == "optimal"
-        factor, calls = scipy.linalg.cho_factor, []
+        cholesky, calls = sdp._cholesky, []
 
-        def fails_on_the_sixth_call(*args, **kwargs):
+        def fails_on_the_sixth_call(mat):
             calls.append(None)
-            if len(calls) == 6:
-                raise np.linalg.LinAlgError("not positive definite")
-            return factor(*args, **kwargs)
+            return None if len(calls) == 6 else cholesky(mat)
 
-        monkeypatch.setattr(sdp.scipy.linalg, "cho_factor", fails_on_the_sixth_call)
+        monkeypatch.setattr(sdp, "_cholesky", fails_on_the_sixth_call)
         sol = sdp_solve(prob)
         assert sol.iterations == 5
         assert dual_bound(prob, sol.y) <= plain.value

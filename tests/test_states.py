@@ -202,6 +202,14 @@ class TestValidation:
         pytest.param(lambda: mode_rotation(math.inf), "rotation-angle", id="mode_rotation-inf"),
         pytest.param(lambda: two_qubit_conversion_kraus(1.0, True), "amplitudes",
                      id="two_qubit_conversion_kraus-True"),
+        # Python ints past the float range, which float() would overflow on
+        pytest.param(lambda: thermal(10**400), "thermal-domain", id="thermal-huge-int"),
+        pytest.param(lambda: two_mode_squeezed(10**400), "squeezing-domain",
+                     id="two_mode_squeezed-huge-int"),
+        pytest.param(lambda: mode_rotation(10**400), "rotation-angle",
+                     id="mode_rotation-huge-int"),
+        pytest.param(lambda: ConeSpec("all-PSD", 10**400), "cone-normalization",
+                     id="ConeSpec-huge-int"),
     ])
     def test_rejects_non_finite_scalars(self, call, invariant):
         with pytest.raises(ValidationError, match=invariant):
@@ -246,6 +254,24 @@ class TestValidation:
             KrausSet([half], trace_preserving=True)
         ks = KrausSet([half, half], trace_preserving=True)
         assert len(ks) == 2
+
+    @pytest.mark.parametrize("call, invariant", [
+        pytest.param(lambda: KrausSet([]), "kraus-set", id="KrausSet-empty"),
+        pytest.param(lambda: apply_kraus(KrausSet([np.eye(2)]), bell_rho()), "shape",
+                     id="apply_kraus-input-dimension"),
+        pytest.param(lambda: apply_kraus(KrausSet([np.diag([1.0, 0.0, 0.0, 0.0])],
+                                                  trace_preserving=False),
+                                         DensityOperator(np.diag([0.0, 1.0, 0.0, 0.0]), (2, 2))),
+                     "trace-preservation", id="apply_kraus-vanishing-trace"),
+        pytest.param(lambda: relative_entropy(bell_rho(), DensityOperator(np.eye(2) / 2, (2,))),
+                     "shape", id="relative_entropy-sizes"),
+        pytest.param(lambda: state_to_dict(3), "state-format", id="state_to_dict-int"),
+        pytest.param(lambda: covariance_from_dict([1]), "cov-payload",
+                     id="covariance_from_dict-list"),
+    ])
+    def test_refuses_malformed_arguments(self, call, invariant):
+        with pytest.raises(ValidationError, match=invariant):
+            call()
 
     def test_measure_result_invariants(self):
         with pytest.raises(ValidationError):
@@ -625,9 +651,13 @@ class TestScalarIntake:
 
         assert type(_real(np.float32(0.5), "p", "probability", 0.0, 1.0)) is float
         assert _real(1, "p", "probability", 0.0, 1.0) == 1.0
+        assert _real(2**1023, "x", "value") == 2.0**1023
         for bad in (True, math.nan, math.inf, "0.5", None, 1.5, -0.1):
             with pytest.raises(ValidationError, match="probability"):
                 _real(bad, "p", "probability", 0.0, 1.0)
+        for huge in (10**400, -10**400):
+            with pytest.raises(ValidationError, match="value"):
+                _real(huge, "x", "value")
 
     @pytest.mark.parametrize("name", ["load_state", "save_state"])
     def test_file_descriptors_are_refused_and_left_open(self, tmp_path, name):

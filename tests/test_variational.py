@@ -645,6 +645,11 @@ class TestGeometricMeasure:
         with pytest.raises(ValidationError, match="state-type"):
             geometric_measure(BELL)
 
+    def test_one_party_state_is_zero(self):
+        res = geometric_measure(PureState([0.6, 0.8], (2,)))
+        assert res.value == 0.0
+        assert res.witness_payload["max_overlap_sq"] == 1.0
+
 
 class TestRainsBound:
     def test_ppt_input_is_zero(self):
@@ -760,6 +765,27 @@ class TestBarrierNewton:
         assert np.allclose(ops[2].adjoint(x), n, atol=1e-14)
         assert np.array_equal(ops[0].rows, np.arange(36))
         self.check_derivatives(rho.matrix, ops, x)
+
+    @pytest.mark.parametrize("first_failure", [1, 5, 12])
+    def test_failed_factorization_ends_at_the_best_point(self, monkeypatch, first_failure):
+        """A Newton system that is not positive definite ends each centering
+        at its best point; the certificate still brackets the closed form."""
+        cholesky, calls = variational._cholesky, []
+
+        def fails_from_the_kth_call(mat):
+            calls.append(None)
+            return None if len(calls) >= first_failure else cholesky(mat)
+
+        monkeypatch.setattr(variational, "_cholesky", fails_from_the_kth_call)
+        bell_basis = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
+                               [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
+        lam = np.array([0.7, 0.15, 0.1, 0.05])
+        res = relative_entropy_of_entanglement(
+            DensityOperator((bell_basis.T * lam) @ bell_basis, (2, 2)))
+        closed = 1.0 - binary_entropy(0.7)
+        assert len(calls) >= first_failure
+        assert res.status == "best_effort"
+        assert res.value - res.gap - 1e-9 <= closed <= res.value + 1e-9
 
     def test_coordinates_eliminate_each_slack(self):
         """Each certificate table's slack block becomes a sum of the free
