@@ -18,11 +18,13 @@ import numpy as np
 from .closed_form import log_negativity
 from .errors import ValidationError
 from .states import (
+    _PAIR_SIDE_LIMIT,
     DensityOperator,
     _as_density,
     _choice,
     _count,
     _real,
+    _shown,
     is_ppt,
     partial_trace,
     von_neumann_entropy,
@@ -143,7 +145,8 @@ def werner_state(d: int, p: float) -> DensityOperator:
     Parameters
     ----------
     d : int
-        Local dimension, at least 2.
+        Local dimension, 2 to 32 (total dimension at most
+        ``states.STATE_DIM_LIMIT``).
     p : float
         Antisymmetric weight in [0, 1].
 
@@ -152,7 +155,7 @@ def werner_state(d: int, p: float) -> DensityOperator:
     DensityOperator
         The Werner state with dims ``(d, d)``.
     """
-    d = _count(d, "local dimension", "werner-dimension", low=2)
+    d = _count(d, "local dimension", "werner-dimension", low=2, high=_PAIR_SIDE_LIMIT)
     p = _real(p, "antisymmetric weight", "werner-weight", low=0.0, high=1.0)
     flip = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
     eye = np.eye(d * d)
@@ -210,7 +213,7 @@ def bounds_report(rho, config: SolverConfig | None = None,
     rho = _as_density(rho, "bounds_report", bipartite=True)
     if isinstance(skip, str) or not isinstance(skip, Iterable):
         raise ValidationError(
-            "skip-names", detail=f"skip must be a sequence of bound names, got {skip!r}")
+            "skip-names", detail=f"skip must be a sequence of bound names, got {_shown(skip)}")
     skip = {_choice(name, ("rains", "ree"), "skip-names", "bound name") for name in skip}
     # the witness exists exactly when is_ppt fails, so flag and note agree
     witness, violation = witness_violation(rho)

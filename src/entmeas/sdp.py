@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .states import (_check_dims, _count, _hermitian, _is_finite_real, _is_integer,
-                     partial_transpose)
+                     _shown, partial_transpose)
 
 # the largest block side: a solve's Schur workspace holds about n^4 complex
 # entries for the pair rows and m^2 reals for the Schur matrix, 126 MB for
@@ -86,16 +86,15 @@ class SdpProblem:
         if not dims or not all(_is_integer(n) and n >= 1 for n in dims):
             raise ValidationError(
                 "block-dims",
-                detail=f"block dimensions must be positive integers, got {block_dims!r}")
+                detail=f"block dimensions must be positive integers, got {_shown(block_dims)}")
         self.block_dims = tuple(int(n) for n in dims)
         if max(self.block_dims) > MAX_BLOCK_DIM:
-            raise ValidationError(
-                "block-dims", float(max(self.block_dims)), float(MAX_BLOCK_DIM),
-                detail="block side exceeds the supported limit")
+            raise ValidationError("block-dims", detail=(
+                f"block side {_shown(max(self.block_dims))} exceeds the limit {MAX_BLOCK_DIM}"))
         if sum(self.block_dims) > MAX_TOTAL_DIM:
-            raise ValidationError(
-                "block-dims", float(sum(self.block_dims)), float(MAX_TOTAL_DIM),
-                detail="total dimension exceeds the supported limit")
+            raise ValidationError("block-dims", detail=(
+                f"total dimension {_shown(sum(self.block_dims))} exceeds the limit "
+                f"{MAX_TOTAL_DIM}"))
         self._objective = [np.zeros((n, n), dtype=complex) for n in self.block_dims]
         # per block, (row, column, value) chunks of the row-major flattened
         # constraint coefficients, in the order the rows were added
@@ -187,10 +186,14 @@ class SdpProblem:
 
     def _block_entries(self, block: int):
         """The stored ``(row, column, value)`` entries of one block, in row
-        order, joined once in place."""
+        order, with the bins of ``_adjoint``: the real and imaginary parts of
+        an entry in column c go to bins 2c and 2c + 1.  Joined once in place."""
         chunks = self._entries[block]
-        if len(chunks) > 1:
-            chunks[:] = [tuple(np.concatenate(part) for part in zip(*chunks))]
+        if len(chunks) > 1 or len(chunks[0]) == 3:
+            rows, cols, vals = (np.concatenate(part) for part in zip(*(c[:3] for c in chunks)))
+            bins = (2 * cols).repeat(2)
+            bins[1::2] += 1
+            chunks[:] = [(rows, cols, vals, bins)]
         return chunks[0]
 
 
@@ -199,7 +202,8 @@ def _operator_term(block, term) -> tuple[float, tuple]:
     if not (isinstance(term, Sequence) and len(term) == 2 and isinstance(term[1], Sequence)
             and all(_is_integer(p) for p in term[1])):
         raise ValidationError(
-            "constraint", detail=f"term of block {block!r} is not (sign, parties): {term!r}")
+            "constraint",
+            detail=f"term of block {_shown(block)} is not (sign, parties): {_shown(term)}")
     return _finite_real(term[0], f"sign of block {block}"), tuple(term[1])
 
 
@@ -209,7 +213,7 @@ def _finite_real(value, name: str) -> float:
     if not _is_finite_real(value):
         if isinstance(value, (float, np.floating)):
             raise ValidationError("non-finite", detail=f"{name} is {value!r}")
-        raise ValidationError("constraint", detail=f"{name} {value!r} is not a real number")
+        raise ValidationError("constraint", detail=f"{name} {_shown(value)} is not a real number")
     return float(value)
 
 
@@ -267,7 +271,7 @@ class _BlockOperator:
         self.problem, self.block = problem, block
         self.n = problem.block_dims[block]
         self.m = problem.num_constraints
-        rows, cols, vals = problem._block_entries(block)
+        rows, cols, vals, _ = problem._block_entries(block)
         # entry `rank` of touched row `group` fills slot rank % 2 of the
         # row's pair row rank // 2: the first at index group, the others
         # after all first ones
@@ -301,7 +305,7 @@ class _BlockOperator:
 
     def dense(self) -> np.ndarray:
         """The rows as a dense ``(m, n*n)`` matrix, one scatter of the entries."""
-        rows, cols, vals = self.problem._block_entries(self.block)
+        rows, cols, vals, _ = self.problem._block_entries(self.block)
         mat = np.zeros((self.m, self.n * self.n), dtype=complex)
         mat[rows, cols] = vals
         return mat
@@ -437,7 +441,7 @@ def _linear_consistency(gram: np.ndarray, b: np.ndarray) -> bool:
 
 def _apply(problem: SdpProblem, block: int, x: np.ndarray) -> np.ndarray:
     """The vector ``Re tr(A_i X)`` over all rows, from the stored entries."""
-    rows, cols, vals = problem._block_entries(block)
+    rows, cols, vals, _ = problem._block_entries(block)
     return np.bincount(rows, np.real(vals * x.T.reshape(-1)[cols]),
                        minlength=problem.num_constraints)
 
@@ -445,15 +449,14 @@ def _apply(problem: SdpProblem, block: int, x: np.ndarray) -> np.ndarray:
 def _adjoint(problem: SdpProblem, block: int, y: np.ndarray) -> np.ndarray:
     """The matrix ``sum_i y_i A_i``, from the stored entries.
 
-    ``np.bincount`` takes only real weights, so the real and imaginary parts
-    of the coefficients are summed apart.
+    ``np.bincount`` takes only real weights, so one pass sums the real and
+    imaginary parts of the weighted entries into interleaved bins, read back
+    as the complex matrix.
     """
     n = problem.block_dims[block]
-    rows, cols, vals = problem._block_entries(block)
-    weights = np.asarray(y, dtype=float)[rows]
-    flat = (np.bincount(cols, vals.real * weights, minlength=n * n)
-            + 1j * np.bincount(cols, vals.imag * weights, minlength=n * n))
-    return flat.reshape(n, n)
+    rows, _, vals, bins = problem._block_entries(block)
+    parts = (vals * np.asarray(y, dtype=float)[rows]).view(float)
+    return np.bincount(bins, parts, minlength=2 * n * n).view(complex).reshape(n, n)
 
 
 def _verify(problem: SdpProblem, sol: SdpSolution,

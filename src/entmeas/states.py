@@ -34,6 +34,14 @@ OUTCOME_CUTOFF = 1e-14
 CMI_TOL = 1e-9
 PPT_TOL = 1e-12
 
+# the largest total dimension of a state built from a count alone
+# (``max_entangled``, ``ghz_state``, ``w_state``, ``bounds.werner_state``):
+# its density matrix holds 16 MB, and each count is refused above it before
+# anything is allocated
+STATE_DIM_LIMIT = 1024
+_QUBIT_LIMIT = STATE_DIM_LIMIT.bit_length() - 1
+_PAIR_SIDE_LIMIT = math.isqrt(STATE_DIM_LIMIT)
+
 _STATUSES = ("exact", "converged", "best_effort")
 # the largest float, exactly, as an int
 _FLOAT_MAX = int(sys.float_info.max)
@@ -56,13 +64,24 @@ def _numbers(data, name: str, dtype=complex, invariant: str = "non-finite") -> n
     return arr
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal text.  Python refuses to write an int of
+    more than ``sys.get_int_max_str_digits()`` digits, alone or inside a
+    container, so such a value is named by its type instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _choice(value, options, invariant: str, what: str):
     """``value`` when it is a string among ``options``; anything else is
     refused naming ``invariant``, with the valid options listed."""
     if isinstance(value, str) and value in options:
         return value
     raise ValidationError(
-        invariant, detail=f"unknown {what} {value!r}; valid {what}s: {', '.join(sorted(options))}")
+        invariant,
+        detail=f"unknown {what} {_shown(value)}; valid {what}s: {', '.join(sorted(options))}")
 
 
 def _count(value, name: str, invariant: str, low: int = 0, high: int | None = None) -> int:
@@ -71,7 +90,8 @@ def _count(value, name: str, invariant: str, low: int = 0, high: int | None = No
     if _is_integer(value) and low <= value and (high is None or value <= high):
         return int(value)
     bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-    raise ValidationError(invariant, detail=f"{name} must be an integer {bound}, got {value!r}")
+    raise ValidationError(
+        invariant, detail=f"{name} must be an integer {bound}, got {_shown(value)}")
 
 
 def _real(value, name: str, invariant: str, low: float = -math.inf,
@@ -82,7 +102,7 @@ def _real(value, name: str, invariant: str, low: float = -math.inf,
         return float(value)
     bound = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
     raise ValidationError(
-        invariant, detail=f"{name} must be a finite real number{bound}, got {value!r}")
+        invariant, detail=f"{name} must be a finite real number{bound}, got {_shown(value)}")
 
 
 def _path(value, name: str):
@@ -91,7 +111,7 @@ def _path(value, name: str):
     is refused naming ``path``."""
     if isinstance(value, (str, os.PathLike)):
         return value
-    raise ValidationError("path", detail=f"{name} must be a file path, got {value!r}")
+    raise ValidationError("path", detail=f"{name} must be a file path, got {_shown(value)}")
 
 
 def _square(data, name: str, size: int | None = None) -> np.ndarray:
@@ -147,13 +167,15 @@ def _check_dims(dims: Sequence[int], size: int) -> tuple[int, ...]:
         values = None
     if values is None or not all(_is_integer(d) for d in values):
         raise ValidationError(
-            "dims", detail=f"subsystem dimensions must be a sequence of integers, got {dims!r}")
+            "dims",
+            detail=f"subsystem dimensions must be a sequence of integers, got {_shown(dims)}")
     dims = tuple(int(d) for d in values)
     if not dims or any(d < 1 for d in dims):
-        raise ValidationError("dims", detail=f"subsystem dimensions must be positive, got {dims}")
+        raise ValidationError(
+            "dims", detail=f"subsystem dimensions must be positive, got {_shown(dims)}")
     if math.prod(dims) != size:
         raise ValidationError(
-            "dims", detail=f"product of dims {dims} does not match size {size}")
+            "dims", detail=f"product of dims {_shown(dims)} does not match size {size}")
     return dims
 
 
@@ -256,7 +278,7 @@ class KrausSet:
     def __init__(self, operators: Sequence, trace_preserving: bool = True):
         if not isinstance(operators, Iterable):
             raise ValidationError(
-                "kraus-set", detail=f"operators must be a sequence, got {operators!r}")
+                "kraus-set", detail=f"operators must be a sequence, got {_shown(operators)}")
         ops = [_numbers(op, f"Kraus operator {k}").copy() for k, op in enumerate(operators)]
         if not ops:
             raise ValidationError("kraus-set", detail="at least one operator is required")
@@ -355,11 +377,11 @@ def _subsystems(indices: Iterable[int] | int, n: int, name: str,
     iterable = isinstance(indices, Iterable) and getattr(indices, "ndim", 1) > 0
     values = tuple(indices) if iterable else (indices,)
     if not all(_is_integer(k) for k in values):
-        raise ValidationError(invariant, detail=f"{name}={indices!r} must be integers")
+        raise ValidationError(invariant, detail=f"{name}={_shown(indices)} must be integers")
     indices = tuple(sorted(set(int(k) for k in values)))
     if not indices or any(k < 0 or k >= n for k in indices):
         raise ValidationError(invariant,
-                              detail=f"{name}={indices} out of range for {n} subsystems")
+                              detail=f"{name}={_shown(indices)} out of range for {n} subsystems")
     return indices
 
 
@@ -665,24 +687,27 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "
 
 
 def max_entangled(d: int = 2) -> PureState:
-    """Maximally entangled state ``sum_i |ii> / sqrt(d)`` on two qudits."""
-    d = _count(d, "local dimension", "dims", low=2)
+    """Maximally entangled state ``sum_i |ii> / sqrt(d)`` on two qudits,
+    ``d <= 32`` (total dimension at most ``STATE_DIM_LIMIT``)."""
+    d = _count(d, "local dimension", "dims", low=2, high=_PAIR_SIDE_LIMIT)
     vec = np.zeros(d * d, dtype=complex)
     vec[:: d + 1] = 1.0 / np.sqrt(d)
     return PureState(vec, (d, d))
 
 
 def ghz_state(n: int = 3) -> PureState:
-    """GHZ state ``(|0...0> + |1...1>)/sqrt(2)`` on ``n`` qubits."""
-    n = _count(n, "GHZ qubit count", "dims", low=2)
+    """GHZ state ``(|0...0> + |1...1>)/sqrt(2)`` on ``n <= 10`` qubits
+    (total dimension at most ``STATE_DIM_LIMIT``)."""
+    n = _count(n, "GHZ qubit count", "dims", low=2, high=_QUBIT_LIMIT)
     vec = np.zeros(2 ** n, dtype=complex)
     vec[0] = vec[-1] = 1.0 / np.sqrt(2)
     return PureState(vec, (2,) * n)
 
 
 def w_state(n: int = 3) -> PureState:
-    """W state, the uniform superposition of single-excitation basis states."""
-    n = _count(n, "W qubit count", "dims", low=2)
+    """W state, the uniform superposition of single-excitation basis states,
+    on ``n <= 10`` qubits (total dimension at most ``STATE_DIM_LIMIT``)."""
+    n = _count(n, "W qubit count", "dims", low=2, high=_QUBIT_LIMIT)
     vec = np.zeros(2 ** n, dtype=complex)
     for k in range(n):
         vec[2 ** k] = 1.0 / np.sqrt(n)

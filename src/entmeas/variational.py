@@ -47,6 +47,7 @@ from .states import (
     _count,
     _hermitian,
     _is_finite_real,
+    _shown,
     conditional_mutual_information,
     is_ppt,
     partial_trace,
@@ -81,7 +82,7 @@ _LN2 = math.log(2.0)
 # have blocks of the state's side
 PPT_DIM_LIMIT = MAX_BLOCK_DIM
 ROOF_DIM_LIMIT = 16
-RAINS_DIM_LIMIT = 16
+RAINS_DIM_LIMIT = 25
 GEOMETRIC_DIM_LIMIT = 64
 
 
@@ -121,7 +122,7 @@ class ConeSpec:
         if not _is_finite_real(alpha):
             raise ValidationError(
                 "cone-normalization",
-                detail=f"normalization must be a finite real number, got {alpha!r}")
+                detail=f"normalization must be a finite real number, got {_shown(alpha)}")
         if self.kind == "negated-PSD":
             if not alpha < 0.0:
                 raise ValidationError(
@@ -287,9 +288,17 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
     return bound, _clean_state(sol.blocks[0])
 
 
-# Barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11): growing t
-# by 8 took 59-69 Newton steps on 2x2 states, by 32 31-42, by 64 hit the cap.
-_T_GROWTH = 32.0
+# Barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11), t grown by
+# this factor after each predictor step.  Newton steps with the predictor, over
+# 46 Ginibre states from default_rng(2024) (2x2 to 4x4 at ranks 1, 2, n/2 and n)
+# and over one traced round of the ree-bounds benchmark (2x2 states):
+#   growth               32    128    256    512   1000   (32, no predictor)
+#   46 states, REE     1707   1514   1567   1557   1788   2108
+#   46 states, Rains   1961   1701   1715   1643   1869   2217
+#   ree-bounds round    295    316    297    284    211    430
+# 1000 is fastest at 2x2 but costs rank-2 states at 3x3 to 4x4 up to 85 steps;
+# 512 keeps both sweeps below 1600 and 1800 steps and the round below 300.
+_T_GROWTH = 512.0
 _CENTERED = 1e-9  # Newton decrement lambda^2 / 2 that ends a centering,
 _RESOLVED = 1e-12  # or this share of t f + barrier, below which the line
 # search sees only rounding: without it a 4x4 state ran to the step cap
@@ -297,15 +306,22 @@ _RESOLVED = 1e-12  # or this share of t f + barrier, below which the line
 
 def _log_gradient(rho: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple:
     """The gradient ``G = -V (d1 o rho~) V^H`` of ``f = -tr(rho log M)`` at
-    ``M = V diag(w) V^H``, with ``d1 = log[w_i, w_k]`` and ``rho~ = V^H rho V``."""
-    x, y = w[:, None], w[None, :]
-    diff = x - y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(diff) < 0.5 * y, np.log1p(diff / y),
-                         np.log(x) - np.log(y)) / diff
-    d1 = np.where(diff == 0.0, 2.0 / (x + y), ratio)
-    rho_t = v.conj().T @ rho @ v
-    return -(v @ (d1 * rho_t) @ v.conj().T), d1, rho_t
+    ``M = V diag(w) V^H``, with ``d1 = log[w_i, w_k]`` and ``rho~ = V^H rho V``.
+
+    ``log1p`` of the ratio gives the quotient where ``|w_i - w_k| < w_k / 2``,
+    as a difference of logs would cancel there; equal arguments take the
+    limit ``1 / w_i``.
+    """
+    diff = w[:, None] - w
+    quotient = np.log1p(diff / w)
+    logs = np.log(w)
+    np.subtract(logs[:, None], logs, out=quotient, where=np.abs(diff) >= 0.5 * w)
+    d1 = np.empty_like(diff)
+    d1[:] = 1.0 / w
+    np.divide(quotient, diff, out=d1, where=diff != 0.0)
+    vh = v.conj().T
+    rho_t = vh @ rho @ v
+    return -(v @ (d1 * rho_t) @ vh), d1, rho_t
 
 
 def _log_second_differences(w: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -314,13 +330,13 @@ def _log_second_differences(w: np.ndarray, d1: np.ndarray) -> np.ndarray:
     Arguments within 1e-8 relative take the limits ``(f[x, y] - f[x, x]) /
     (y - x)`` and ``f''(x) / 2``, as at the fully degenerate start ``I/n``.
     """
-    wi, wk, wj = w[:, None, None], w[None, :, None], w[None, None, :]
-    near = 1e-8 * np.maximum(np.maximum(wi, wk), wj)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        apart = (d1[:, :, None] - d1[None, :, :]) / (wi - wj)
-        paired = (d1[:, :, None] - 1.0 / wi) / (wk - wi)
-    return np.where(np.abs(wi - wj) <= near,
-                    np.where(np.abs(wi - wk) <= near, -0.5 / wi ** 2, paired), apart)
+    gap = w[:, None] - w
+    dist = np.abs(gap)
+    near = 1e-8 * np.maximum(np.maximum.outer(w, w)[:, :, None], w)
+    paired = np.divide(1.0 / w[:, None] - d1, gap, out=np.zeros_like(gap), where=gap != 0.0)
+    out = np.where(dist[:, :, None] <= near, (-0.5 / w ** 2)[:, None, None], paired[:, :, None])
+    np.divide(d1[:, :, None] - d1, gap[:, None, :], out=out, where=dist[:, None, :] > near)
+    return out
 
 
 def _evaluate(rho: np.ndarray, mats):
@@ -346,29 +362,48 @@ def _newton_system(rho: np.ndarray, ops, eigs, t: float, work=None):
     block 0 (``ops[0].rows``, read and added at ``ops[0].target`` like the
     Schur build's), zero elsewhere: ``T_ab = sum_ikj F_ikj rho~_ji B_a,ik
     B_b,kj``, with F the second divided differences of log (Daleckii-Krein)
-    and ``B_a = V^H A_a V``, A_a those rows of ``ops[0].dense`` (one scatter
-    of its stored entries); A_a is Hermitian, so ``rot_a = (A_a V)^T conj(V)
-    = conj(B_a)``.  ``C_a,kj = sum_i B_a,ik F_ikj rho~_ji`` is one batched
-    product over k, and ``Re T_ab = <Y_a, Re B_b + Im B_b>``,
-    ``2 Y = Re C - Im C + (Re C + Im C)^T``, is one real product.
+    and ``B_a = V^H A_a V``, A_a those rows.  A_a is Hermitian, so ``rot_a
+    = (A_a V)^T conj(V) = conj(B_a)``.  Each row of block 0, a free block of
+    ``_coordinates``, is one basis element with at most two entries, so it
+    is one pair row of ``ops[0]``, and its slots ``(p_s, q_s, v_s)`` give
+    ``rot_a = sum_s v_s V[q_s]^T conj(V[p_s])``: one batched product of
+    rank-2 factors, with no dense copy of the rows.
+    ``C_a,kj = sum_i B_a,ik F_ikj rho~_ji`` is one batched product over k,
+    and ``Re T_ab = <Y_a, Re B_b + Im B_b>``, ``2 Y = Re C - Im C + (Re C +
+    Im C)^T``, is one real product.
     """
     invs = [(v / w) @ v.conj().T for w, v in eigs]
     hess = (work or _SchurWorkspace(ops)).assemble(invs, invs)
     w, v = eigs[0]
     n = w.size
     g, d1, rho_t = _log_gradient(rho, w, v)
-    # block 0's rows, picked like the Schur build's (a view when they are
-    # contiguous); no name holds the (m, n^2) scatter, so it is freed here
-    rot = ops[0].dense()[ops[0].target[0]].reshape(-1, n) @ v
-    rot = rot.reshape(-1, n, n).transpose(0, 2, 1)
-    rot = (rot.reshape(-1, n) @ v.conj()).reshape(-1, n, n)
+    op = ops[0]
+    p, q = np.divmod(op.slot_cols, n)
+    rot = ((v[q] * op.slot_vals[:, :, None]).transpose(1, 2, 0)
+           @ v.conj()[p].transpose(1, 0, 2))
     weights = _log_second_differences(w, d1) * rho_t.T[:, None, :]
     c = (rot.transpose(1, 0, 2) @ weights.transpose(1, 0, 2)).transpose(1, 0, 2)
     y = c.real - c.imag + (c.real + c.imag).transpose(0, 2, 1)
     tmat = y.reshape(-1, n * n) @ (rot.real - rot.imag).reshape(-1, n * n).T
-    hess[ops[0].target] -= t / 2.0 * (tmat + tmat.T)
-    grad = ops[0].apply(t * g - invs[0])
+    hess[op.target] -= t / 2.0 * (tmat + tmat.T)
+    grad = op.apply(t * g - invs[0])
     return grad - sum(op.apply(inv) for op, inv in zip(ops[1:], invs[1:])), hess
+
+
+def _projected(solve, rhs: np.ndarray, equality: np.ndarray) -> np.ndarray:
+    """``H^-1 rhs`` by the factor ``solve`` of H, less the multiple of
+    ``H^-1 e`` that keeps the trace row ``e.x = 1``: a direction of the
+    Newton system with that equality."""
+    d, toward = solve(np.column_stack((rhs, equality))).T
+    return d - toward * (equality @ d) / (equality @ toward)
+
+
+def _tangent(rho: np.ndarray, ops, eigs, solve, equality: np.ndarray) -> np.ndarray:
+    """The tangent ``dx/dt = -H^-1 grad f`` of the central path at a centered
+    point (Boyd & Vandenberghe, Convex Optimization, sec. 11.3), H the
+    Hessian of ``t f + barrier`` there, factored by ``solve``, and
+    ``grad f = A_0(G)``."""
+    return _projected(solve, -ops[0].apply(_log_gradient(rho, *eigs[0])[0]), equality)
 
 
 def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
@@ -382,10 +417,17 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
     (parameter nu, the sum of the block sizes).  The trace row holds
     throughout, from every variable at the multiple of I that meets it.
     Damped Newton steps center ``t f + barrier``, ``f = -tr(rho log M_0)``;
-    t grows from 1 until ``nu / (t ln 2)`` is half the gap tolerance, unless
-    the steps reach ``cfg.max_iterations`` first.  With the certified
+    t grows by ``_T_GROWTH`` from 1 until ``nu / (t ln 2)`` is half the gap
+    tolerance, unless the steps reach ``cfg.max_iterations`` first.  Before
+    t grows, a centering that ended on the Newton decrement takes one
+    predictor step along the central path's tangent (``_tangent``, from
+    the factor of its last Newton system) over the growth of t, at most
+    0.9 of the way to the boundary, and keeps it when the point is
+    interior; a centering that ended otherwise has no factor at its point,
+    and the next one starts where it stopped.  With the certified
     ``L = _linear_minimum(G, ...)`` below ``min tr(G sigma)`` on the set,
-    ``S + L - <G, sigma>`` at the gradient G of f bounds the minimum below.
+    ``S + L - <G, sigma>`` at the gradient G of f bounds the minimum below,
+    however well the point is centered.
 
     Returns sigma and a MeasureResult whose payload holds the certified
     ``"lower_bound"`` and S at the point kept after each centering
@@ -410,16 +452,17 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
     t, t_end = 1.0, 2.0 * sum(op.n for op in ops) / (_LN2 * cfg.gap_tolerance)
     steps, best, kept = 0, (math.inf, x), []
     while True:
+        centered = None  # the factor at x, when the decrement ends the centering
         while steps < cfg.max_iterations:
             grad, hess = _newton_system(rho, ops, eigs, t, work)
             solve = _cholesky(hess)
             if solve is None:
                 break
-            dx, toward = solve(np.column_stack((-grad, equality))).T
-            dx -= toward * (equality @ dx) / (equality @ toward)
+            dx = _projected(solve, -grad, equality)
             decrement = -float(grad @ dx)
             merit = t * f + barrier
             if decrement / 2.0 <= max(_CENTERED, _RESOLVED * abs(merit)):
+                centered = solve
                 break
             steps += 1
             # cap the step at 0.99 of the way to the boundary, then backtrack (Armijo)
@@ -440,7 +483,17 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
         kept.append(best[0])
         if t >= t_end or steps >= cfg.max_iterations:
             break
-        t = min(t * _T_GROWTH, t_end)
+        t_next = min(t * _T_GROWTH, t_end)
+        if centered is not None:
+            dx = (t_next - t) * _tangent(rho, ops, eigs, centered, equality)
+            dirs = [op.adjoint(dx) for op in ops]
+            step = min(1.0, 0.9 * min(_max_step(eig, d) for d, eig in zip(dirs, eigs)))
+            trial_mats = [mat + step * d for mat, d in zip(mats, dirs)]
+            trial = _evaluate(rho, trial_mats)
+            if trial:
+                x, mats = x + step * dx, trial_mats
+                eigs, f, barrier = trial
+        t = t_next
     del work  # free the Newton buffers before the certificate's SDP
     [(w, v)], f, _ = _evaluate(rho, [ops[0].adjoint(best[1])])
     sigma = (v * w) @ v.conj().T
@@ -517,10 +570,11 @@ def werner_regularized_ree(d: int, p: float) -> float:
     d = _count(d, "d", "werner-domain", low=2)
     if not (_is_finite_real(p) and 0.5 < p <= 1.0):
         raise ValidationError("werner-domain", detail="p must be a real number in (1/2, 1]")
-    breakpoint_p = (d + 2.0) / (2.0 * d)
+    # int quotients: a d past the float range would overflow as a float
+    breakpoint_p = (d + 2) / (2 * d)
     if p <= breakpoint_p:
         return 1.0 - binary_entropy(p)
-    return math.log2((d + 2.0) / d) + (1.0 - p) * math.log2((d - 2.0) / (d + 2.0))
+    return math.log2((d + 2) / d) + (1.0 - p) * math.log2((d - 2) / (d + 2))
 
 
 def _solver_result_guard(sol: SdpSolution, context: str, gap_tolerance: float) -> str:
@@ -950,7 +1004,7 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
     Parameters
     ----------
     state : DensityOperator or PureState
-        Bipartite input with total dimension <= 16.
+        Bipartite input with total dimension <= 25.
     config : SolverConfig, optional
         ``max_iterations`` caps the Newton steps; ``restarts`` and ``seed``
         are not used.

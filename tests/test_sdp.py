@@ -505,6 +505,20 @@ class TestEntryAdjoint:
                 1e-12 * np.max(np.abs(want_adjoint)))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_adjoint_is_bit_identical_to_two_passes(self, rng, dims):
+        """The one pass over interleaved bins adds each part of each bin in
+        the order of the two passes over the real and imaginary parts."""
+        prob = mixed_problem(rng, dims)
+        n = dims[0] * dims[1]
+        for block in range(3):
+            rows, cols, vals, _ = prob._block_entries(block)
+            y = rng.standard_normal(prob.num_constraints)
+            weights = y[rows]
+            want = (np.bincount(cols, vals.real * weights, minlength=n * n)
+                    + 1j * np.bincount(cols, vals.imag * weights, minlength=n * n))
+            assert _adjoint(prob, block, y).tobytes() == want.reshape(n, n).tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_dual_bound_matches_dense_rows(self, rng, dims):
         prob = mixed_problem(rng, dims)
         n = dims[0] * dims[1]

@@ -659,6 +659,42 @@ class TestScalarIntake:
             with pytest.raises(ValidationError, match="value"):
                 _real(huge, "x", "value")
 
+    @pytest.mark.parametrize("call, invariant", [
+        pytest.param(lambda: thermal(10**5000), "thermal-domain", id="real"),
+        pytest.param(lambda: vacuum(10**5000), "mode-count", id="count"),
+        pytest.param(lambda: robustness(bell_rho(), 10**5000), "noise-kind", id="choice"),
+        pytest.param(lambda: SdpProblem((2,)).add_equality({0: np.eye(2)}, 10**5000),
+                     "constraint", id="sdp-real"),
+        pytest.param(lambda: SdpProblem((10**5000,)), "block-dims", id="block-side"),
+        pytest.param(lambda: partial_trace(bell_rho(), 10**5000), "subsystem-index",
+                     id="subsystem"),
+    ])
+    def test_ints_too_long_to_print_are_refused(self, call, invariant):
+        """Python will not write an int of more than 4300 digits, so the
+        refusal text names it without printing it."""
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.invariant == invariant
+
+    @pytest.mark.parametrize("call, invariant", [
+        pytest.param(lambda: ghz_state(11), "dims", id="ghz-11"),
+        pytest.param(lambda: ghz_state(200), "dims", id="ghz-200"),
+        pytest.param(lambda: w_state(11), "dims", id="w-11"),
+        pytest.param(lambda: w_state(200), "dims", id="w-200"),
+        pytest.param(lambda: max_entangled(33), "dims", id="max-entangled-33"),
+        pytest.param(lambda: werner_state(10**20, 0.5), "werner-dimension", id="werner"),
+    ])
+    def test_counts_past_the_state_dimension_limit_are_refused(self, call, invariant):
+        """A state built from a count alone has total dimension at most
+        ``STATE_DIM_LIMIT``; a larger count is refused before numpy
+        allocates anything."""
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.invariant == invariant
+        from entmeas.states import STATE_DIM_LIMIT
+
+        assert ghz_state(10).dim == w_state(10).dim == max_entangled(32).dim == STATE_DIM_LIMIT
+
     @pytest.mark.parametrize("name", ["load_state", "save_state"])
     def test_file_descriptors_are_refused_and_left_open(self, tmp_path, name):
         from entmeas import load_state, save_state

@@ -282,6 +282,12 @@ class TestWernerRegularizedRee:
         with pytest.raises(ValidationError, match="werner-domain"):
             werner_regularized_ree(3, 1.1)
 
+    def test_dimension_past_the_float_range(self):
+        # log2((d + 2) / d) and log2((d - 2) / (d + 2)) both tend to 0
+        assert werner_regularized_ree(10**400, 0.9) == 0.0
+        assert werner_regularized_ree(10**6, 0.9) == pytest.approx(
+            math.log2(1 + 2e-6) + 0.1 * math.log2((1 - 2e-6) / (1 + 2e-6)), rel=1e-9)
+
 
 class TestRobustness:
     def test_bell_global_robustness(self):
@@ -705,6 +711,16 @@ class TestRainsBound:
             assert np.abs(np.linalg.eigvalsh(pt_matrix(sigma, dims))).sum() <= 1.0 + 1e-9
 
 
+    def test_full_rank_5x5_converges(self):
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25))
+        mat = g @ g.conj().T
+        res = rains_bound(DensityOperator(mat / np.trace(mat).real, (5, 5)))
+        assert res.status == "converged"
+        assert res.gap <= 1e-6
+        assert res.iterations <= 40
+
+
 class TestBarrierNewton:
     """The Newton system of ``t f + barrier`` on each measure's own operators."""
 
@@ -836,6 +852,116 @@ class TestBarrierNewton:
             hess = (variational._newton_system(rho, ops, eigs, 1.0)[1]
                     - variational._newton_system(rho, ops, eigs, 0.0)[1])
             assert np.linalg.norm(hess - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+    @staticmethod
+    def bell_diagonal():
+        bell_basis = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
+                               [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
+        lam = np.array([0.7, 0.15, 0.1, 0.05])
+        return DensityOperator((bell_basis.T * lam) @ bell_basis, (2, 2))
+
+    def test_refused_predictions_keep_the_certificate(self, monkeypatch):
+        """With every predicted point refused, each centering starts where
+        the last one ended, and the certificate still brackets the closed
+        form."""
+        tangent, evaluate, pending, refused = variational._tangent, variational._evaluate, [], []
+
+        def predicting(*args):
+            pending.append(None)
+            return tangent(*args)
+
+        def refusing_predictions(rho, mats):
+            if pending:
+                refused.append(pending.pop())
+                return None
+            return evaluate(rho, mats)
+
+        monkeypatch.setattr(variational, "_tangent", predicting)
+        monkeypatch.setattr(variational, "_evaluate", refusing_predictions)
+        res = relative_entropy_of_entanglement(self.bell_diagonal())
+        closed = 1.0 - binary_entropy(0.7)
+        assert refused
+        assert res.status == "converged"
+        assert res.value - res.gap - 1e-9 <= closed <= res.value + 1e-9
+
+    @pytest.mark.parametrize("ending", ["step-cap", "failed-factorization"])
+    def test_predicts_only_from_a_factor_at_the_point(self, monkeypatch, ending):
+        """A centering that ends at ``max_iterations`` or on a failed
+        factorization has no factor at its point, so no predictor step
+        follows it; one that ends on the decrement test is followed by one."""
+        tangent, cholesky, events = variational._tangent, variational._cholesky, []
+
+        def predicting(*args):
+            events.append("predict")
+            return tangent(*args)
+
+        def factoring(mat):
+            fails = ending == "failed-factorization" and events.count("factor") >= 8
+            events.append("fail" if fails else "factor")
+            return None if fails else cholesky(mat)
+
+        monkeypatch.setattr(variational, "_tangent", predicting)
+        monkeypatch.setattr(variational, "_cholesky", factoring)
+        cap = 8 if ending == "step-cap" else 200
+        res = relative_entropy_of_entanglement(self.bell_diagonal(),
+                                               config=SolverConfig(max_iterations=cap))
+        centerings = len(res.witness_payload["objective_trace"])
+        assert res.status == "best_effort"
+        if ending == "step-cap":
+            assert res.iterations == cap
+            assert events.count("predict") == centerings - 1 >= 1
+        else:
+            first = events.index("fail")
+            assert "predict" in events[:first]
+            assert "predict" not in events[first:]
+
+    def test_seeded_2x2_step_budget(self):
+        rng = np.random.default_rng(2005)
+        rho = rand_rho(rng)
+        while np.linalg.eigvalsh(pt_matrix(rho.matrix))[0] >= -0.01:
+            rho = rand_rho(rng)
+        res = relative_entropy_of_entanglement(rho)
+        assert res.status == "converged"
+        assert res.iterations <= 30
+
+    @pytest.mark.parametrize("spectrum", [
+        "generic", "identity", "pair-1e-10", "pair-3e-9", "pair-0.3", "spread"])
+    def test_divided_differences_match_the_reference_formulas(self, spectrum):
+        """The first and second divided differences of log against the
+        formulas with ``errstate`` and nested ``where`` they replaced, on
+        degenerate and near-degenerate spectra."""
+        def first(w):
+            x, y = w[:, None], w[None, :]
+            diff = x - y
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(np.abs(diff) < 0.5 * y, np.log1p(diff / y),
+                                 np.log(x) - np.log(y)) / diff
+            return np.where(diff == 0.0, 2.0 / (x + y), ratio)
+
+        def second(w, d1):
+            wi, wk, wj = w[:, None, None], w[None, :, None], w[None, None, :]
+            near = 1e-8 * np.maximum(np.maximum(wi, wk), wj)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                apart = (d1[:, :, None] - d1[None, :, :]) / (wi - wj)
+                paired = (d1[:, :, None] - 1.0 / wi) / (wk - wi)
+            return np.where(np.abs(wi - wj) <= near,
+                            np.where(np.abs(wi - wk) <= near, -0.5 / wi ** 2, paired), apart)
+
+        rng = np.random.default_rng(37)
+        w = np.sort(rng.uniform(0.01, 0.3, 6))
+        w = {"generic": w, "identity": np.full(6, 1.0 / 6),
+             "pair-1e-10": np.sort(np.r_[w[:5], w[2] * (1 + 1e-10)]),
+             "pair-3e-9": np.sort(np.r_[w[:5], w[4] * (1 + 3e-9)]),
+             "pair-0.3": np.sort(np.r_[w[:5], w[0] * 1.3]),
+             "spread": np.array([1e-9, 1e-6, 1e-6 * (1 + 1e-9), 1e-3, 0.2, 0.8])}[spectrum]
+        v = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        rho = rand_rho(rng, n=6, dims=(2, 3)).matrix
+        _, d1, _ = variational._log_gradient(rho, w, v)
+        want = first(w)
+        assert np.all(np.abs(d1 - want) <= 1e-14 * np.abs(want))
+        d2, want = variational._log_second_differences(w, want), second(w, want)
+        assert np.all(np.abs(d2 - want) <= 1e-14 * np.abs(want))
 
 
 class TestWitnessViolation:
