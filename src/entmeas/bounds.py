@@ -10,6 +10,7 @@ into a single consistency-checked report.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -20,16 +21,18 @@ from .errors import ValidationError
 from .states import (
     _PAIR_SIDE_LIMIT,
     DensityOperator,
-    _as_density,
     _choice,
     _count,
     _real,
     _shown,
+    _state,
     is_ppt,
     partial_trace,
     von_neumann_entropy,
 )
 from .variational import (
+    PPT_DIM_LIMIT,
+    RAINS_DIM_LIMIT,
     SolverConfig,
     rains_bound,
     relative_entropy_of_entanglement,
@@ -107,7 +110,7 @@ def conditional_entropy(rho) -> float:
         ``S(rho_AB) - S(rho_B)``; negative values signal entanglement
         usable for distillation.
     """
-    rho = _as_density(rho, "conditional_entropy", bipartite=True)
+    rho = _state(rho, "conditional_entropy", parties=2)
     return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, 1))
 
 
@@ -128,7 +131,7 @@ def hashing_lower_bound(rho) -> float:
         Nonnegative bound; 0 whenever both conditional entropies are
         nonnegative.
     """
-    rho = _as_density(rho, "hashing_lower_bound", bipartite=True)
+    rho = _state(rho, "hashing_lower_bound", parties=2)
     s_ab = von_neumann_entropy(rho)
     s_a = von_neumann_entropy(partial_trace(rho, 0))
     s_b = von_neumann_entropy(partial_trace(rho, 1))
@@ -181,10 +184,7 @@ def uu_twirl_two_qubit(rho) -> DensityOperator:
     DensityOperator
         Werner-family state with the same singlet fidelity as the input.
     """
-    rho = _as_density(rho, "uu_twirl_two_qubit", bipartite=True)
-    if rho.dims != (2, 2):
-        raise ValidationError("twirl-dims",
-                              detail=f"twirl needs dims (2, 2), got {rho.dims}")
+    rho = _state(rho, "uu_twirl_two_qubit", dims=(2, 2), invariant="twirl-dims")
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     fidelity = float(np.real(singlet @ rho.matrix @ singlet))
     return werner_state(2, min(max(fidelity, 0.0), 1.0))
@@ -197,7 +197,9 @@ def bounds_report(rho, config: SolverConfig | None = None,
     Parameters
     ----------
     rho : DensityOperator
-        Bipartite state within the variational solver's dimension limits.
+        Bipartite state of total dimension at most 25 (``rains_bound``'s
+        limit), or 36 when ``"rains"`` is skipped (that of the REE), or
+        any when both are; it is checked before any entry runs.
     config : SolverConfig, optional
         Shared solver settings for the numeric upper bounds.
     skip : tuple of str, optional
@@ -210,11 +212,14 @@ def bounds_report(rho, config: SolverConfig | None = None,
         state is PPT the report additionally pins distillable
         entanglement to exactly 0.
     """
-    rho = _as_density(rho, "bounds_report", bipartite=True)
     if isinstance(skip, str) or not isinstance(skip, Iterable):
         raise ValidationError(
             "skip-names", detail=f"skip must be a sequence of bound names, got {_shown(skip)}")
     skip = {_choice(name, ("rains", "ree"), "skip-names", "bound name") for name in skip}
+    # refused at the least limit of the entries it will run, before any of them runs
+    limits = {"ree": PPT_DIM_LIMIT, "rains": RAINS_DIM_LIMIT}
+    limit = min((limits[name] for name in limits if name not in skip), default=math.inf)
+    rho = _state(rho, "bounds_report", parties=2, limit=limit)
     # the witness exists exactly when is_ppt fails, so flag and note agree
     witness, violation = witness_violation(rho)
     ppt = witness is None

@@ -16,12 +16,11 @@ from .errors import UnsupportedCaseError, ValidationError
 from .states import (
     PPT_TOL,
     PureState,
-    _as_density,
-    _as_pure,
     _bipartition,
     _count,
     _is_integer,
     _real,
+    _state,
     partial_trace,
     partial_transpose,
 )
@@ -66,9 +65,7 @@ def concurrence(rho) -> float:
     float
         Value in [0, 1].
     """
-    rho = _as_density(rho, "concurrence")
-    if rho.dims != (2, 2):
-        raise ValidationError("dims", detail="concurrence requires dims (2, 2)")
+    rho = _state(rho, "concurrence", dims=(2, 2))
     tilde = _SYY @ rho.matrix.conj() @ _SYY
     # sqrt(rho) tilde sqrt(rho) is Hermitian and similar to rho @ tilde;
     # the Hermitian eigensolver keeps full precision on this spectrum
@@ -119,7 +116,7 @@ def negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
     float
         Nonnegative; 0 on PPT input (``states.is_ppt``).
     """
-    rho = _as_density(rho, "negativity")
+    rho = _state(rho, "negativity")
     n = len(rho.dims)
     transposed = _bipartition(n - 1 if transposed is None else transposed, n, "transposed")
     eigs = np.linalg.eigvalsh(partial_transpose(rho, transposed))
@@ -172,7 +169,7 @@ def tangle(state, qubit: int = 0) -> float:
         red = partial_trace(state.to_density(), qubit)
         det = float(np.real(np.linalg.det(red.matrix)))
         return float(min(1.0, max(0.0, 4.0 * det)))
-    rho = _as_density(state, "tangle")
+    rho = _state(state, "tangle")
     if rho.dims == (2, 2):
         return concurrence(rho) ** 2
     raise UnsupportedCaseError(
@@ -196,8 +193,7 @@ def residual_tangle(psi: PureState, pivot: int = 0) -> float:
     float
         Nonnegative.
     """
-    if _as_pure(psi, "residual_tangle").dims != (2, 2, 2):
-        raise ValidationError("dims", detail="residual tangle requires three qubits")
+    _state(psi, "residual_tangle", pure=True, dims=(2, 2, 2))
     pivot = _count(pivot, "pivot", "subsystem-index", high=2)
     one_to_rest = tangle(psi, qubit=pivot)
     rho = psi.to_density()
@@ -244,7 +240,7 @@ def ckw_check(psi: PureState) -> TangleReport:
     -------
     TangleReport
     """
-    dims = _as_pure(psi, "ckw_check").dims
+    dims = _state(psi, "ckw_check", pure=True).dims
     n = len(dims)
     if n < 3 or any(d != 2 for d in dims):
         raise ValidationError("dims", detail="the monogamy check requires >= 3 qubits")

@@ -64,13 +64,15 @@ class CovarianceMatrix:
     ----------
     matrix : ndarray
         Real symmetric 2n x 2n matrix in x1, p1, ..., xn, pn ordering;
-        the vacuum is the identity.
+        the vacuum is the identity.  Stored as a read-only copy.
     first_moments : ndarray or None
-        Optional mean vector; carries no entanglement information.
+        Optional mean vector, stored as a read-only copy; carries no
+        entanglement information.
     physical : bool
-        Whether the uncertainty relation was enforced at construction.
-        Partial time reversal produces possibly-unphysical outputs and
-        sets this to False.
+        Whether the uncertainty relation was enforced at construction;
+        the stored arrays cannot change, so it holds for the object's
+        lifetime.  Partial time reversal produces possibly-unphysical
+        outputs and sets this to False.
     """
 
     matrix: np.ndarray
@@ -96,16 +98,19 @@ class CovarianceMatrix:
         if asym > SYMMETRY_TOLERANCE:
             raise ValidationError("cov-symmetry", residual=asym,
                                   limit=SYMMETRY_TOLERANCE)
+        sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
         if self.first_moments is not None:
-            mean = _numbers(self.first_moments, "mean", float).reshape(-1)
+            mean = _numbers(self.first_moments, "mean", float).reshape(-1).copy()
             if mean.shape != (side,):
                 raise ValidationError(
                     "cov-moments",
                     detail=f"first moments must have length {side}, got {mean.shape}")
+            mean.setflags(write=False)
             object.__setattr__(self, "first_moments", mean)
-        if self.physical:
-            _require_physical(self)
+        low = self.uncertainty_margin() if self.physical else 0.0
+        if low < -UNCERTAINTY_TOLERANCE:
+            raise ValidationError("cov-uncertainty", residual=-low, limit=UNCERTAINTY_TOLERANCE)
 
     @property
     def n_modes(self) -> int:
@@ -462,9 +467,9 @@ def _as_cov(gamma) -> CovarianceMatrix:
 
 
 def _require_physical(gamma) -> CovarianceMatrix:
+    """``gamma``, refused unless physical: one built ``physical=True`` was
+    checked at construction, and any other is checked by building such a copy."""
     gamma = _as_cov(gamma)
-    low = gamma.uncertainty_margin()
-    if low < -UNCERTAINTY_TOLERANCE:
-        raise ValidationError("cov-uncertainty", residual=-low,
-                              limit=UNCERTAINTY_TOLERANCE)
+    if not gamma.physical:
+        CovarianceMatrix(gamma.matrix)
     return gamma

@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .states import (KrausSet, PureState, SPECTRUM_CUTOFF, _as_pure, _bipartition,
-                     _count, _entropy_of_spectrum, _numbers, _real)
+from .states import (KrausSet, PureState, SPECTRUM_CUTOFF, _bipartition, _count,
+                     _entropy_of_spectrum, _numbers, _real, _state)
 
 COEFF_SUM_TOL = 1e-9
 RECONSTRUCT_TOL = 1e-9
@@ -60,7 +60,7 @@ def schmidt(psi: PureState, side_a: Sequence[int] | int | None = None) -> Schmid
         Coefficients descending, pruned below 1e-12; the reconstruction
         fidelity with the input is at least ``1 - 1e-9``.
     """
-    dims = _as_pure(psi, "schmidt").dims
+    dims = _state(psi, "schmidt", pure=True).dims
     n = len(dims)
     side_a = _bipartition((0,) if side_a is None else side_a, n, "side_a")
     side_b = tuple(k for k in range(n) if k not in side_a)
@@ -83,7 +83,7 @@ def schmidt(psi: PureState, side_a: Sequence[int] | int | None = None) -> Schmid
 
 def entropy_of_entanglement(psi: PureState, side_a: Sequence[int] | int | None = None) -> float:
     """Entanglement entropy of a pure state across a bipartition, in bits."""
-    coeffs = schmidt(_as_pure(psi, "entropy_of_entanglement"), side_a).coefficients
+    coeffs = schmidt(psi, side_a).coefficients
     return max(0.0, _entropy_of_spectrum(coeffs))
 
 

@@ -5,8 +5,9 @@ bits.  Subsystems are ordered left to right in row-major (C) tensor order,
 matching ``numpy.kron``.  Each kind of value taken from outside has one
 intake here, returning it as a plain type or refusing it with a
 ``ValidationError``: ``_numbers`` for arrays, ``_choice`` for names,
-``_count`` for counts, ``_real`` for real scalars and ``_path`` for file
-paths.  The predicates ``_is_integer`` and ``_is_finite_real`` remain for
+``_count`` for counts, ``_real`` for real scalars, ``_path`` for file
+paths and ``_state`` for state arguments (type, party count or dims, and
+size limit).  The predicates ``_is_integer`` and ``_is_finite_real`` remain for
 the element tests of sequences and for refusals that split by kind.
 """
 
@@ -345,28 +346,38 @@ def _mat_of(state) -> np.ndarray:
     return _hermitian(state, "operator")
 
 
-def _as_density(state, context: str, bipartite: bool = False) -> DensityOperator:
-    """The density operator of a state argument, with exactly two subsystems
-    when ``bipartite``."""
-    if isinstance(state, PureState):
-        state = state.to_density()
-    elif not isinstance(state, DensityOperator):
+def _shape(dims: tuple[int, ...], context: str, parties: int | None = None,
+           exact: tuple[int, ...] | None = None, limit: float = math.inf,
+           invariant: str | None = None) -> tuple[int, ...]:
+    """``dims`` when they are ``parties`` subsystems, or exactly ``exact``,
+    refused naming ``invariant`` (by default ``bipartite`` or ``tripartite``,
+    or ``dims``), and multiply to at most ``limit`` (``dimension-limit``)."""
+    if exact is not None and dims != exact:
+        raise ValidationError(invariant or "dims",
+                              detail=f"{context} needs dims {exact}, got {dims}")
+    if parties is not None and len(dims) != parties:
         raise ValidationError(
-            "state-type",
-            detail=f"{context} expects a DensityOperator or PureState, "
-                   f"got {type(state).__name__}")
-    if bipartite and len(state.dims) != 2:
+            invariant or ("bipartite" if parties == 2 else "tripartite"),
+            detail=f"{context} needs exactly {parties} subsystems, got dims {dims}")
+    if math.prod(dims) > limit:
         raise ValidationError(
-            "bipartite", detail=f"{context} needs exactly 2 subsystems, got dims {state.dims}")
-    return state
+            "dimension-limit", detail=f"{context} supports total dimension <= {limit}")
+    return dims
 
 
-def _as_pure(state, context: str) -> PureState:
-    """A pure-state argument; anything but a PureState is refused."""
-    if not isinstance(state, PureState):
+def _state(state, context: str, pure: bool = False, parties: int | None = None,
+           dims: tuple[int, ...] | None = None, limit: float = math.inf,
+           invariant: str | None = None):
+    """The one intake for a state argument: a ``PureState``, or when not
+    ``pure`` also a ``DensityOperator`` (``state-type``), whose dims pass
+    ``_shape``.  Returns the ``PureState`` when ``pure``, and otherwise the
+    density operator, expanding a pure state only after every check."""
+    if not isinstance(state, PureState if pure else (DensityOperator, PureState)):
+        want = "a PureState" if pure else "a DensityOperator or PureState"
         raise ValidationError(
-            "state-type", detail=f"{context} expects a PureState, got {type(state).__name__}")
-    return state
+            "state-type", detail=f"{context} expects {want}, got {type(state).__name__}")
+    _shape(state.dims, context, parties, dims, limit, invariant)
+    return state if pure or isinstance(state, DensityOperator) else state.to_density()
 
 
 def _subsystems(indices: Iterable[int] | int, n: int, name: str,
@@ -410,7 +421,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int] | int) -> DensityOpe
     DensityOperator
         Reduced operator whose ``dims`` are the retained dimensions.
     """
-    rho = _as_density(rho, "partial_trace")
+    rho = _state(rho, "partial_trace")
     dims = tuple(rho.dims)
     n = len(dims)
     keep = _subsystems(keep, n, "keep")
@@ -486,7 +497,7 @@ def permute_subsystems(state, order: Sequence[int]):
     -------
     Same type as ``state`` with permuted dims.
     """
-    state = state if isinstance(state, PureState) else _as_density(state, "permute_subsystems")
+    state = state if isinstance(state, PureState) else _state(state, "permute_subsystems")
     dims = tuple(state.dims)
     order = tuple(order) if isinstance(order, Iterable) else (order,)
     if not all(_is_integer(p) for p in order) or sorted(order) != list(range(len(dims))):
@@ -595,9 +606,7 @@ def mutual_information(rho: DensityOperator | PureState) -> float:
     float
         Nonnegative.
     """
-    rho = _as_density(rho, "mutual_information")
-    if len(rho.dims) != 2:
-        raise ValidationError("dims", detail="mutual information requires exactly 2 subsystems")
+    rho = _state(rho, "mutual_information", parties=2, invariant="dims")
     s_a = von_neumann_entropy(partial_trace(rho, 0))
     s_b = von_neumann_entropy(partial_trace(rho, 1))
     s_ab = von_neumann_entropy(rho)
@@ -620,10 +629,7 @@ def conditional_mutual_information(rho: DensityOperator | PureState) -> float:
     float
         Nonnegative.
     """
-    rho = _as_density(rho, "conditional_mutual_information")
-    if len(rho.dims) != 3:
-        raise ValidationError("dims",
-                              detail="conditional mutual information requires 3 subsystems")
+    rho = _state(rho, "conditional_mutual_information", parties=3, invariant="dims")
     s_ae = von_neumann_entropy(partial_trace(rho, (0, 2)))
     s_be = von_neumann_entropy(partial_trace(rho, (1, 2)))
     s_abe = von_neumann_entropy(rho)
@@ -651,7 +657,7 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "
     -------
     DensityOperator or list of (float, DensityOperator)
     """
-    rho = _as_density(rho, "apply_kraus")
+    rho = _state(rho, "apply_kraus")
     if not isinstance(kraus, KrausSet):
         raise ValidationError(
             "kraus-set", detail=f"apply_kraus expects a KrausSet, got {type(kraus).__name__}")

@@ -40,14 +40,14 @@ from .states import (
     DensityOperator,
     MeasureResult,
     PureState,
-    _as_density,
-    _as_pure,
     _check_dims,
     _choice,
     _count,
     _hermitian,
     _is_finite_real,
+    _shape,
     _shown,
+    _state,
     conditional_mutual_information,
     is_ppt,
     partial_trace,
@@ -172,25 +172,6 @@ class SolverConfig:
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def _check_limit(total: int, context: str, limit: float) -> None:
-    if total > limit:
-        raise ValidationError(
-            "dimension-limit", detail=f"{context} supports total dimension <= {limit}")
-
-
-def _bipartite(state, context: str, limit: float = math.inf):
-    rho = _as_density(state, context, bipartite=True)
-    _check_limit(rho.dim, context, limit)
-    return rho.matrix, rho.dims
-
-
-def _raw_bipartite_dims(dims, size: int, context: str) -> tuple[int, int]:
-    dims = _check_dims(dims, size)
-    if len(dims) != 2:
-        raise ValidationError("bipartite", detail=f"{context} needs 2 subsystems, got {dims}")
-    return dims
-
-
 def _term(sign: float, parties: tuple, mat: np.ndarray, dims) -> np.ndarray:
     """``s T(M)`` for one ``(sign, parties)`` term of an operator equation."""
     return sign * (partial_transpose(mat, parties, dims) if parties else mat)
@@ -275,8 +256,8 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
         Density matrix approximating the optimizer.
     """
     g = _hermitian(objective, "objective")
-    dims = _raw_bipartite_dims(dims, g.shape[0], "minimize_over_ppt_states")
-    _check_limit(g.shape[0], "minimize_over_ppt_states", PPT_DIM_LIMIT)
+    dims = _shape(_check_dims(dims, g.shape[0]), "minimize_over_ppt_states", 2,
+                  limit=PPT_DIM_LIMIT)
     w, vecs = np.linalg.eigh(g)
     vertex = np.outer(vecs[:, 0], vecs[:, 0].conj())
     # the unrestricted minimum lower-bounds the PPT minimum; when its
@@ -539,12 +520,12 @@ def relative_entropy_of_entanglement(state,
         ``witness_payload["separable_set"]`` whether the value is exact for
         the separable set (dimensions (2, 2) and (2, 3)) or a lower bound.
     """
-    rho, dims = _bipartite(state, "relative_entropy_of_entanglement", PPT_DIM_LIMIT)
+    rho = _state(state, "relative_entropy_of_entanglement", parties=2, limit=PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    sigma, result = _barrier_newton(rho, dims, _PPT_SET, (0,), cfg)
+    sigma, result = _barrier_newton(rho.matrix, rho.dims, _PPT_SET, (0,), cfg)
     result.witness_payload.update(
         closest_state=sigma,
-        separable_set="exact" if tuple(sorted(dims)) in _EXACT_PPT_DIMS
+        separable_set="exact" if tuple(sorted(rho.dims)) in _EXACT_PPT_DIMS
         else "ppt-lower-bound")
     return result
 
@@ -642,16 +623,16 @@ def robustness(state, noise: str = "global",
         ``t > 0``.
     """
     noise = _choice(noise, _NOISE_CONES, "noise-kind", "noise model")
-    rho, dims = _bipartite(state, "robustness", PPT_DIM_LIMIT)
+    rho = _state(state, "robustness", parties=2, limit=PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    sol = _base_norm_sdp(rho, dims, ConeSpec("PPT-operators"), _NOISE_CONES[noise],
+    sol = _base_norm_sdp(rho.matrix, rho.dims, ConeSpec("PPT-operators"), _NOISE_CONES[noise],
                          max_iterations=min(cfg.max_iterations, 100))
     status = _solver_result_guard(sol, "robustness", cfg.gap_tolerance)
 
     t = max(0.0, -float(sol.dual_value))
     payload = {
         "noise_state": _clean_state(sol.dual_blocks[0]) if t > 1e-10 else None,
-        "relaxation": "exact" if tuple(sorted(dims)) in _EXACT_PPT_DIMS
+        "relaxation": "exact" if tuple(sorted(rho.dims)) in _EXACT_PPT_DIMS
         else "ppt-outer",
         "noise": noise,
     }
@@ -713,14 +694,14 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
     BaseNormResult
     """
     if isinstance(h, (DensityOperator, PureState)):
-        mat, dims = _bipartite(h, "base_norm", PPT_DIM_LIMIT)
+        h = _state(h, "base_norm", parties=2, limit=PPT_DIM_LIMIT)
+        mat, dims = h.matrix, h.dims
     elif dims is None:
         raise ValidationError(
             "dims-required", detail="raw operators need explicit dims")
     else:
         mat = _hermitian(h, "operator")
-        dims = _raw_bipartite_dims(dims, mat.shape[0], "base_norm")
-        _check_limit(mat.shape[0], "base_norm", PPT_DIM_LIMIT)
+        dims = _shape(_check_dims(dims, mat.shape[0]), "base_norm", 2, limit=PPT_DIM_LIMIT)
     alpha_x, alpha_y = cone_x.normalization, cone_y.normalization
     tol = _DEFAULT_CONFIG.gap_tolerance
     sol = _base_norm_sdp(mat, dims, cone_x, cone_y)
@@ -796,15 +777,16 @@ def best_separable_approximation(state,
     -------
     BsaResult
     """
-    rho, dims = _bipartite(state, "best_separable_approximation", PPT_DIM_LIMIT)
+    rho = _state(state, "best_separable_approximation", parties=2, limit=PPT_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    sol = _base_norm_sdp(rho, dims, ConeSpec("separable-outer"), ConeSpec("negated-PSD", -1.0),
+    sol = _base_norm_sdp(rho.matrix, rho.dims, ConeSpec("separable-outer"),
+                         ConeSpec("negated-PSD", -1.0),
                          max_iterations=min(cfg.max_iterations, 100))
     status = _solver_result_guard(sol, "best_separable_approximation", cfg.gap_tolerance)
 
     part = (sol.dual_blocks[1] + sol.dual_blocks[1].conj().T) / 2.0
     weight = min(1.0, max(0.0, 1.0 - float(np.real(np.trace(part)))))
-    return BsaResult(weight=weight, separable_part=part, remainder=rho - part,
+    return BsaResult(weight=weight, separable_part=part, remainder=rho.matrix - part,
                      gap=float(sol.gap), status=status, iterations=sol.iterations)
 
 
@@ -842,7 +824,9 @@ def eof_convex_roof(state, m: int | None = None,
     state : DensityOperator or PureState
         Bipartite input with total dimension <= 16.
     m : int, optional
-        Decomposition size; defaults to ``rank(rho) ** 2``.
+        Decomposition size, from ``rank(rho)`` to ``ROOF_DIM_LIMIT ** 2 =
+        256``; defaults to ``rank(rho) ** 2``, which is enough for an
+        optimal decomposition and never exceeds the cap.
     config : SolverConfig, optional
 
     Returns
@@ -851,14 +835,14 @@ def eof_convex_roof(state, m: int | None = None,
         ``status == "best_effort"``; payload records the decomposition size
         and the winning restart.
     """
-    rho, dims = _bipartite(state, "eof_convex_roof", ROOF_DIM_LIMIT)
+    rho = _state(state, "eof_convex_roof", parties=2, limit=ROOF_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    eigs, vecs = np.linalg.eigh(rho)
+    eigs, vecs = np.linalg.eigh(rho.matrix)
     keep = eigs > 1e-12
     rank = int(keep.sum())
     cvecs = (vecs[:, keep] * np.sqrt(eigs[keep])).T
     m = rank * rank if m is None else m
-    m = _count(m, "m", "decomposition-size", low=rank)
+    m = _count(m, "m", "decomposition-size", low=rank, high=ROOF_DIM_LIMIT ** 2)
 
     rng = np.random.default_rng(cfg.seed)
     restarts = min(cfg.restarts, 64)
@@ -872,7 +856,7 @@ def eof_convex_roof(state, m: int | None = None,
         else:
             raw = rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))
             tmat, _ = np.linalg.qr(raw)
-        value, grad = _roof_objective(tmat, cvecs, dims)
+        value, grad = _roof_objective(tmat, cvecs, rho.dims)
         step = 1.0
         for _ in range(cfg.max_iterations):
             total_iters += 1
@@ -884,7 +868,7 @@ def eof_convex_roof(state, m: int | None = None,
             improved = False
             while step > 1e-14:
                 cand, _ = np.linalg.qr(tmat - step * riem)
-                cand_value, cand_grad = _roof_objective(cand, cvecs, dims)
+                cand_value, cand_grad = _roof_objective(cand, cvecs, rho.dims)
                 if cand_value < value - 1e-14 * step * gnorm ** 2:
                     tmat, value, grad = cand, cand_value, cand_grad
                     step = min(step * 2.0, 1.0)
@@ -925,8 +909,7 @@ def geometric_measure(psi: PureState,
         ``-log2`` of the best squared overlap; payload records restart
         statistics and the optimizing product vectors.
     """
-    dims = _as_pure(psi, "geometric_measure").dims
-    _check_limit(int(np.prod(dims)), "geometric_measure", GEOMETRIC_DIM_LIMIT)
+    dims = _state(psi, "geometric_measure", pure=True, limit=GEOMETRIC_DIM_LIMIT).dims
     tensor = psi.vector.reshape(dims)
     nparties = len(dims)
     cfg = config or _DEFAULT_CONFIG
@@ -1017,9 +1000,9 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
         steps.  ``witness_payload["minimizing_state"]`` holds sigma (a PPT
         input is its own, with value 0).
     """
-    rho, dims = _bipartite(state, "rains_bound", RAINS_DIM_LIMIT)
+    rho = _state(state, "rains_bound", parties=2, limit=RAINS_DIM_LIMIT)
     cfg = config or _DEFAULT_CONFIG
-    sigma, result = _barrier_newton(rho, dims, _RAINS_SET, (1, 2), cfg)
+    sigma, result = _barrier_newton(rho.matrix, rho.dims, _RAINS_SET, (1, 2), cfg)
     result.witness_payload["minimizing_state"] = sigma
     return result
 
@@ -1042,13 +1025,13 @@ def witness_violation(state):
     (witness, violation) : (ndarray or None, float)
         ``(None, 0.0)`` exactly for PPT inputs (``states.is_ppt``).
     """
-    rho, dims = _bipartite(state, "witness_violation")
-    if is_ppt(rho, 1, dims):
+    rho = _state(state, "witness_violation", parties=2)
+    if is_ppt(rho, 1):
         return None, 0.0
-    eta = np.linalg.eigh(partial_transpose(rho, 1, dims))[1][:, 0]
-    witness = partial_transpose(np.outer(eta, eta.conj()), 1, dims)
+    eta = np.linalg.eigh(partial_transpose(rho, 1))[1][:, 0]
+    witness = partial_transpose(np.outer(eta, eta.conj()), 1, rho.dims)
     witness = (witness + witness.conj().T) / 2.0
-    violation = max(0.0, -float(np.real(np.vdot(rho, witness))))
+    violation = max(0.0, -float(np.real(np.vdot(rho.matrix, witness))))
     return witness, violation
 
 
@@ -1064,21 +1047,21 @@ def squashed_eval(rho_abe: DensityOperator,
     ----------
     rho_abe : DensityOperator
         State on exactly three subsystems A, B, E.
-    target : DensityOperator, optional
-        Expected A:B reduction; mismatch beyond 1e-8 raises.
+    target : DensityOperator or PureState, optional
+        Expected A:B reduction.  A target whose dims differ from the
+        reduction's, or whose matrix differs by more than 1e-8, is refused
+        as ``extension-mismatch``.
 
     Returns
     -------
     MeasureResult
         ``status == "best_effort"``.
     """
-    rho = _as_density(rho_abe, "squashed_eval")
-    if len(rho.dims) != 3:
-        raise ValidationError(
-            "tripartite", detail="squashed_eval needs exactly 3 subsystems")
+    rho = _state(rho_abe, "squashed_eval", parties=3)
     if target is not None:
-        target_rho = _as_density(target, "squashed_eval target")
         reduced = partial_trace(rho, (0, 1))
+        target_rho = _state(target, "squashed_eval target", dims=reduced.dims,
+                            invariant="extension-mismatch")
         residual = float(np.linalg.norm(reduced.matrix - target_rho.matrix))
         if residual > 1e-8:
             raise ValidationError("extension-mismatch", residual=residual,

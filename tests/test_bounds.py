@@ -306,3 +306,23 @@ class TestSandwichProperty:
         for _ in range(100):
             rho = rand_rho(rng)
             assert hashing_lower_bound(rho) <= log_negativity(rho) + 1e-6
+
+
+class TestReportLimit:
+    SIX = DensityOperator(0.5 * max_entangled(6).to_density().matrix + 0.5 * np.eye(36) / 36,
+                          (6, 6))
+
+    def test_refused_before_any_entry_runs(self, monkeypatch):
+        def never(*_args, **_kwargs):
+            raise AssertionError("the REE ran on a state the report refuses")
+
+        monkeypatch.setattr(bounds, "relative_entropy_of_entanglement", never)
+        with pytest.raises(ValidationError, match="^dimension-limit"):
+            bounds_report(self.SIX, config=FAST)
+
+    def test_limit_follows_the_entries_that_run(self):
+        seven = DensityOperator(np.eye(49) / 49, (7, 7))
+        with pytest.raises(ValidationError, match="^dimension-limit"):
+            bounds_report(seven, skip=("rains",))
+        rep = bounds_report(seven, skip=("rains", "ree"))
+        assert rep.ppt and set(rep.upper) == {"log_negativity", "distillable"}

@@ -347,3 +347,27 @@ class TestSerialization:
                 {"modes": 1, "ordering": "ppxx", "cov": np.eye(2).tolist()})
         with pytest.raises(ValidationError, match="cov-shape"):
             covariance_from_dict({"modes": 2, "cov": np.eye(2).tolist()})
+
+
+class TestCovarianceArrays:
+    def test_covariance_is_immutable(self):
+        cov = vacuum(1)
+        with pytest.raises(ValueError):
+            cov.matrix[0, 0] = 0.25
+        moved = CovarianceMatrix(np.eye(2), [1.0, -1.0])
+        with pytest.raises(ValueError):
+            moved.first_moments[0] = 0.0
+
+    def test_mean_is_a_copy(self):
+        mean = np.array([1.0, 2.0])
+        cov = CovarianceMatrix(np.eye(2), mean)
+        mean[0] = 5.0
+        assert cov.first_moments.tolist() == [1.0, 2.0]
+
+    def test_unphysical_input_is_still_checked(self):
+        flipped = partial_time_reversal(two_mode_squeezed(0.5), [1])
+        assert not flipped.physical
+        with pytest.raises(ValidationError, match="cov-uncertainty"):
+            gaussian_entropy(flipped)
+        with pytest.raises(ValidationError, match="cov-uncertainty"):
+            gaussian_log_negativity(flipped)

@@ -1061,3 +1061,20 @@ class TestCrossMeasureProperties:
             moved = local @ part @ local.conj().T
             assert np.linalg.eigvalsh(moved)[0] >= -1e-7
             assert np.linalg.eigvalsh(pt_matrix(moved))[0] >= -1e-7
+
+
+class TestIntakeLimits:
+    def test_squashed_target_of_another_size_is_a_mismatch(self):
+        with pytest.raises(ValidationError, match="^extension-mismatch"):
+            squashed_eval(ghz_state(3), target=DensityOperator(np.eye(9) / 9, (3, 3)))
+
+    def test_squashed_target_with_other_dims_is_a_mismatch(self):
+        reduced = partial_trace(ghz_state(3).to_density(), (0, 1))
+        assert squashed_eval(ghz_state(3), target=reduced).value == pytest.approx(0.5)
+        with pytest.raises(ValidationError, match="^extension-mismatch"):
+            squashed_eval(ghz_state(3), target=DensityOperator(reduced.matrix, (4,)))
+
+    @pytest.mark.parametrize("m", [257, 10 ** 30], ids=["257", "1e30"])
+    def test_roof_decomposition_size_is_capped(self, m):
+        with pytest.raises(ValidationError, match="^decomposition-size"):
+            eof_convex_roof(SEPARABLE, m=m, config=FAST)
