@@ -19,6 +19,7 @@ import numpy as np
 from .closed_form import log_negativity
 from .errors import ValidationError
 from .states import (
+    _CERTIFIED,
     _PAIR_SIDE_LIMIT,
     DensityOperator,
     _choice,
@@ -51,7 +52,13 @@ __all__ = [
 
 SANDWICH_SLACK = 1e-3
 
-_CERTIFIED = ("exact", "converged")
+# the upper bounds a report may skip, in report order: each one's dimension
+# limit and its measure, whose name is looked up when the report runs
+_SKIPPABLE = {
+    "ree": (PPT_DIM_LIMIT,
+            lambda rho, cfg: relative_entropy_of_entanglement(rho, config=cfg)),
+    "rains": (RAINS_DIM_LIMIT, lambda rho, cfg: rains_bound(rho, config=cfg)),
+}
 
 
 @dataclass(frozen=True)
@@ -215,10 +222,10 @@ def bounds_report(rho, config: SolverConfig | None = None,
     if isinstance(skip, str) or not isinstance(skip, Iterable):
         raise ValidationError(
             "skip-names", detail=f"skip must be a sequence of bound names, got {_shown(skip)}")
-    skip = {_choice(name, ("rains", "ree"), "skip-names", "bound name") for name in skip}
+    skip = {_choice(name, _SKIPPABLE, "skip-names", "bound name") for name in skip}
+    kept = [name for name in _SKIPPABLE if name not in skip]
     # refused at the least limit of the entries it will run, before any of them runs
-    limits = {"ree": PPT_DIM_LIMIT, "rains": RAINS_DIM_LIMIT}
-    limit = min((limits[name] for name in limits if name not in skip), default=math.inf)
+    limit = min((_SKIPPABLE[name][0] for name in kept), default=math.inf)
     rho = _state(rho, "bounds_report", parties=2, limit=limit)
     # the witness exists exactly when is_ppt fails, so flag and note agree
     witness, violation = witness_violation(rho)
@@ -229,14 +236,9 @@ def bounds_report(rho, config: SolverConfig | None = None,
              else "exact; violation %.6g" % violation}
     upper = {"log_negativity": log_negativity(rho)}
     notes["log_negativity"] = "exact"
-    if "ree" not in skip:
-        ree = relative_entropy_of_entanglement(rho, config=config)
-        upper["ree"] = ree.value
-        notes["ree"] = ree.status
-    if "rains" not in skip:
-        rains = rains_bound(rho, config=config)
-        upper["rains"] = rains.value
-        notes["rains"] = rains.status
+    for name in kept:
+        result = _SKIPPABLE[name][1](rho, config)
+        upper[name], notes[name] = result.value, result.status
     if ppt:
         upper["distillable"] = 0.0
         notes["distillable"] = "exact; PPT states yield no distillable entanglement"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bounds_report
+from .bounds import _SKIPPABLE, bounds_report
 from .closed_form import (
     concurrence,
     eof_two_qubit,
@@ -42,7 +42,7 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from .locc import catalysis_search, optimal_conversion_probability, schmidt
-from .states import PureState, _choice, _path, load_state
+from .states import _CERTIFIED, PureState, _choice, _path, load_state
 from .variational import (
     SolverConfig,
     best_separable_approximation,
@@ -59,7 +59,11 @@ __all__ = ["RunConfig", "main", "run"]
 COMMANDS = ("measure", "bounds", "convert", "gaussian", "batch")
 GAUSSIAN_OPS = ("validate", "spectrum", "entropy", "logneg", "ppt")
 FORMATS = ("table", "json")
-UNCERTAIN = "best_effort"
+# solver overrides, as RunConfig fields and manifest keys -> SolverConfig fields
+_OVERRIDES = {"gap": "gap_tolerance", "restarts": "restarts", "seed": "seed"}
+# what a command or a batch entry reports as an error instead of a result
+_FAILURES = (ValidationError, UnsupportedCaseError, OSError, json.JSONDecodeError,
+             np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,8 @@ class RunConfig:
         ``table`` or ``json``; both render identical values.  Anything else
         exits 2 naming ``format``.
     strict : bool
-        Exit 3 instead of 0 when any emitted status is best-effort.
+        Exit 3 instead of 0 when a result's status or a ``bounds`` note is
+        not certified.
     """
 
     command: str
@@ -112,35 +117,33 @@ class RunConfig:
     strict: bool = False
 
 
-def _exact(value: float) -> dict:
-    return {"value": float(value), "status": "exact", "gap": 0.0, "iterations": 0}
+def _entry(value, status: str = "exact", gap: float = 0.0, iterations: int = 0) -> dict:
+    """One result entry; a closed form is exact, with no gap and no iterations."""
+    return {"value": float(value), "status": status, "gap": float(gap),
+            "iterations": int(iterations)}
 
 
 def _from_result(result) -> dict:
-    return {"value": float(result.value), "status": result.status,
-            "gap": float(result.gap), "iterations": int(result.iterations)}
+    return _entry(result.value, result.status, result.gap, result.iterations)
 
 
 def _witness_entry(state, _cfg) -> dict:
     _, violation = witness_violation(state)
-    out = _exact(violation)
-    out["detected"] = bool(violation > 0.0)
-    return out
+    return {**_entry(violation), "detected": bool(violation > 0.0)}
 
 
 def _bsa_entry(state, cfg) -> dict:
     res = best_separable_approximation(state, config=cfg)
-    return {"value": float(res.weight), "status": res.status,
-            "gap": float(res.gap), "iterations": int(res.iterations)}
+    return _entry(res.weight, res.status, res.gap, res.iterations)
 
 
 MEASURES = {
-    "concurrence": lambda s, _c: _exact(concurrence(s)),
-    "eof2": lambda s, _c: _exact(eof_two_qubit(s)),
-    "negativity": lambda s, _c: _exact(negativity(s)),
-    "logneg": lambda s, _c: _exact(log_negativity(s)),
-    "tangle": lambda s, _c: _exact(tangle(s)),
-    "tau3": lambda s, _c: _exact(residual_tangle(s)),
+    "concurrence": lambda s, _c: _entry(concurrence(s)),
+    "eof2": lambda s, _c: _entry(eof_two_qubit(s)),
+    "negativity": lambda s, _c: _entry(negativity(s)),
+    "logneg": lambda s, _c: _entry(log_negativity(s)),
+    "tangle": lambda s, _c: _entry(tangle(s)),
+    "tau3": lambda s, _c: _entry(residual_tangle(s)),
     "ree": lambda s, c: _from_result(relative_entropy_of_entanglement(s, config=c)),
     "robustness": lambda s, c: _from_result(robustness(s, "separable", config=c)),
     "global-robustness": lambda s, c: _from_result(robustness(s, "global", config=c)),
@@ -152,10 +155,9 @@ MEASURES = {
 }
 
 
-def _solver_config(gap, restarts, seed) -> SolverConfig | None:
+def _solver_config(overrides: dict) -> SolverConfig | None:
     """The overrides as a SolverConfig, which checks them; None without any."""
-    given = {"gap_tolerance": gap, "restarts": restarts, "seed": seed}
-    given = {key: value for key, value in given.items() if value is not None}
+    given = {_OVERRIDES[key]: value for key, value in overrides.items() if value is not None}
     return SolverConfig(**given) if given else None
 
 
@@ -234,17 +236,15 @@ def _batch_payload(config: RunConfig) -> list:
             if not isinstance(overrides, dict):
                 raise ValidationError(
                     "manifest-entry", detail="'overrides' must be an object")
-            unknown = set(overrides) - {"gap", "restarts", "seed"}
+            unknown = set(overrides) - set(_OVERRIDES)
             if unknown:
                 raise ValidationError(
                     "manifest-entry",
                     detail=f"unknown override keys {sorted(unknown)}")
-            cfg = _solver_config(overrides.get("gap"), overrides.get("restarts"),
-                                 overrides.get("seed"))
-            result = _measure_payload(entry["state"], entry["measure"], cfg)
+            result = _measure_payload(entry["state"], entry["measure"],
+                                      _solver_config(overrides))
             return {"state": entry["state"], "measure": entry["measure"], **result}
-        except (ValidationError, UnsupportedCaseError, OSError,
-                json.JSONDecodeError, np.linalg.LinAlgError) as exc:
+        except _FAILURES as exc:
             out = {"error": _error_text(exc)}
             if isinstance(entry, dict):
                 out = {"state": entry.get("state"),
@@ -255,6 +255,8 @@ def _batch_payload(config: RunConfig) -> list:
 
 
 def _error_text(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
     if isinstance(exc, np.linalg.LinAlgError):
         return f"solver: {exc}"
     return str(exc)
@@ -263,7 +265,7 @@ def _error_text(exc: Exception) -> str:
 def _dispatch(config: RunConfig):
     command = _choice(config.command, COMMANDS, "command", "command")
     _choice(config.fmt, FORMATS, "format", "format")
-    cfg = _solver_config(config.gap, config.restarts, config.seed)
+    cfg = _solver_config({key: getattr(config, key) for key in _OVERRIDES})
     if command == "measure":
         return _measure_payload(config.state, config.measure, cfg)
     if command == "bounds":
@@ -319,15 +321,11 @@ def _render(payload, fmt: str) -> str:
 
 
 def _has_uncertified(payload) -> bool:
-    if isinstance(payload, dict):
-        if payload.get("status") == UNCERTAIN:
-            return True
-        return any(_has_uncertified(v) for v in payload.values())
-    if isinstance(payload, list):
-        return any(_has_uncertified(v) for v in payload)
-    if isinstance(payload, str):
-        return payload.startswith(UNCERTAIN)
-    return False
+    """Whether a result's status or a ``bounds`` note is not certified."""
+    entries = payload if isinstance(payload, list) else [payload]
+    marks = [entry["status"] for entry in entries if "status" in entry]
+    marks += [note for entry in entries for note in entry.get("notes", {}).values()]
+    return not all(mark.startswith(_CERTIFIED) for mark in marks)
 
 
 def run(config: RunConfig) -> tuple[int, str]:
@@ -346,11 +344,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     """
     try:
         payload = _dispatch(config)
-    except json.JSONDecodeError as exc:
-        return 2, (f"error: malformed JSON at line {exc.lineno}, "
-                   f"column {exc.colno}: {exc.msg}")
-    except (ValidationError, UnsupportedCaseError, OSError,
-            np.linalg.LinAlgError) as exc:
+    except _FAILURES as exc:
         return 2, f"error: {_error_text(exc)}"
     text = _render(payload, config.fmt)
     if config.strict and _has_uncertified(payload):
@@ -387,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="aggregated distillability bounds")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--skip", action="append", default=[],
-                   choices=("rains", "ree"), help="omit an upper bound")
+                   choices=sorted(_SKIPPABLE), help="omit an upper bound")
     add_common(p, solver=True)
 
     p = sub.add_parser("convert", help="pure-state LOCC conversion verdict")

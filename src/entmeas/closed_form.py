@@ -41,19 +41,13 @@ def binary_entropy(p: float) -> float:
     return float(total)
 
 
-def _clamp_spectrum(values: np.ndarray) -> np.ndarray:
-    """Zero out negative spectral residue within the clamping tolerance."""
-    values = np.real(values)
-    return np.where(values < 0.0, np.where(values > -CLAMP_TOL, 0.0, values), values)
-
-
 def concurrence(rho) -> float:
     """Concurrence of a two-qubit state.
 
     Computed from the descending square roots ``l1 >= l2 >= l3 >= l4`` of
     the eigenvalues of ``rho (sy x sy) rho* (sy x sy)`` as
-    ``max(0, l1 - l2 - l3 - l4)``; negative spectral residue above
-    -1e-10 is clamped to zero.
+    ``max(0, l1 - l2 - l3 - l4)``; negative eigenvalues, which only
+    roundoff produces, are set to zero.
 
     Parameters
     ----------
@@ -71,7 +65,7 @@ def concurrence(rho) -> float:
     # the Hermitian eigensolver keeps full precision on this spectrum
     evals, evecs = np.linalg.eigh(rho.matrix)
     root = (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.conj().T
-    eigs = np.maximum(_clamp_spectrum(np.linalg.eigvalsh(root @ tilde @ root)), 0.0)
+    eigs = np.maximum(np.linalg.eigvalsh(root @ tilde @ root), 0.0)
     # roundoff noise at relative scale eps would blow up to ~1e-8 under sqrt
     if eigs[-1] > 0.0:
         eigs[eigs < 64.0 * np.finfo(float).eps * eigs[-1]] = 0.0
@@ -250,10 +244,9 @@ def ckw_check(psi: PureState) -> TangleReport:
         for j in range(i + 1, n):
             pairwise[(i, j)] = tangle(partial_trace(rho, (i, j)))
     one_to_rest = {i: tangle(psi, qubit=i) for i in range(n)}
-    satisfied = True
-    for i in range(n):
-        pair_sum = sum(pairwise[(min(i, j), max(i, j))] for j in range(n) if j != i)
-        if pair_sum > one_to_rest[i] + 1e-9:
-            satisfied = False
-    residual = residual_tangle(psi) if n == 3 else None
+    pair_sums = [sum(pairwise[(min(i, j), max(i, j))] for j in range(n) if j != i)
+                 for i in range(n)]
+    satisfied = all(pair_sums[i] <= one_to_rest[i] + 1e-9 for i in range(n))
+    # the residual tangle about pivot 0, as residual_tangle computes it
+    residual = max(0.0, one_to_rest[0] - pair_sums[0]) if n == 3 else None
     return TangleReport(pairwise, one_to_rest, residual, satisfied)

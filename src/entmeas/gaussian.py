@@ -56,7 +56,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Second moments of a set of bosonic modes.
 

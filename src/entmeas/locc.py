@@ -21,7 +21,7 @@ RECONSTRUCT_TOL = 1e-9
 MAJORIZATION_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Schmidt data of a bipartite pure state.
 

@@ -217,7 +217,7 @@ def _finite_real(value, name: str) -> float:
     return float(value)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SdpSolution:
     """Solver outcome.
 

@@ -44,6 +44,8 @@ _QUBIT_LIMIT = STATE_DIM_LIMIT.bit_length() - 1
 _PAIR_SIDE_LIMIT = math.isqrt(STATE_DIM_LIMIT)
 
 _STATUSES = ("exact", "converged", "best_effort")
+# a status, or a note that starts with one of these, is certified
+_CERTIFIED = ("exact", "converged")
 # the largest float, exactly, as an int
 _FLOAT_MAX = int(sys.float_info.max)
 
@@ -304,7 +306,7 @@ class KrausSet:
         return len(self.operators)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureResult:
     """Outcome of a measure evaluation.
 

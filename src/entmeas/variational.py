@@ -640,7 +640,7 @@ def robustness(state, noise: str = "global",
                          iterations=sol.iterations, witness_payload=payload)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BaseNormResult:
     """Base-norm value and witnessing decomposition ``h = a*omega - b*delta``.
 
@@ -727,7 +727,7 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
         a=max(0.0, a_val), omega=omega, b=b_val, delta=delta, gap=gap)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BsaResult:
     """Best PPT approximation ``rho = separable_part + remainder``.
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import ast
 import json
 import math
@@ -13,13 +14,15 @@ import pytest
 
 from entmeas import (
     DensityOperator,
+    MeasureResult,
     PureState,
     ghz_state,
     max_entangled,
     save_state,
     w_state,
 )
-from entmeas.cli import GAUSSIAN_OPS, RunConfig, main, run
+from entmeas import bounds
+from entmeas.cli import GAUSSIAN_OPS, RunConfig, _build_parser, main, run
 from entmeas.gaussian import covariance_to_dict, two_mode_squeezed, vacuum
 
 
@@ -413,6 +416,46 @@ class TestBatchCommand:
         assert out[0]["error"].startswith("manifest-entry")
         assert out[1]["value"] == 1.0
 
+
+class TestFrontEndRules:
+    """measure, bounds and batch read one definition of what is certified,
+    what fails and which bounds may be skipped."""
+
+    def test_strict_ignores_a_state_path_named_best_effort(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_state(max_entangled(2).to_density(), "best_effort_bell.json")
+        Path("manifest.json").write_text(json.dumps([
+            {"state": "best_effort_bell.json", "measure": "logneg"},
+            {"state": "best_effort_bell.json", "measure": "concurrence"}]))
+        code, out = run_json(["batch", "--manifest", "manifest.json", "--strict"], capsys)
+        assert code == 0
+        assert [e["status"] for e in out] == ["exact", "exact"]
+
+    def test_malformed_json_reads_the_same_in_measure_and_batch(self, files, tmp_path):
+        code, text = run(RunConfig(command="measure", state=files["bad"], measure="logneg"))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"state": files["bad"], "measure": "logneg"}]))
+        batch_code, batch_text = run(RunConfig(command="batch", manifest=str(manifest),
+                                               fmt="json"))
+        [entry] = json.loads(batch_text)
+        assert (code, batch_code) == (2, 0)
+        assert entry["error"].startswith("malformed JSON at line 1, column ")
+        assert text == f"error: {entry['error']}"
+
+    def test_strict_reads_the_bounds_notes(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "relative_entropy_of_entanglement",
+                            lambda rho, config=None: MeasureResult(1.0, "best_effort", 0.1, 5))
+        code, out = run_json(["bounds", "--state", files["bell"], "--skip", "rains",
+                              "--strict"], capsys)
+        assert out["notes"]["ree"] == "best_effort"
+        assert code == 3
+
+    def test_skip_accepts_exactly_the_bounds_table(self):
+        commands = next(a for a in _build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        skip = next(a for a in commands.choices["bounds"]._actions if a.dest == "skip")
+        assert sorted(skip.choices) == sorted(bounds._SKIPPABLE) == ["rains", "ree"]
 
 
 class TestDeterminism:

@@ -238,6 +238,11 @@ class TestCkwReport:
             assert report.ckw_satisfied
             assert report.residual >= 0.0
 
+    def test_residual_is_residual_tangle(self, rng):
+        states = [ghz_state(3), w_state(3)] + [rand_pure(rng, [2, 2, 2]) for _ in range(25)]
+        for psi in states:
+            assert ckw_check(psi).residual == residual_tangle(psi)
+
     def test_four_qubit_report(self, rng):
         report = ckw_check(ghz_state(4))
         assert report.ckw_satisfied

@@ -19,6 +19,7 @@ from entmeas import (
     apply_kraus,
     apply_symplectic,
     base_norm,
+    best_separable_approximation,
     binary_entropy,
     bounds_report,
     catalysis_search,
@@ -58,7 +59,7 @@ from entmeas import (
 )
 from entmeas.gaussian import (covariance_from_dict, mode_rotation, symplectic_form, thermal,
                               two_mode_squeezer, vacuum)
-from entmeas.sdp import SdpProblem
+from entmeas.sdp import SdpProblem, sdp_solve
 from conftest import rand_pure, rand_rho, rand_unitary
 
 
@@ -786,3 +787,34 @@ class TestJsonFormat:
             state_from_dict({"dims": [2]})
         with pytest.raises(ValidationError, match="state-format"):
             state_from_dict({"matrix": [[[1.0, 0.0]]]})
+
+
+def _sdp_solution():
+    prob = SdpProblem([2])
+    prob.set_objective(0, np.diag([1.0, 2.0]))
+    prob.add_equality({0: np.eye(2)}, 1.0)
+    return sdp_solve(prob)
+
+
+RESULTS = {
+    "CovarianceMatrix": lambda: vacuum(1),
+    "MeasureResult": lambda: MeasureResult(0.5, "converged", 1e-7, 3, {"closest": np.eye(4) / 4}),
+    "MeasureResult-no-payload": lambda: MeasureResult(0.5, "converged", 1e-7, 3),
+    "SchmidtDecomposition": lambda: schmidt(max_entangled(2)),
+    "SdpSolution": _sdp_solution,
+    "BaseNormResult": lambda: base_norm(bell_rho(), ConeSpec("PPT-operators"),
+                                        ConeSpec("PPT-operators")),
+    "BsaResult": lambda: best_separable_approximation(bell_rho()),
+}
+
+
+class TestResultIdentity:
+    """Result types that hold arrays compare and hash by identity, as
+    DensityOperator does: equality over their arrays would raise."""
+
+    @pytest.mark.parametrize("make", RESULTS.values(), ids=RESULTS.keys())
+    def test_equality_and_hash_are_by_identity(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
