@@ -61,7 +61,7 @@ _SKIPPABLE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundsReport:
     """Aggregated lower and upper bounds on distillable entanglement.
 

@@ -198,7 +198,7 @@ def residual_tangle(psi: PureState, pivot: int = 0) -> float:
     return max(0.0, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangleReport:
     """Tangle summary of a multiqubit pure state.
 

@@ -326,3 +326,28 @@ class TestReportLimit:
             bounds_report(seven, skip=("rains",))
         rep = bounds_report(seven, skip=("rains", "ree"))
         assert rep.ppt and set(rep.upper) == {"log_negativity", "distillable"}
+
+
+class TestReportCertifiesWithoutSdp:
+    """A 2x2 report's REE and Rains bound certify at the barrier's central
+    point: no certificate SDP runs."""
+
+    BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+    PURE = np.array([0.8, 0.3, 0.1j, 0.5])
+
+    @pytest.mark.parametrize("state", [
+        DensityOperator((BELL_BASIS.T * [0.6, 0.2, 0.15, 0.05]) @ BELL_BASIS, (2, 2)),
+        DensityOperator(np.outer(PURE, PURE.conj()) / np.vdot(PURE, PURE).real, (2, 2)),
+    ], ids=["bell-diagonal", "pure"])
+    def test_no_sdp_solve(self, monkeypatch, state):
+        calls = []
+        solve = variational.sdp_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(variational, "sdp_solve", counted)
+        rep = bounds_report(state, config=FAST)
+        assert calls == []
+        assert rep.notes["ree"] == rep.notes["rains"] == "converged"

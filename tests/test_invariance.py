@@ -2,15 +2,18 @@
 the Rains bound sits in the chain hashing <= Rains <= REE, log-negativity,
 the robustnesses in the chain negativity <= global <= separable noise,
 the partial transpose of a raw operator is a trace- and
-Hermiticity-preserving involution, and is_ppt, negativity and the
-partial-transpose witness give one PPT verdict."""
+Hermiticity-preserving involution, is_ppt, negativity and the
+partial-transpose witness give one PPT verdict, and the REE and Rains bound
+bracket their closed forms on T-states and pure states, with the barrier's
+central-point bound below the certificate SDP's optimum."""
 
 import numpy as np
 import pytest
 
-from entmeas import DensityOperator, is_ppt, partial_transpose
+from entmeas import DensityOperator, is_ppt, partial_transpose, variational
 from entmeas.bounds import hashing_lower_bound
 from entmeas.closed_form import log_negativity, negativity
+from entmeas.sdp import sdp_solve
 from entmeas.variational import (
     minimize_over_ppt_states,
     rains_bound,
@@ -108,3 +111,67 @@ def test_one_ppt_decision_across_the_boundary(seed, dims, exponent, sign):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     _, sigma = minimize_over_ppt_states(g + g.conj().T, dims)
     assert np.real(np.vdot(witness, sigma)) >= -1e-9
+
+
+BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+
+
+def entropy_bits(probs):
+    probs = probs[probs > 1e-15]
+    return float(-np.sum(probs * np.log2(probs)))
+
+
+def assert_brackets(oracle, res):
+    """The closed form lies between the certified bound and the value."""
+    assert res.value - res.gap - 1e-9 <= oracle <= res.value + 1e-9
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_t_state_distances_match_the_closed_form(seed):
+    """A T-state (Bell-diagonal, weights lam) in a random local frame has REE
+    and Rains bound ``1 - h(lam_max)``, 0 when ``lam_max <= 1/2``."""
+    rng = np.random.default_rng(seed)
+    lam = rng.dirichlet(np.ones(4))
+    top = float(lam.max())
+    oracle = 1.0 - entropy_bits(np.array([top, 1.0 - top])) if top > 0.5 else 0.0
+    u = np.kron(rand_unitary(rng, 2), rand_unitary(rng, 2))
+    rho = DensityOperator(u @ ((BELL_BASIS.T * lam) @ BELL_BASIS) @ u.conj().T, (2, 2))
+    for measure in (relative_entropy_of_entanglement, rains_bound):
+        assert_brackets(oracle, measure(rho))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       dims=st.sampled_from([(2, 2), (2, 3)]))
+def test_pure_state_distances_are_the_entanglement_entropy(seed, dims):
+    psi = rand_pure(np.random.default_rng(seed), dims)
+    schmidt = np.linalg.svd(psi.vector.reshape(dims), compute_uv=False) ** 2
+    oracle = entropy_bits(schmidt)
+    for measure in (relative_entropy_of_entanglement, rains_bound):
+        assert_brackets(oracle, measure(psi))
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       dims=st.sampled_from([(2, 2), (2, 3)]),
+       rank=st.integers(min_value=1, max_value=6))
+def test_central_point_bound_stays_below_the_sdp_optimum(seed, dims, rank):
+    """At the same gradient, the bound from the barrier's central point never
+    exceeds the certificate SDP's primal value, an upper bound on the
+    linear minimum it bounds from below."""
+    rho = rand_rho(np.random.default_rng(seed), dims, min(rank, dims[0] * dims[1]))
+    central, seen = variational._central_bound, []
+
+    def recording(problem, *args):
+        seen.append((problem, central(problem, *args)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variational, "_central_bound", recording)
+        for measure in (relative_entropy_of_entanglement, rains_bound):
+            measure(rho)
+    for problem, bound in seen:
+        sol = sdp_solve(problem)
+        assert sol.status == "optimal"
+        assert bound <= sol.value + 1e-9 * (1.0 + abs(sol.value))

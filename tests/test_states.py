@@ -818,3 +818,21 @@ class TestResultIdentity:
         assert a == a and a != b
         assert hash(a) == hash(a)
         assert len({a, b}) == 2
+
+
+REPORTS = {
+    "TangleReport": lambda: ckw_check(ghz_state(3)),
+    "BoundsReport": lambda: bounds_report(bell_rho(), skip=("ree", "rains")),
+}
+
+
+class TestReportIdentity:
+    """The report types hold dicts, so they compare and hash by identity too:
+    a generated hash over their fields would raise."""
+
+    @pytest.mark.parametrize("make", REPORTS.values(), ids=REPORTS.keys())
+    def test_equality_and_hash_are_by_identity(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2

@@ -1078,3 +1078,84 @@ class TestIntakeLimits:
     def test_roof_decomposition_size_is_capped(self, m):
         with pytest.raises(ValidationError, match="^decomposition-size"):
             eof_convex_roof(SEPARABLE, m=m, config=FAST)
+
+
+class TestCertificatePaths:
+    """The barrier certifies at its own central point; the certificate SDP
+    runs only when that bound misses the tolerance, on the same problem."""
+
+    MEASURES = [relative_entropy_of_entanglement, rains_bound]
+
+    @staticmethod
+    def framed_bell_diagonal(seed=11):
+        """Bell-diagonal, weights (0.7, 0.15, 0.1, 0.05), in a seeded random
+        local frame: both measures are ``1 - h(0.7)``."""
+        bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
+                         [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
+        rho = (bell.T * np.array([0.7, 0.15, 0.1, 0.05])) @ bell
+        rng = np.random.default_rng(seed)
+        u = np.kron(rand_unitary(rng, 2), rand_unitary(rng, 2))
+        return DensityOperator(u @ rho @ u.conj().T, (2, 2))
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """The problems handed to the certificate SDP."""
+        problems, solve = [], variational.sdp_solve
+
+        def recording(problem, *args, **kwargs):
+            problems.append(problem)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(variational, "sdp_solve", recording)
+        return problems
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_central_point_certifies_without_an_sdp(self, monkeypatch, measure):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate SDP ran")
+
+        monkeypatch.setattr(variational, "sdp_solve", refuse)
+        res = measure(self.framed_bell_diagonal())
+        assert res.status == "converged"
+        assert res.gap <= 1e-6
+        assert res.witness_payload["certificate"] == "central-point"
+        closed = 1.0 - binary_entropy(0.7)
+        assert res.value - res.gap - 1e-9 <= closed <= res.value + 1e-9
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_missed_bound_falls_back_to_one_sdp(self, monkeypatch, measure):
+        """With the central-point bound void, one SDP over the n^2 equation
+        rows and the trace row certifies the same point."""
+        problems = self.recorded(monkeypatch)
+        monkeypatch.setattr(variational, "_central_bound", lambda *args: -math.inf)
+        res = measure(self.framed_bell_diagonal())
+        assert [prob.num_constraints for prob in problems] == [4 * 4 + 1]
+        assert res.status == "converged"
+        assert res.witness_payload["certificate"] == "sdp"
+        closed = 1.0 - binary_entropy(0.7)
+        assert res.value - res.gap - 1e-9 <= closed <= res.value + 1e-9
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_uncentered_point_falls_back(self, monkeypatch, measure):
+        """Cut at the step cap, far from the last center, the point's bound
+        misses, and the SDP solves its problem once."""
+        problems = self.recorded(monkeypatch)
+        res = measure(self.framed_bell_diagonal(), config=SolverConfig(max_iterations=8))
+        assert [prob.num_constraints for prob in problems] == [4 * 4 + 1]
+        assert res.status == "best_effort"
+        assert res.iterations == 8
+
+    def test_polish_steps_count_toward_the_cap(self, monkeypatch):
+        """The undamped steps at the final t are Newton steps: at most
+        ``_POLISH_STEPS`` of them, counted in ``iterations`` and cut by the
+        step cap."""
+        rho = self.framed_bell_diagonal()
+        polished = relative_entropy_of_entanglement(rho)
+        monkeypatch.setattr(variational, "_POLISH_STEPS", 0)
+        plain = relative_entropy_of_entanglement(rho)
+        monkeypatch.undo()
+        assert 0 < polished.iterations - plain.iterations <= variational._POLISH_STEPS
+        capped = relative_entropy_of_entanglement(
+            rho, config=SolverConfig(max_iterations=plain.iterations))
+        assert capped.iterations == plain.iterations
+        assert capped.value == plain.value
