@@ -42,7 +42,7 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 from .locc import catalysis_search, optimal_conversion_probability, schmidt
-from .states import _CERTIFIED, PureState, _choice, _path, load_state
+from .states import _CERTIFIED, PureState, _choice, _json_file, load_state
 from .variational import (
     SolverConfig,
     best_separable_approximation,
@@ -194,8 +194,7 @@ def _convert_payload(config: RunConfig) -> dict:
 
 def _gaussian_payload(config: RunConfig) -> dict:
     op = _choice(config.op, GAUSSIAN_OPS, "gaussian-op", "op")
-    with open(_path(config.cov, "covariance file"), "r", encoding="utf-8") as fh:
-        cov = covariance_from_dict(json.load(fh))
+    cov = covariance_from_dict(_json_file(config.cov, "covariance file"))
     if op == "validate":
         margin = cov.uncertainty_margin()
         return {"modes": cov.n_modes, "physical": bool(margin >= -UNCERTAINTY_TOLERANCE),
@@ -215,8 +214,7 @@ def _gaussian_payload(config: RunConfig) -> dict:
 
 
 def _batch_payload(config: RunConfig) -> list:
-    with open(_path(config.manifest, "manifest"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _json_file(config.manifest, "manifest")
     if not isinstance(manifest, list):
         raise ValidationError("manifest", detail="manifest must be a JSON array")
 

@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import UnsupportedCaseError, ValidationError
 from .states import (
-    PPT_TOL,
     PureState,
     _bipartition,
     _count,
     _is_integer,
+    _ppt_spectrum,
     _real,
     _state,
     partial_trace,
@@ -113,10 +113,8 @@ def negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
     rho = _state(rho, "negativity")
     n = len(rho.dims)
     transposed = _bipartition(n - 1 if transposed is None else transposed, n, "transposed")
-    eigs = np.linalg.eigvalsh(partial_transpose(rho, transposed))
-    if eigs[0] >= -PPT_TOL:
-        return 0.0
-    return float(-np.sum(eigs[eigs < 0.0]))
+    ppt, eigs, _ = _ppt_spectrum(partial_transpose(rho, transposed))
+    return 0.0 if ppt else float(-np.sum(eigs[eigs < 0.0]))
 
 
 def log_negativity(rho, transposed: Iterable[int] | int | None = None) -> float:

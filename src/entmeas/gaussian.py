@@ -314,7 +314,7 @@ def gaussian_ppt_separable(gamma: CovarianceMatrix, cut: int = 1) -> bool:
     gamma : CovarianceMatrix
         Physical two-mode covariance.
     cut : int, optional
-        Must select a single mode per side.
+        Must be 1, one mode per side; any other value is refused (``mode-cut``).
 
     Returns
     -------
@@ -322,7 +322,7 @@ def gaussian_ppt_separable(gamma: CovarianceMatrix, cut: int = 1) -> bool:
         ``gaussian_is_ppt``, which is exact in this regime.
     """
     gamma = _as_cov(gamma)
-    if gamma.n_modes != 2 or cut != 1:
+    if gamma.n_modes != 2:
         raise UnsupportedCaseError(
             "separability is decided only for one mode per side; larger cuts "
             "get a PPT check that is merely a necessary condition")

@@ -100,6 +100,19 @@ def _clean_coefficients(values, name: str) -> np.ndarray:
     return np.sort(arr)[::-1]
 
 
+def _coefficient_pair(source, target) -> tuple[np.ndarray, np.ndarray]:
+    """Both Schmidt vectors by ``_clean_coefficients``, zero-padded to one length."""
+    src = _clean_coefficients(source, "source")
+    tgt = _clean_coefficients(target, "target")
+    n = max(src.size, tgt.size)
+    return np.pad(src, (0, n - src.size)), np.pad(tgt, (0, n - tgt.size))
+
+
+def _majorized(src: np.ndarray, tgt: np.ndarray) -> bool:
+    """Nielsen's majorization test on vectors as ``_coefficient_pair`` gives them."""
+    return bool(np.all(np.cumsum(src) <= np.cumsum(tgt) + MAJORIZATION_SLACK))
+
+
 def majorization_convertible(source, target) -> bool:
     """Decide deterministic LOCC convertibility of Schmidt vectors.
 
@@ -117,12 +130,7 @@ def majorization_convertible(source, target) -> bool:
     -------
     bool
     """
-    src = _clean_coefficients(source, "source")
-    tgt = _clean_coefficients(target, "target")
-    n = max(src.size, tgt.size)
-    src = np.pad(src, (0, n - src.size))
-    tgt = np.pad(tgt, (0, n - tgt.size))
-    return bool(np.all(np.cumsum(src) <= np.cumsum(tgt) + MAJORIZATION_SLACK))
+    return _majorized(*_coefficient_pair(source, target))
 
 
 @dataclass(frozen=True)
@@ -160,14 +168,10 @@ def optimal_conversion_probability(source, target) -> ConversionVerdict:
     -------
     ConversionVerdict
     """
-    src = _clean_coefficients(source, "source")
-    tgt = _clean_coefficients(target, "target")
-    n = max(src.size, tgt.size)
-    src = np.pad(src, (0, n - src.size))
-    tgt = np.pad(tgt, (0, n - tgt.size))
+    src, tgt = _coefficient_pair(source, target)
     best_p, best_l = 1.0, 0
     src_tail, tgt_tail = 1.0, 1.0
-    for l in range(n):
+    for l in range(src.size):
         if l > 0:
             src_tail = float(np.sum(src[l:]))
             tgt_tail = float(np.sum(tgt[l:]))
@@ -178,7 +182,7 @@ def optimal_conversion_probability(source, target) -> ConversionVerdict:
         ratio = 0.0 if src_tail <= 0.0 else min(1.0, src_tail / tgt_tail)
         if ratio < best_p - 1e-15:
             best_p, best_l = ratio, l
-    deterministic = majorization_convertible(src, tgt)
+    deterministic = _majorized(src, tgt)
     if deterministic:
         best_p, best_l = 1.0, 0
     return ConversionVerdict(deterministic, best_p, best_l)
@@ -224,9 +228,8 @@ def catalysis_search(source, target, catalyst_rank: int = 2,
         Verified catalyst coefficients, or None when the grid holds no
         catalyst (a best-effort outcome, not a proof of impossibility).
     """
-    src = _clean_coefficients(source, "source")
-    tgt = _clean_coefficients(target, "target")
-    if majorization_convertible(src, tgt):
+    src, tgt = _coefficient_pair(source, target)
+    if _majorized(src, tgt):
         raise ValidationError(
             "catalysis-precondition",
             detail="the conversion is already deterministic without a catalyst")
@@ -234,8 +237,8 @@ def catalysis_search(source, target, catalyst_rank: int = 2,
     resolution = _count(resolution, "grid resolution", "resolution", low=catalyst_rank)
     for cand in _catalyst_grid(catalyst_rank, resolution):
         cand = cand[cand > 0.0]
-        if majorization_convertible(np.outer(src, cand).reshape(-1),
-                                    np.outer(tgt, cand).reshape(-1)):
+        if _majorized(*_coefficient_pair(np.outer(src, cand).reshape(-1),
+                                         np.outer(tgt, cand).reshape(-1))):
             return cand
     return None
 

@@ -269,8 +269,8 @@ class KrausSet:
     Parameters
     ----------
     operators : sequence of array_like
-        Operators with a shared number of columns (the input dimension).
-        Output dimensions may differ across operators.
+        Operators with a shared number of columns (the input dimension);
+        output dimensions may differ only for selective ``apply_kraus``.
     trace_preserving : bool, optional
         When True (default), completeness ``sum_i A_i^dag A_i = 1`` is
         enforced within 1e-9.
@@ -480,9 +480,16 @@ def is_ppt(rho, cut: Iterable[int] | int = 0, dims: Sequence[int] | None = None)
     always positive.
     """
     transposed = partial_transpose(rho, cut, dims)
-    _bipartition(cut, len(rho.dims) if isinstance(rho, (DensityOperator, PureState)) else len(dims),
-                 "cut")
-    return bool(np.linalg.eigvalsh(transposed)[0] >= -PPT_TOL)
+    _bipartition(cut, len(getattr(rho, "dims", dims)), "cut")
+    return _ppt_spectrum(transposed)[0]
+
+
+def _ppt_spectrum(transposed: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+    """The PPT rule on a partial transpose, least eigenvalue >= ``-PPT_TOL``, and
+    its ascending eigenpairs.  Every PPT decision reads this one ``eigh``: an
+    ``eigvalsh`` differs in the last bits and could split a state at the tolerance."""
+    eigs, vecs = np.linalg.eigh(transposed)
+    return bool(eigs[0] >= -PPT_TOL), eigs, vecs
 
 
 def permute_subsystems(state, order: Sequence[int]):
@@ -651,7 +658,8 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "
     rho : DensityOperator or PureState
     mode : {"averaged", "selective"}
         ``"averaged"`` returns the channel output ``sum_i A_i rho A_i^dag``
-        (renormalized by its trace to absorb roundoff).  ``"selective"``
+        (renormalized by its trace to absorb roundoff); its operators need
+        one common output dimension (``kraus-set``).  ``"selective"``
         returns the list of ``(probability, post-measurement state)``
         pairs; outcomes with probability below 1e-14 are dropped.
 
@@ -664,34 +672,25 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "
         raise ValidationError(
             "kraus-set", detail=f"apply_kraus expects a KrausSet, got {type(kraus).__name__}")
     mode = _choice(mode, ("averaged", "selective"), "mode", "mode")
-    d = rho.dim
-    for op in kraus.operators:
-        if op.shape[1] != d:
-            raise ValidationError("shape", detail="Kraus input dimension does not match state")
-
-    def out_dims(op):
-        return rho.dims if op.shape[0] == d else (op.shape[0],)
-
-    if mode == "averaged":
-        total = sum(op @ rho.matrix @ op.conj().T for op in kraus.operators)
-        tr = float(np.real(np.trace(total)))
-        if kraus.trace_preserving and abs(tr - 1.0) > COMPLETENESS_TOL:
-            raise ValidationError("trace-preservation", abs(tr - 1.0), COMPLETENESS_TOL)
-        if tr < OUTCOME_CUTOFF:
+    if kraus.operators[0].shape[1] != rho.dim:
+        raise ValidationError("shape", detail="Kraus input dimension does not match state")
+    outputs = sorted({op.shape[0] for op in kraus.operators})
+    if mode == "averaged" and len(outputs) > 1:
+        raise ValidationError(
+            "kraus-set", detail=f"averaged mode needs one output dimension, got {outputs}")
+    images = [op @ rho.matrix @ op.conj().T for op in kraus.operators]
+    traces = [float(np.real(np.trace(image))) for image in images]
+    total = sum(traces)
+    if kraus.trace_preserving and abs(total - 1.0) > COMPLETENESS_TOL:
+        raise ValidationError("trace-preservation", abs(total - 1.0), COMPLETENESS_TOL)
+    if mode == "averaged":  # the channel output is the one outcome of the summed image
+        if total < OUTCOME_CUTOFF:
             raise ValidationError("trace-preservation", detail="channel output has vanishing trace")
-        return DensityOperator(total / tr, out_dims(kraus.operators[0]))
-    outcomes = []
-    total_p = 0.0
-    for op in kraus.operators:
-        raw = op @ rho.matrix @ op.conj().T
-        p = float(np.real(np.trace(raw)))
-        total_p += p
-        if p < OUTCOME_CUTOFF:
-            continue
-        outcomes.append((p, DensityOperator(raw / p, out_dims(op))))
-    if kraus.trace_preserving and abs(total_p - 1.0) > COMPLETENESS_TOL:
-        raise ValidationError("trace-preservation", abs(total_p - 1.0), COMPLETENESS_TOL)
-    return outcomes
+        images, traces = [sum(images)], [total]
+    outcomes = [(p, DensityOperator(image / p,
+                                    rho.dims if len(image) == rho.dim else (len(image),)))
+                for image, p in zip(images, traces) if p >= OUTCOME_CUTOFF]
+    return outcomes[0][1] if mode == "averaged" else outcomes
 
 
 def max_entangled(d: int = 2) -> PureState:
@@ -782,12 +781,23 @@ def load_state(path):
     json.JSONDecodeError
         For malformed JSON (carries line and column).
     ValidationError
-        For a path that is not a ``str`` or ``os.PathLike`` and for
-        structurally invalid payloads.
+        For a path that is not a ``str`` or ``os.PathLike``, a file that
+        ``_json_file`` refuses, and structurally invalid payloads.
     """
-    with open(_path(path, "state file"), "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return state_from_dict(payload)
+    return state_from_dict(_json_file(path, "state file"))
+
+
+def _json_file(path, name: str):
+    """The JSON value in the file at ``path``, a ``name``; malformed JSON raises
+    ``json.JSONDecodeError``.  Text that is not UTF-8, nesting past the recursion
+    limit and an integer literal too long for ``int`` are refused as ``json``."""
+    with open(_path(path, name), "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except (RecursionError, ValueError) as exc:
+            raise ValidationError("json", detail=f"{name} cannot be read: {exc}") from exc
 
 
 def save_state(state, path) -> None:

@@ -48,6 +48,7 @@ from .states import (
     _count,
     _hermitian,
     _is_finite_real,
+    _ppt_spectrum,
     _shape,
     _shown,
     _state,
@@ -226,14 +227,6 @@ def _linear_problem(objective: np.ndarray, dims, equations, trace) -> SdpProblem
     return prob
 
 
-def _linear_minimum(prob: SdpProblem) -> tuple:
-    """Certified minimum of a ``_linear_problem`` by one SDP solve: the
-    ``dual_bound`` at the solver's dual vector, rigorous however the solve
-    ends, and the solution."""
-    sol = sdp_solve(prob)
-    return dual_bound(prob, sol.y), sol
-
-
 def _clean_state(mat: np.ndarray) -> np.ndarray:
     """Project a near-state onto the density matrices (clip and renormalize)."""
     mat = (mat + mat.conj().T) / 2.0
@@ -275,8 +268,9 @@ def minimize_over_ppt_states(objective: np.ndarray, dims: tuple[int, int]):
     if is_ppt(vertex, 1, dims):
         return float(w[0]), vertex
 
-    bound, sol = _linear_minimum(_linear_problem(g, dims, _PPT_SET, (0,)))
-    return bound, _clean_state(sol.blocks[0])
+    problem = _linear_problem(g, dims, _PPT_SET, (0,))
+    sol = sdp_solve(problem)
+    return dual_bound(problem, sol.y), _clean_state(sol.blocks[0])
 
 
 # Barrier method (Boyd & Vandenberghe, Convex Optimization, ch. 11), t grown by
@@ -463,8 +457,8 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
     With ``L`` below ``min tr(G sigma)`` on the set, ``S + L - <G, sigma>`` at
     the gradient G of f bounds the minimum below, however well the point is
     centered.  ``L`` is first ``_central_bound`` at the point kept and its t;
-    only when that misses ``cfg.gap_tolerance`` does ``_linear_minimum``
-    solve the same problem, and the larger bound is kept.
+    only when that misses ``cfg.gap_tolerance`` does an ``sdp_solve`` of the
+    same problem give a second ``dual_bound``, and the larger bound is kept.
 
     Returns sigma and a MeasureResult whose payload holds the certified
     ``"lower_bound"``, the ``"certificate"`` that gave it
@@ -557,7 +551,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
     linear = _central_bound(problem, (v / w) @ v.conj().T, t, trace)
     certificate = "central-point"
     if value - ((offset + linear) / _LN2 - entropy) > cfg.gap_tolerance:
-        fallback = _linear_minimum(problem)[0]
+        fallback = dual_bound(problem, sdp_solve(problem).y)
         if fallback > linear:
             linear, certificate = fallback, "sdp"
     lower = (offset + linear) / _LN2 - entropy
@@ -872,6 +866,21 @@ def best_separable_approximation(state,
                      gap=float(sol.gap), status=status, iterations=sol.iterations)
 
 
+def _multistart(cfg: SolverConfig, restarts: int, first, draw, search):
+    """Run ``search(start) -> (value, iterations, point)`` from ``first``, then
+    ``restarts - 1`` times from ``draw(rng)``, one generator seeded with
+    ``cfg.seed``.  Returns the least value (a later restart wins only by more
+    than 1e-12), its point and restart, and the iterations of all restarts."""
+    rng = np.random.default_rng(cfg.seed)
+    best_value, best_point, best_restart, total = math.inf, None, 0, 0
+    for restart in range(restarts):
+        value, iterations, point = search(first if restart == 0 else draw(rng))
+        total += iterations
+        if value < best_value - 1e-12:
+            best_value, best_point, best_restart = value, point, restart
+    return best_value, best_point, best_restart, total
+
+
 def _roof_objective(tmat: np.ndarray, cvecs: np.ndarray,
                     dims: tuple[int, int]):
     """Average entanglement of the ensemble induced by an isometry, with grad."""
@@ -926,42 +935,33 @@ def eof_convex_roof(state, m: int | None = None,
     m = rank * rank if m is None else m
     m = _count(m, "m", "decomposition-size", low=rank, high=ROOF_DIM_LIMIT ** 2)
 
-    rng = np.random.default_rng(cfg.seed)
     restarts = min(cfg.restarts, 64)
-    best_value = math.inf
-    best_restart = 0
-    total_iters = 0
 
-    for restart in range(restarts):
-        if restart == 0:
-            tmat = np.eye(m, rank, dtype=complex)
-        else:
-            raw = rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))
-            tmat, _ = np.linalg.qr(raw)
+    def descend(tmat):
         value, grad = _roof_objective(tmat, cvecs, rho.dims)
         step = 1.0
-        for _ in range(cfg.max_iterations):
-            total_iters += 1
+        for iterations in range(1, cfg.max_iterations + 1):
             sym = (tmat.conj().T @ grad + grad.conj().T @ tmat) / 2.0
             riem = grad - tmat @ sym
             gnorm = float(np.linalg.norm(riem))
             if gnorm < 1e-10:
                 break
-            improved = False
             while step > 1e-14:
                 cand, _ = np.linalg.qr(tmat - step * riem)
                 cand_value, cand_grad = _roof_objective(cand, cvecs, rho.dims)
                 if cand_value < value - 1e-14 * step * gnorm ** 2:
                     tmat, value, grad = cand, cand_value, cand_grad
                     step = min(step * 2.0, 1.0)
-                    improved = True
                     break
                 step /= 2.0
-            if not improved:
-                break
-        if value < best_value - 1e-12:
-            best_value = value
-            best_restart = restart
+            else:
+                break  # no step length improves
+        return value, iterations, None
+
+    best_value, _, best_restart, total_iters = _multistart(
+        cfg, restarts, np.eye(m, rank, dtype=complex),
+        lambda rng: np.linalg.qr(rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank)))[0],
+        descend)
 
     payload = {"decomposition_size": m, "restarts": restarts,
                "best_restart": best_restart}
@@ -995,7 +995,6 @@ def geometric_measure(psi: PureState,
     tensor = psi.vector.reshape(dims)
     nparties = len(dims)
     cfg = config or _DEFAULT_CONFIG
-    rng = np.random.default_rng(cfg.seed)
 
     if nparties == 1:
         return MeasureResult(0.0, "best_effort", gap=0.0, iterations=0,
@@ -1012,26 +1011,18 @@ def geometric_measure(psi: PureState,
             work = np.tensordot(work, vectors[p], axes=([p], [0]))
         return work
 
-    best_sq = 0.0
-    best_vectors = None
-    best_restart = 0
-    sweeps_total = 0
-    for restart in range(cfg.restarts):
-        if restart == 0:
-            vectors = []
-            for p in range(nparties):
-                flat = np.moveaxis(tensor, p, 0).reshape(dims[p], -1)
-                _, _, vh = np.linalg.svd(flat, full_matrices=False)
-                u = flat @ vh[0].conj()
-                vectors.append(u / np.linalg.norm(u))
-        else:
-            vectors = []
-            for p in range(nparties):
-                v = rng.normal(size=dims[p]) + 1j * rng.normal(size=dims[p])
-                vectors.append(v / np.linalg.norm(v))
+    def leading_singular(p):
+        flat = np.moveaxis(tensor, p, 0).reshape(dims[p], -1)
+        u = flat @ np.linalg.svd(flat, full_matrices=False)[2][0].conj()
+        return u / np.linalg.norm(u)
+
+    def draw(rng):
+        vectors = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+        return [v / np.linalg.norm(v) for v in vectors]
+
+    def ascend(vectors):  # the least value is the largest squared overlap
         prev = 0.0
-        for _ in range(cfg.max_iterations):
-            sweeps_total += 1
+        for sweeps in range(1, cfg.max_iterations + 1):
             for p in range(nparties):
                 w = overlap_vec(vectors, p)
                 norm = np.linalg.norm(w)
@@ -1040,15 +1031,14 @@ def geometric_measure(psi: PureState,
                 vectors[p] = w.conj() / norm
             amp = np.tensordot(overlap_vec(vectors, 0), vectors[0], axes=([0], [0]))
             sq = float(np.abs(amp)) ** 2
-            if sq - prev < 1e-12:
-                prev = sq
+            prev, converged = sq, sq - prev < 1e-12
+            if converged:
                 break
-            prev = sq
-        if prev > best_sq + 1e-12:
-            best_sq = prev
-            best_vectors = [v.copy() for v in vectors]
-            best_restart = restart
+        return -prev, sweeps, vectors
 
+    best, best_vectors, best_restart, sweeps_total = _multistart(
+        cfg, cfg.restarts, [leading_singular(p) for p in range(nparties)], draw, ascend)
+    best_sq = -best
     value = max(0.0, -math.log2(best_sq)) if best_sq > 0 else math.inf
     payload = {"max_overlap_sq": best_sq, "restarts": cfg.restarts,
                "best_restart": best_restart, "product_vectors": best_vectors}
@@ -1110,10 +1100,10 @@ def witness_violation(state):
         ``(None, 0.0)`` exactly for PPT inputs (``states.is_ppt``).
     """
     rho = _state(state, "witness_violation", parties=2)
-    if is_ppt(rho, 1):
+    ppt, _, vecs = _ppt_spectrum(partial_transpose(rho, 1))
+    if ppt:
         return None, 0.0
-    eta = np.linalg.eigh(partial_transpose(rho, 1))[1][:, 0]
-    witness = partial_transpose(np.outer(eta, eta.conj()), 1, rho.dims)
+    witness = partial_transpose(np.outer(vecs[:, 0], vecs[:, 0].conj()), 1, rho.dims)
     witness = (witness + witness.conj().T) / 2.0
     violation = max(0.0, -float(np.real(np.vdot(rho.matrix, witness))))
     return witness, violation

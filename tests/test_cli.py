@@ -608,6 +608,66 @@ class TestNonFiniteInput:
         assert capsys.readouterr().out.startswith("error: non-finite")
 
 
+# JSON that the parser cannot turn into values: nesting past the recursion
+# limit, an integer literal longer than Python converts, and bytes that are
+# not UTF-8; each is given as the text around one field's value
+DEEP = "[" * 200_000 + "]" * 200_000
+LONG_INT = "1" + "0" * 4999
+UNREADABLE = {"deep": DEEP, "long-int": LONG_INT, "not-utf8": b"\xff"}
+
+
+def _unreadable(path, prefix: str, value, suffix: str) -> str:
+    """Write ``prefix + value + suffix`` to ``path`` as bytes; return the path."""
+    raw = value if isinstance(value, bytes) else value.encode()
+    path.write_bytes(prefix.encode() + raw + suffix.encode())
+    return str(path)
+
+
+class TestUnreadableJson:
+    """A state, covariance or manifest file whose JSON cannot be read is
+    refused as ``json``: ``measure``, ``bounds`` and ``gaussian`` exit 2, a
+    ``batch`` entry fails alone, and a bad manifest exits 2."""
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_state_file(self, kind, files, tmp_path):
+        path = _unreadable(tmp_path / "state.json", '{"dims": [2, 2], "vector": ',
+                           UNREADABLE[kind], "}")
+        for config in (RunConfig(command="measure", state=path, measure="logneg"),
+                       RunConfig(command="bounds", state=path)):
+            code, text = run(config)
+            assert code == 2
+            assert text.startswith("error: json: state file")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"state": path, "measure": "logneg"},
+                                        {"state": files["bell"], "measure": "logneg"}]))
+        code, text = run(RunConfig(command="batch", manifest=str(manifest), fmt="json"))
+        assert code == 0
+        first, second = json.loads(text)
+        assert first["state"] == path and first["error"].startswith("json: state file")
+        assert second["value"] == 1.0
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_covariance_file(self, kind, tmp_path):
+        path = _unreadable(tmp_path / "cov.json", '{"modes": 1, "cov": ', UNREADABLE[kind], "}")
+        code, text = run(RunConfig(command="gaussian", cov=path, op="validate"))
+        assert code == 2
+        assert text.startswith("error: json: covariance file")
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_manifest(self, kind, files, tmp_path):
+        path = _unreadable(tmp_path / "manifest.json",
+                           f'[{{"state": {json.dumps(files["bell"])}, "measure": "logneg", '
+                           '"overrides": {"seed": ', UNREADABLE[kind], "}}]")
+        code, text = run(RunConfig(command="batch", manifest=path))
+        assert code == 2
+        assert text.startswith("error: json: manifest")
+
+    def test_measure_exits_2_through_main(self, tmp_path, capsys):
+        path = _unreadable(tmp_path / "state.json", '{"dims": [2, 2], "vector": ', DEEP, "}")
+        assert main(["measure", "--state", path, "--measure", "negativity"]) == 2
+        assert capsys.readouterr().out.startswith("error: json")
+
+
 FUZZ = sorted((Path(__file__).parent / "fuzz").glob("*.json"))
 
 

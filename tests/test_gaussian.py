@@ -263,6 +263,11 @@ class TestGaussianPptSeparable:
     def test_classically_correlated_thermal_state(self):
         assert gaussian_ppt_separable(CovarianceMatrix(CLASSICAL)) is True
 
+    @pytest.mark.parametrize("cut", ["x", 2.5, 2, 0])
+    def test_two_modes_refuse_a_cut_other_than_1(self, cut):
+        with pytest.raises(ValidationError, match="mode-cut"):
+            gaussian_ppt_separable(two_mode_squeezed(0.3), cut=cut)
+
     def test_larger_systems_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
             gaussian_ppt_separable(vacuum(3), cut=1)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from entmeas import DensityOperator, is_ppt, partial_transpose, variational
-from entmeas.bounds import hashing_lower_bound
+from entmeas.bounds import bounds_report, hashing_lower_bound
 from entmeas.closed_form import log_negativity, negativity
 from entmeas.sdp import sdp_solve
+from entmeas.states import PPT_TOL
 from entmeas.variational import (
     minimize_over_ppt_states,
     rains_bound,
@@ -111,6 +112,28 @@ def test_one_ppt_decision_across_the_boundary(seed, dims, exponent, sign):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     _, sigma = minimize_over_ppt_states(g + g.conj().T, dims)
     assert np.real(np.vdot(witness, sigma)) >= -1e-9
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+       offset=st.floats(min_value=-1e-13, max_value=1e-13))
+def test_one_ppt_rule_at_its_tolerance(seed, dims, offset):
+    """A pure state mixed with I/n so that the least eigenvalue of its partial
+    transpose lies within 1e-13 of -PPT_TOL: is_ppt, negativity, the witness
+    and the bounds report's flag decide alike."""
+    rng = np.random.default_rng(seed)
+    n = dims[0] * dims[1]
+    psi = rand_pure(rng, dims).to_density().matrix
+    low = np.linalg.eigvalsh(partial_transpose(psi, 1, dims))[0]
+    margin = -PPT_TOL + offset
+    hypothesis.assume(low < margin)
+    t = (1.0 / n - margin) / (1.0 / n - low)
+    rho = DensityOperator(t * psi + (1.0 - t) * np.eye(n) / n, dims)
+    ppt = is_ppt(rho, 1)
+    assert (negativity(rho) == 0.0) is ppt
+    assert (witness_violation(rho)[0] is None) is ppt
+    assert bounds_report(rho, skip=("ree", "rains")).ppt is ppt
 
 
 BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)

@@ -540,6 +540,20 @@ class TestApplyKraus:
         assert len(outcomes) == 1
         assert abs(outcomes[0][0] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("ops", [
+        [np.diag([1.0, 0.0]), np.array([[0.0, 1.0]])],
+        [np.vstack([np.eye(2), np.zeros((1, 2))]) / np.sqrt(2.0), np.eye(2) / np.sqrt(2.0)],
+    ], ids=["2x2-and-1x2", "3x2-and-2x2"])
+    def test_averaged_refuses_mixed_output_dimensions(self, ops, rng):
+        ks = KrausSet(ops, trace_preserving=True)
+        rho = rand_rho(rng, [2])
+        outputs = sorted({op.shape[0] for op in ops})
+        with pytest.raises(ValidationError, match=f"kraus-set.*{outputs}"):
+            apply_kraus(ks, rho, mode="averaged")
+        outcomes = apply_kraus(ks, rho, mode="selective")
+        assert sorted(state.dim for _, state in outcomes) == outputs
+        assert abs(sum(p for p, _ in outcomes) - 1.0) < 1e-9
+
     def test_selective_average_recovers_channel(self, rng):
         u = rand_unitary(rng, 4)
         ops = [u[:2, :2], u[2:, :2]]
