@@ -113,7 +113,7 @@ def negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
     rho = _state(rho, "negativity")
     n = len(rho.dims)
     transposed = _bipartition(n - 1 if transposed is None else transposed, n, "transposed")
-    ppt, eigs, _ = _ppt_spectrum(partial_transpose(rho, transposed))
+    ppt, eigs = _ppt_spectrum(partial_transpose(rho, transposed))
     return 0.0 if ppt else float(-np.sum(eigs[eigs < 0.0]))
 
 

@@ -484,12 +484,11 @@ def is_ppt(rho, cut: Iterable[int] | int = 0, dims: Sequence[int] | None = None)
     return _ppt_spectrum(transposed)[0]
 
 
-def _ppt_spectrum(transposed: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
-    """The PPT rule on a partial transpose, least eigenvalue >= ``-PPT_TOL``, and
-    its ascending eigenpairs.  Every PPT decision reads this one ``eigh``: an
-    ``eigvalsh`` differs in the last bits and could split a state at the tolerance."""
-    eigs, vecs = np.linalg.eigh(transposed)
-    return bool(eigs[0] >= -PPT_TOL), eigs, vecs
+def _ppt_spectrum(transposed: np.ndarray) -> tuple[bool, np.ndarray]:
+    """The PPT rule on a partial transpose, least eigenvalue >= ``-PPT_TOL``,
+    and its ascending eigenvalues; every PPT decision reads this one rule."""
+    eigs = np.linalg.eigvalsh(transposed)
+    return bool(eigs[0] >= -PPT_TOL), eigs
 
 
 def permute_subsystems(state, order: Sequence[int]):
@@ -674,23 +673,30 @@ def apply_kraus(kraus: KrausSet, rho: DensityOperator | PureState, mode: str = "
     mode = _choice(mode, ("averaged", "selective"), "mode", "mode")
     if kraus.operators[0].shape[1] != rho.dim:
         raise ValidationError("shape", detail="Kraus input dimension does not match state")
-    outputs = sorted({op.shape[0] for op in kraus.operators})
-    if mode == "averaged" and len(outputs) > 1:
-        raise ValidationError(
-            "kraus-set", detail=f"averaged mode needs one output dimension, got {outputs}")
+
+    def checked(total: float) -> float:
+        if kraus.trace_preserving and abs(total - 1.0) > COMPLETENESS_TOL:
+            raise ValidationError("trace-preservation", abs(total - 1.0), COMPLETENESS_TOL)
+        return total
+
+    def out_dims(image):
+        return rho.dims if len(image) == rho.dim else (len(image),)
+
+    if mode == "averaged":
+        outputs = sorted({op.shape[0] for op in kraus.operators})
+        if len(outputs) > 1:
+            raise ValidationError(
+                "kraus-set", detail=f"averaged mode needs one output dimension, got {outputs}")
+        total = sum(op @ rho.matrix @ op.conj().T for op in kraus.operators)
+        tr = checked(float(np.real(np.trace(total))))
+        if tr < OUTCOME_CUTOFF:
+            raise ValidationError("trace-preservation", detail="channel output has vanishing trace")
+        return DensityOperator(total / tr, out_dims(total))
     images = [op @ rho.matrix @ op.conj().T for op in kraus.operators]
     traces = [float(np.real(np.trace(image))) for image in images]
-    total = sum(traces)
-    if kraus.trace_preserving and abs(total - 1.0) > COMPLETENESS_TOL:
-        raise ValidationError("trace-preservation", abs(total - 1.0), COMPLETENESS_TOL)
-    if mode == "averaged":  # the channel output is the one outcome of the summed image
-        if total < OUTCOME_CUTOFF:
-            raise ValidationError("trace-preservation", detail="channel output has vanishing trace")
-        images, traces = [sum(images)], [total]
-    outcomes = [(p, DensityOperator(image / p,
-                                    rho.dims if len(image) == rho.dim else (len(image),)))
-                for image, p in zip(images, traces) if p >= OUTCOME_CUTOFF]
-    return outcomes[0][1] if mode == "averaged" else outcomes
+    checked(sum(traces))
+    return [(p, DensityOperator(image / p, out_dims(image)))
+            for image, p in zip(images, traces) if p >= OUTCOME_CUTOFF]
 
 
 def max_entangled(d: int = 2) -> PureState:

@@ -866,17 +866,24 @@ def best_separable_approximation(state,
                      gap=float(sol.gap), status=status, iterations=sol.iterations)
 
 
-def _multistart(cfg: SolverConfig, restarts: int, first, draw, search):
+def _multistart(cfg: SolverConfig, restarts: int, first, draw, search,
+                maximize: bool = False):
     """Run ``search(start) -> (value, iterations, point)`` from ``first``, then
     ``restarts - 1`` times from ``draw(rng)``, one generator seeded with
-    ``cfg.seed``.  Returns the least value (a later restart wins only by more
-    than 1e-12), its point and restart, and the iterations of all restarts."""
+    ``cfg.seed``.  Returns the least value, or with ``maximize`` the largest
+    above 0 (0 and no point when none is), its point and restart, and the
+    iterations of all restarts; a later restart wins only by more than 1e-12."""
     rng = np.random.default_rng(cfg.seed)
-    best_value, best_point, best_restart, total = math.inf, None, 0, 0
+    best_value = 0.0 if maximize else math.inf
+    best_point, best_restart, total = None, 0, 0
     for restart in range(restarts):
         value, iterations, point = search(first if restart == 0 else draw(rng))
         total += iterations
-        if value < best_value - 1e-12:
+        if maximize:
+            better = value > best_value + 1e-12
+        else:
+            better = value < best_value - 1e-12
+        if better:
             best_value, best_point, best_restart = value, point, restart
     return best_value, best_point, best_restart, total
 
@@ -956,12 +963,14 @@ def eof_convex_roof(state, m: int | None = None,
                 step /= 2.0
             else:
                 break  # no step length improves
-        return value, iterations, None
+        return value, iterations, tmat
+
+    def draw(rng):
+        raw = rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank))
+        return np.linalg.qr(raw)[0]
 
     best_value, _, best_restart, total_iters = _multistart(
-        cfg, restarts, np.eye(m, rank, dtype=complex),
-        lambda rng: np.linalg.qr(rng.normal(size=(m, rank)) + 1j * rng.normal(size=(m, rank)))[0],
-        descend)
+        cfg, restarts, np.eye(m, rank, dtype=complex), draw, descend)
 
     payload = {"decomposition_size": m, "restarts": restarts,
                "best_restart": best_restart}
@@ -1020,7 +1029,7 @@ def geometric_measure(psi: PureState,
         vectors = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
         return [v / np.linalg.norm(v) for v in vectors]
 
-    def ascend(vectors):  # the least value is the largest squared overlap
+    def ascend(vectors):
         prev = 0.0
         for sweeps in range(1, cfg.max_iterations + 1):
             for p in range(nparties):
@@ -1031,14 +1040,15 @@ def geometric_measure(psi: PureState,
                 vectors[p] = w.conj() / norm
             amp = np.tensordot(overlap_vec(vectors, 0), vectors[0], axes=([0], [0]))
             sq = float(np.abs(amp)) ** 2
-            prev, converged = sq, sq - prev < 1e-12
-            if converged:
+            if sq - prev < 1e-12:
+                prev = sq
                 break
-        return -prev, sweeps, vectors
+            prev = sq
+        return prev, sweeps, vectors
 
-    best, best_vectors, best_restart, sweeps_total = _multistart(
-        cfg, cfg.restarts, [leading_singular(p) for p in range(nparties)], draw, ascend)
-    best_sq = -best
+    best_sq, best_vectors, best_restart, sweeps_total = _multistart(
+        cfg, cfg.restarts, [leading_singular(p) for p in range(nparties)], draw, ascend,
+        maximize=True)
     value = max(0.0, -math.log2(best_sq)) if best_sq > 0 else math.inf
     payload = {"max_overlap_sq": best_sq, "restarts": cfg.restarts,
                "best_restart": best_restart, "product_vectors": best_vectors}
@@ -1100,10 +1110,11 @@ def witness_violation(state):
         ``(None, 0.0)`` exactly for PPT inputs (``states.is_ppt``).
     """
     rho = _state(state, "witness_violation", parties=2)
-    ppt, _, vecs = _ppt_spectrum(partial_transpose(rho, 1))
-    if ppt:
+    transposed = partial_transpose(rho, 1)
+    if _ppt_spectrum(transposed)[0]:
         return None, 0.0
-    witness = partial_transpose(np.outer(vecs[:, 0], vecs[:, 0].conj()), 1, rho.dims)
+    eta = np.linalg.eigh(transposed)[1][:, 0]
+    witness = partial_transpose(np.outer(eta, eta.conj()), 1, rho.dims)
     witness = (witness + witness.conj().T) / 2.0
     violation = max(0.0, -float(np.real(np.vdot(rho.matrix, witness))))
     return witness, violation

@@ -82,6 +82,24 @@ def test_partial_transpose_is_a_hermitian_involution(seed, da, db, parties):
     assert np.array_equal(pt, pt.conj().T)
 
 
+def _mixed_at_margin(rng, dims, margin):
+    """A random pure state psi and t psi + (1 - t) I/n, whose partial transpose
+    has least eigenvalue t low + (1 - t)/n = margin (low: that of psi)."""
+    n = dims[0] * dims[1]
+    psi = rand_pure(rng, dims).to_density().matrix
+    low = np.linalg.eigvalsh(partial_transpose(psi, 1, dims))[0]
+    hypothesis.assume(low < margin)
+    t = (1.0 / n - margin) / (1.0 / n - low)
+    return psi, t * psi + (1.0 - t) * np.eye(n) / n
+
+
+def _assert_one_ppt_verdict(state):
+    ppt = is_ppt(state, 1)
+    assert (negativity(state) == 0.0) is ppt
+    assert (witness_violation(state)[0] is None) is ppt
+    assert bounds_report(state, skip=("ree", "rains")).ppt is ppt
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
@@ -90,20 +108,12 @@ def test_partial_transpose_is_a_hermitian_involution(seed, da, db, parties):
 def test_one_ppt_decision_across_the_boundary(seed, dims, exponent, sign):
     rng = np.random.default_rng(seed)
     n = dims[0] * dims[1]
-    psi = rand_pure(rng, dims).to_density().matrix
-    low = np.linalg.eigvalsh(partial_transpose(psi, 1, dims))[0]
-    # t psi + (1 - t) I/n has least PT eigenvalue t low + (1 - t)/n = margin
-    margin = sign * 10.0 ** exponent
-    hypothesis.assume(low < margin)
-    t = (1.0 / n - margin) / (1.0 / n - low)
-    mixed = t * psi + (1.0 - t) * np.eye(n) / n
+    psi, mixed = _mixed_at_margin(rng, dims, sign * 10.0 ** exponent)
     u = np.kron(rand_unitary(rng, dims[0]), rand_unitary(rng, dims[1]))
     rho = DensityOperator(mixed, dims)
     rotated = DensityOperator(u @ mixed @ u.conj().T, dims)
     for state in (rho, rotated):
-        ppt = is_ppt(state, 1)
-        assert (negativity(state) == 0.0) is ppt
-        assert (witness_violation(state)[0] is None) is ppt
+        _assert_one_ppt_verdict(state)
     assert abs(negativity(rho) - negativity(rotated)) <= 1e-12
 
     # tr(W sigma) = <eta|sigma^Gamma|eta> >= 0 for the witness W of an NPT
@@ -119,21 +129,11 @@ def test_one_ppt_decision_across_the_boundary(seed, dims, exponent, sign):
        dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
        offset=st.floats(min_value=-1e-13, max_value=1e-13))
 def test_one_ppt_rule_at_its_tolerance(seed, dims, offset):
-    """A pure state mixed with I/n so that the least eigenvalue of its partial
-    transpose lies within 1e-13 of -PPT_TOL: is_ppt, negativity, the witness
-    and the bounds report's flag decide alike."""
-    rng = np.random.default_rng(seed)
-    n = dims[0] * dims[1]
-    psi = rand_pure(rng, dims).to_density().matrix
-    low = np.linalg.eigvalsh(partial_transpose(psi, 1, dims))[0]
-    margin = -PPT_TOL + offset
-    hypothesis.assume(low < margin)
-    t = (1.0 / n - margin) / (1.0 / n - low)
-    rho = DensityOperator(t * psi + (1.0 - t) * np.eye(n) / n, dims)
-    ppt = is_ppt(rho, 1)
-    assert (negativity(rho) == 0.0) is ppt
-    assert (witness_violation(rho)[0] is None) is ppt
-    assert bounds_report(rho, skip=("ree", "rains")).ppt is ppt
+    """The least partial-transpose eigenvalue within 1e-13 of -PPT_TOL.  Here
+    the negativity jumps between 0 and about PPT_TOL, so a rotated copy may
+    fall on the other side and only the one state's verdicts are compared."""
+    _, mixed = _mixed_at_margin(np.random.default_rng(seed), dims, offset - PPT_TOL)
+    _assert_one_ppt_verdict(DensityOperator(mixed, dims))
 
 
 BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
