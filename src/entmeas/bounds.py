@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closed_form import log_negativity
+from .closed_form import _log_negativity
 from .errors import ValidationError
 from .states import (
     _CERTIFIED,
@@ -24,20 +24,22 @@ from .states import (
     DensityOperator,
     _choice,
     _count,
+    _ppt_spectrum,
     _real,
     _shown,
     _state,
     is_ppt,
     partial_trace,
+    partial_transpose,
     von_neumann_entropy,
 )
 from .variational import (
     PPT_DIM_LIMIT,
     RAINS_DIM_LIMIT,
     SolverConfig,
+    _witness,
     rains_bound,
     relative_entropy_of_entanglement,
-    witness_violation,
 )
 
 __all__ = [
@@ -227,14 +229,15 @@ def bounds_report(rho, config: SolverConfig | None = None,
     # refused at the least limit of the entries it will run, before any of them runs
     limit = min((_SKIPPABLE[name][0] for name in kept), default=math.inf)
     rho = _state(rho, "bounds_report", parties=2, limit=limit)
-    # the witness exists exactly when is_ppt fails, so flag and note agree
-    witness, violation = witness_violation(rho)
-    ppt = witness is None
+    # one spectrum of the partial transpose gives the PPT flag of is_ppt,
+    # the log-negativity and, for an NPT state, the witness's eigenvector
+    transposed = partial_transpose(rho, 1)
+    ppt, eigs = _ppt_spectrum(transposed)
     lower = {"hashing": 0.0 if ppt else hashing_lower_bound(rho)}
     notes = {"hashing": "exact",
              "witness": "exact; no violation found" if ppt
-             else "exact; violation %.6g" % violation}
-    upper = {"log_negativity": log_negativity(rho)}
+             else "exact; violation %.6g" % _witness(rho, transposed)[1]}
+    upper = {"log_negativity": _log_negativity(ppt, eigs)}
     notes["log_negativity"] = "exact"
     for name in kept:
         result = _SKIPPABLE[name][1](rho, config)

@@ -1,8 +1,10 @@
 """Closed-form entanglement measures for low-dimensional states.
 
 Concurrence and entanglement of formation for two qubits, negativity and
-logarithmic negativity from the partial transpose, and the tangle family
-with the monogamy check for three qubits.
+logarithmic negativity from the partial transpose, the tangle family
+with the monogamy check for three qubits, and the closed forms of the
+variational measures on bipartite pure states, in their Schmidt
+coefficients.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import UnsupportedCaseError, ValidationError
+from .locc import _schmidt_svd
 from .states import (
+    PPT_TOL,
     PureState,
     _bipartition,
     _count,
@@ -110,11 +114,28 @@ def negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
     float
         Nonnegative; 0 on PPT input (``states.is_ppt``).
     """
+    return _negativity(*_cut_spectrum(rho, transposed))
+
+
+def _cut_spectrum(rho, transposed) -> tuple[bool, np.ndarray]:
+    """``_ppt_spectrum`` of a state transposed on ``transposed``, the last
+    subsystem by default."""
     rho = _state(rho, "negativity")
     n = len(rho.dims)
     transposed = _bipartition(n - 1 if transposed is None else transposed, n, "transposed")
-    ppt, eigs = _ppt_spectrum(partial_transpose(rho, transposed))
+    return _ppt_spectrum(partial_transpose(rho, transposed))
+
+
+def _negativity(ppt: bool, eigs: np.ndarray) -> float:
+    """The negativity of a partial-transpose spectrum as ``_ppt_spectrum``
+    returns it."""
     return 0.0 if ppt else float(-np.sum(eigs[eigs < 0.0]))
+
+
+def _log_negativity(ppt: bool, eigs: np.ndarray) -> float:
+    """The log-negativity of a partial-transpose spectrum as
+    ``_ppt_spectrum`` returns it."""
+    return float(np.log2(1.0 + 2.0 * _negativity(ppt, eigs)))
 
 
 def log_negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
@@ -131,7 +152,7 @@ def log_negativity(rho, transposed: Iterable[int] | int | None = None) -> float:
     float
         Nonnegative; additive across tensor products of cuts.
     """
-    return float(np.log2(1.0 + 2.0 * negativity(rho, transposed)))
+    return _log_negativity(*_cut_spectrum(rho, transposed))
 
 
 def tangle(state, qubit: int = 0) -> float:
@@ -248,3 +269,41 @@ def ckw_check(psi: PureState) -> TangleReport:
     # the residual tangle about pivot 0, as residual_tangle computes it
     residual = max(0.0, one_to_rest[0] - pair_sums[0]) if n == 3 else None
     return TangleReport(pairwise, one_to_rest, residual, satisfied)
+
+
+def _schmidt_form(psi: PureState) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(s, products, entangled)`` of a bipartite pure state ``psi = sum_i
+    s_i |u_i v_i>``: its Schmidt coefficients s, descending and not pruned
+    (dropping each ``s_i^2 < 1e-12``, as ``locc.schmidt`` does, would move
+    ``(sum_i s_i)^2`` by up to about ``2e-6 sum_i s_i``), the product
+    vectors ``products[:, i, j] = |u_i v_j>``, and whether psi is entangled
+    by the PPT rule of ``is_ppt``: ``(psi psi^H)^Gamma`` has least
+    eigenvalue ``-s_1 s_2``."""
+    _, (u, s, vh) = _schmidt_svd(psi)
+    products = np.einsum("ai,jb->abij", u, vh).reshape(psi.dim, s.size, s.size)
+    return s, products, s.size > 1 and s[0] * s[1] > PPT_TOL
+
+
+def _pure_relative_entropy(s: np.ndarray, products: np.ndarray) -> tuple[float, np.ndarray]:
+    """``E(psi) = -sum_i l_i log2 l_i``, ``l = s^2``, and the separable state
+    ``sigma* = sum_i l_i |u_i v_i><u_i v_i|`` with ``S(psi || sigma*) =
+    E(psi)``, from ``_schmidt_form``.  Both the REE and the Rains bound of
+    psi are E: ``E = Rains <= E_R^PPT <= E_R^SEP = E`` (Vedral & Plenio, PRA
+    57, 1619 (1998); Rains, IEEE Trans. Inf. Theory 47, 2921 (2001))."""
+    probs = s ** 2
+    diagonal = np.diagonal(products, axis1=1, axis2=2)
+    sigma = (diagonal * probs) @ diagonal.conj().T
+    kept = probs[probs > 0.0]
+    return max(0.0, float(-kept @ np.log2(kept))), sigma
+
+
+def _pure_robustness(s: np.ndarray, products: np.ndarray) -> tuple[float, np.ndarray]:
+    """The robustness ``t = sum_{i != j} s_i s_j = (sum_i s_i)^2 - 1`` of an
+    entangled pure state and its noise ``sigma = (1/t) sum_{i != j} s_i s_j
+    |u_i v_j><u_i v_j|``, a separable state, from ``_schmidt_form``; the
+    proof is in ``variational.robustness``."""
+    weights = np.outer(s, s)
+    np.fill_diagonal(weights, 0.0)
+    t = float(weights.sum())
+    flat = products.reshape(products.shape[0], -1)
+    return t, (flat * weights.reshape(-1)) @ flat.conj().T / t

@@ -257,8 +257,12 @@ def partial_time_reversal(gamma: CovarianceMatrix, party_b_modes) -> CovarianceM
 
 def _reversed_across(gamma, cut: int) -> CovarianceMatrix:
     """Partial time reversal of a physical covariance across a mode cut:
-    the leading ``cut`` modes form party A, and party B's momenta flip."""
+    the leading ``cut`` modes form party A, and party B's momenta flip.
+    Fewer than two modes have no cut (``mode-cut``)."""
     gamma = _require_physical(gamma)
+    if gamma.n_modes < 2:
+        raise ValidationError(
+            "mode-cut", detail=f"a cut needs at least two modes, got {gamma.n_modes}")
     cut = _count(cut, "cut", "mode-cut", 1, gamma.n_modes - 1)
     return partial_time_reversal(gamma, range(cut, gamma.n_modes))
 

@@ -7,6 +7,7 @@ protocol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +45,18 @@ class SchmidtDecomposition:
         return np.einsum("k,ik,jk->ij", amps, self.basis_a, self.basis_b).reshape(-1)
 
 
+def _schmidt_svd(psi: PureState, side_a: tuple[int, ...] = (0,)):
+    """The amplitudes of ``psi`` as a ``(d_a, d_b)`` matrix M across
+    ``side_a`` (one side of a proper cut) and the rest, and the SVD ``(u, s,
+    vh)`` of M: ``psi = sum_i s_i |u_i>|v_i>`` with ``u_i = u[:, i]`` and
+    ``v_i = vh[i]``, s descending and not pruned."""
+    dims = psi.dims
+    side_b = tuple(k for k in range(len(dims)) if k not in side_a)
+    tensor = psi.vector.reshape(dims).transpose(side_a + side_b)
+    mat = tensor.reshape(math.prod(dims[k] for k in side_a), -1)
+    return mat, np.linalg.svd(mat, full_matrices=False)
+
+
 def schmidt(psi: PureState, side_a: Sequence[int] | int | None = None) -> SchmidtDecomposition:
     """Schmidt decomposition across a bipartition.
 
@@ -60,14 +73,9 @@ def schmidt(psi: PureState, side_a: Sequence[int] | int | None = None) -> Schmid
         Coefficients descending, pruned below 1e-12; the reconstruction
         fidelity with the input is at least ``1 - 1e-9``.
     """
-    dims = _state(psi, "schmidt", pure=True).dims
-    n = len(dims)
+    n = len(_state(psi, "schmidt", pure=True).dims)
     side_a = _bipartition((0,) if side_a is None else side_a, n, "side_a")
-    side_b = tuple(k for k in range(n) if k not in side_a)
-    d_a = int(np.prod([dims[k] for k in side_a]))
-    d_b = int(np.prod([dims[k] for k in side_b]))
-    tensor = psi.vector.reshape(dims).transpose(side_a + side_b)
-    u, s, vh = np.linalg.svd(tensor.reshape(d_a, d_b), full_matrices=False)
+    mat, (u, s, vh) = _schmidt_svd(psi, side_a)
     coeffs = s ** 2
     kept = coeffs > SPECTRUM_CUTOFF
     coeffs = coeffs[kept]
@@ -75,7 +83,7 @@ def schmidt(psi: PureState, side_a: Sequence[int] | int | None = None) -> Schmid
     if abs(total - 1.0) > COEFF_SUM_TOL:
         raise ValidationError("schmidt-normalization", abs(total - 1.0), COEFF_SUM_TOL)
     dec = SchmidtDecomposition(coeffs, u[:, kept], vh[kept, :].T)
-    overlap = abs(np.vdot(tensor.reshape(-1), dec.reconstruct())) ** 2
+    overlap = abs(np.vdot(mat.reshape(-1), dec.reconstruct())) ** 2
     if overlap < 1.0 - RECONSTRUCT_TOL:
         raise ValidationError("schmidt-reconstruction", 1.0 - overlap, RECONSTRUCT_TOL)
     return dec

@@ -9,6 +9,12 @@ convex-roof entanglement of formation, the geometric measure,
 partial-transpose witness extraction, and squashed-entanglement evaluation
 on supplied extensions.
 
+On a ``PureState`` the REE, the Rains bound, both robustnesses and the
+best separable approximation take their closed forms in the Schmidt
+coefficients (``closed_form``), ``"exact"`` with no solver run; the REE
+of a density operator within the gap tolerance of a pure state takes a
+continuity bound instead of the barrier.
+
 Separable-set constraints are realized over PPT operators throughout.  For
 dimensions (2, 2) and (2, 3) the two sets coincide, so the results are exact;
 for larger systems the PPT set is an outer relaxation and distance-like
@@ -23,7 +29,7 @@ import math
 
 import numpy as np
 
-from .closed_form import binary_entropy
+from .closed_form import _pure_relative_entropy, _pure_robustness, _schmidt_form, binary_entropy
 from .errors import ValidationError
 from .sdp import (
     MAX_BLOCK_DIM,
@@ -464,12 +470,8 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
     ``"lower_bound"``, the ``"certificate"`` that gave it
     (``"central-point"`` or ``"sdp"``) and S at the point kept after each
     centering (``"objective_trace"``).  ``iterations`` counts every Newton
-    step, the polish included.  A PPT input, feasible for every caller, is
-    its own minimizer with S = 0 and needs no certificate (None).
+    step, the polish included.  rho must be NPT (``_distance``).
     """
-    if is_ppt(rho, 1, dims):
-        return rho.copy(), MeasureResult(0.0, "converged", witness_payload={
-            "lower_bound": 0.0, "certificate": None, "objective_trace": [0.0]})
     n = rho.shape[0]
     coordinates = _coordinates(equations)
     prob = _equation_problem(n, dims, coordinates)
@@ -563,17 +565,85 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
             "objective_trace": [s / _LN2 - entropy for s in kept]})
 
 
+def _continuity_bound(rho: np.ndarray, dims: tuple[int, int], cfg: SolverConfig):
+    """The REE of rho bracketed around that of the pure state vv^H nearest
+    it, v its top eigenvector; None when the bracket is wider than
+    ``cfg.gap_tolerance``.
+
+    ``eps = (|w_1 - 1| + sum_{i >= 2} |w_i|) / 2`` over the eigenvalues w,
+    w_1 the largest, is the trace distance from rho to vv^H, and stays an
+    upper bound on it within the trace and positivity slack that
+    ``DensityOperator`` admits.  A relative entropy distance from a convex
+    set that contains I/d, with largest value kappa, moves by at most
+    ``delta = eps kappa + g(eps)``, ``g(eps) = (1 + eps) h(eps / (1 + eps))``,
+    over trace distance eps (Winter, Commun. Math. Phys. 347, 291 (2016),
+    Lemma 7); for the REE ``kappa = log2 min(d_A, d_B)``.  The REE of vv^H
+    is E(v), so rho's lies in ``[E(v) - delta, E(v) + delta]``.
+
+    Returns sigma* of v (``_pure_relative_entropy``) and a ``"converged"``
+    MeasureResult of value ``E(v) + delta`` and gap ``2 delta``, with the
+    ``"lower_bound"`` ``E(v) - delta`` and the ``"continuity"`` certificate.
+    """
+    w, vecs = np.linalg.eigh(rho)
+    eps = 0.5 * (abs(w[-1] - 1.0) + float(np.abs(w[:-1]).sum()))
+    delta = eps * math.log2(min(dims)) + (1.0 + eps) * binary_entropy(eps / (1.0 + eps))
+    if 2.0 * delta > cfg.gap_tolerance:
+        return None
+    entropy, sigma = _pure_relative_entropy(*_schmidt_form(PureState(vecs[:, -1], dims))[:2])
+    value = entropy + delta
+    return sigma, MeasureResult(value, "converged", gap=2.0 * delta, witness_payload={
+        "lower_bound": entropy - delta, "certificate": "continuity", "objective_trace": [value]})
+
+
+def _distance(state, equations, trace, cfg: SolverConfig, continuity: bool):
+    """``min S(rho || sigma)`` over the set of ``_barrier_newton``: sigma and
+    a MeasureResult whose payload holds ``"lower_bound"``, ``"certificate"``
+    and ``"objective_trace"``.
+
+    A ``PureState`` takes its closed form (``_pure_relative_entropy``), an
+    ``"exact"`` result with the ``"closed-form"`` certificate; one that is
+    not entangled (``_schmidt_form``) is its own minimizer with S = 0.  A
+    PPT density operator, feasible for every set, is its own minimizer with
+    S = 0 and needs no certificate (None).  With ``continuity`` an NPT one
+    first tries ``_continuity_bound``; every other runs the barrier.
+    """
+    if isinstance(state, PureState):
+        s, products, entangled = _schmidt_form(state)
+        if entangled:
+            value, sigma = _pure_relative_entropy(s, products)
+        else:
+            value, sigma = 0.0, np.outer(state.vector, state.vector.conj())
+        return sigma, MeasureResult(value, "exact", witness_payload={
+            "lower_bound": value, "certificate": "closed-form", "objective_trace": [value]})
+    rho, dims = state.matrix, state.dims
+    if is_ppt(rho, 1, dims):
+        return rho.copy(), MeasureResult(0.0, "converged", witness_payload={
+            "lower_bound": 0.0, "certificate": None, "objective_trace": [0.0]})
+    near = _continuity_bound(rho, dims, cfg) if continuity else None
+    return near or _barrier_newton(rho, dims, equations, trace, cfg)
+
+
+def _bipartite(state, context: str, limit: int):
+    """``_state`` for a bipartite state of total dimension at most
+    ``limit``; a ``PureState`` comes back as it is, for its closed form."""
+    return _state(state, context, pure=isinstance(state, PureState), parties=2, limit=limit)
+
+
 def relative_entropy_of_entanglement(state,
                                      config: SolverConfig | None = None) -> MeasureResult:
     """Relative entropy distance from the PPT-state spectrahedron, in bits.
 
-    Minimizes ``S(rho || sigma)`` over PPT states by a path-following
-    barrier method on ``-log det sigma - log det sigma^Gamma`` with
-    ``tr sigma = 1``, then certifies it with a lower bound on the linear
-    minimum over PPT states at the gradient: first from the barrier's own
-    central point, and only when that misses the tolerance from an SDP of
-    that minimum.  The value exceeds the true PPT-set minimum by at most
-    ``gap``.
+    A ``PureState`` is answered in closed form, ``E(psi) = -sum_i l_i log2
+    l_i`` over its squared Schmidt coefficients: ``"exact"``, with no solver
+    run.  A density operator within ``gap_tolerance`` of a pure state is
+    bracketed by a continuity bound (``_continuity_bound``).  Any other
+    NPT input minimizes ``S(rho || sigma)`` over PPT states by a
+    path-following barrier method on ``-log det sigma - log det
+    sigma^Gamma`` with ``tr sigma = 1``, then certifies it with a lower
+    bound on the linear minimum over PPT states at the gradient: first from
+    the barrier's own central point, and only when that misses the
+    tolerance from an SDP of that minimum.  The value exceeds the true
+    PPT-set minimum by at most ``gap``.
 
     Parameters
     ----------
@@ -586,23 +656,25 @@ def relative_entropy_of_entanglement(state,
     Returns
     -------
     MeasureResult
-        ``status == "converged"`` when the certified gap reached the
-        configured tolerance, otherwise ``"best_effort"``; ``iterations``
-        counts Newton steps.  ``witness_payload["closest_state"]`` holds the
-        best PPT state found (a PPT input is its own, with value 0),
+        ``"exact"`` with gap 0 and 0 iterations for a ``PureState``;
+        otherwise ``"converged"`` when the certified gap reached the
+        configured tolerance, else ``"best_effort"``, with ``iterations``
+        counting Newton steps.  ``witness_payload["closest_state"]`` holds
+        the best PPT state found (a PPT input is its own, with value 0; for
+        an entangled pure state, and for the continuity bound, the
+        separable ``sum_i l_i |u_i v_i><u_i v_i|`` over the Schmidt bases),
         ``witness_payload["separable_set"]`` whether the value is exact for
-        the separable set (dimensions (2, 2) and (2, 3)) or a lower bound,
-        ``witness_payload["lower_bound"]`` the certified bound and
-        ``witness_payload["certificate"]`` its source: ``"central-point"``,
-        ``"sdp"``, or None for a PPT input.
+        the separable set (every ``PureState``, and dimensions (2, 2) and
+        (2, 3)) or a lower bound, ``witness_payload["lower_bound"]`` the
+        certified bound and ``witness_payload["certificate"]`` its source:
+        ``"closed-form"`` (a ``PureState``), ``"continuity"``,
+        ``"central-point"``, ``"sdp"``, or None for a PPT density operator.
     """
-    rho = _state(state, "relative_entropy_of_entanglement", parties=2, limit=PPT_DIM_LIMIT)
-    cfg = config or _DEFAULT_CONFIG
-    sigma, result = _barrier_newton(rho.matrix, rho.dims, _PPT_SET, (0,), cfg)
+    state = _bipartite(state, "relative_entropy_of_entanglement", PPT_DIM_LIMIT)
+    sigma, result = _distance(state, _PPT_SET, (0,), config or _DEFAULT_CONFIG, continuity=True)
+    exact = isinstance(state, PureState) or tuple(sorted(state.dims)) in _EXACT_PPT_DIMS
     result.witness_payload.update(
-        closest_state=sigma,
-        separable_set="exact" if tuple(sorted(rho.dims)) in _EXACT_PPT_DIMS
-        else "ppt-lower-bound")
+        closest_state=sigma, separable_set="exact" if exact else "ppt-lower-bound")
     return result
 
 
@@ -674,7 +746,23 @@ def robustness(state, noise: str = "global",
     or over PPT states (``"separable"``, the tractable stand-in for
     separable noise).
 
-    One ``_base_norm_sdp`` over PPT operators and the noise cone gives
+    A ``PureState`` ``psi = sum_i s_i |u_i v_i>`` is answered in closed
+    form, ``"exact"`` under either noise model and at every dimension:
+    ``t = (sum_i s_i)^2 - 1`` (Vidal & Tarrach, PRA 59, 141 (1999); Steiner,
+    PRA 67, 054305 (2003)), 0 when psi is not entangled by the PPT rule.
+
+    - Lower bound: take ``Y = |phi><phi|``, ``phi = sum_i |u_i v_i>``.
+      ``Y^Gamma`` is a swap, so ``||Y^Gamma||_inf = 1`` and ``tr(tau Y) =
+      tr(tau^Gamma Y^Gamma) <= 1`` for every PPT state tau.  Since ``Y >=
+      0`` and ``tr(psi psi^H Y) = (sum_i s_i)^2``, any noise state sigma
+      with ``(psi psi^H + t sigma) / (1 + t)`` PPT has ``(sum_i s_i)^2 <=
+      (sum_i s_i)^2 + t tr(sigma Y) <= 1 + t``.
+    - Upper bound: the separable noise ``sigma = (1/t) sum_{i != j} s_i s_j
+      |u_i v_j><u_i v_j|`` reaches it.  ``(psi psi^H + t sigma)^Gamma`` is
+      ``s_i^2`` on each ``|u_i v_i>`` and ``s_i s_j [[1, 1], [1, 1]] >= 0``
+      on each pair ``|u_i v_j>, |u_j v_i>``.
+
+    Any other input solves one ``_base_norm_sdp`` over PPT operators and the noise cone gives
     it, with dual slacks ``N = t sigma``, ``N^Gamma`` (separable noise
     only) and ``(rho + N)^Gamma``; ``rho + N >= 0`` holds already.  Both
     sides are strictly feasible for every state: ``N = c I`` with
@@ -694,12 +782,21 @@ def robustness(state, noise: str = "global",
     Returns
     -------
     MeasureResult
-        Value ``t`` with the solver's certified gap;
-        ``witness_payload["noise_state"]`` holds the optimal noise when
-        ``t > 0``.
+        Value ``t`` with the solver's certified gap (``"exact"``, gap 0 and
+        0 iterations for a ``PureState``); ``witness_payload["noise_state"]``
+        holds the optimal noise when ``t > 1e-10``, and
+        ``witness_payload["relaxation"]`` is ``"exact"`` for a
+        ``PureState`` and at dimensions (2, 2) and (2, 3), else
+        ``"ppt-outer"``.
     """
     noise = _choice(noise, _NOISE_CONES, "noise-kind", "noise model")
-    rho = _state(state, "robustness", parties=2, limit=PPT_DIM_LIMIT)
+    rho = _bipartite(state, "robustness", PPT_DIM_LIMIT)
+    if isinstance(rho, PureState):
+        s, products, entangled = _schmidt_form(rho)
+        t, noise_state = _pure_robustness(s, products) if entangled else (0.0, None)
+        return MeasureResult(t, "exact", witness_payload={
+            "noise_state": noise_state if t > 1e-10 else None, "relaxation": "exact",
+            "noise": noise})
     cfg = config or _DEFAULT_CONFIG
     sol = _base_norm_sdp(rho.matrix, rho.dims, ConeSpec("PPT-operators"), _NOISE_CONES[noise],
                          max_iterations=min(cfg.max_iterations, 100))
@@ -816,10 +913,11 @@ class BsaResult:
     remainder : ndarray
         ``rho - separable_part``; positive with trace ``weight``.
     gap : float
-        Certified duality gap of the solve.
+        Certified duality gap of the solve; 0 for a ``PureState``.
     status : str
+        ``"exact"`` for a ``PureState``, else as for ``robustness``.
     iterations : int
-        Interior-point iterations of the solve.
+        Interior-point iterations of the solve; 0 for a ``PureState``.
     """
 
     weight: float
@@ -838,8 +936,15 @@ def best_separable_approximation(state,
     ``rho - A >= 0``; for dimensions (2, 2) and (2, 3) the removed weight is
     the true best-separable-approximation weight.
 
-    One ``_base_norm_sdp`` over separable-outer and negated-PSD(-1) gives
-    it, with dual slacks ``rho - A = -N``, ``A`` and ``A^Gamma``.  When rho
+    A ``PureState`` is answered exactly, with no solve.  Every A with ``0 <=
+    A <= psi psi^H`` is ``c psi psi^H``, and ``(psi psi^H)^Gamma`` has the
+    eigenvalue ``-s_1 s_2`` over the two largest Schmidt coefficients: an
+    entangled psi (``s_1 s_2 > PPT_TOL``, the rule of ``is_ppt``) has weight
+    1, separable part 0 and remainder ``psi psi^H``, and any other psi
+    weight 0 and separable part ``psi psi^H``.
+
+    For a density operator, one ``_base_norm_sdp`` over separable-outer and
+    negated-PSD(-1) gives it, with dual slacks ``rho - A = -N``, ``A`` and ``A^Gamma``.  When rho
     is singular, ``0 <= A <= rho`` has no interior and the solve may end
     ``best_effort``.
 
@@ -853,7 +958,13 @@ def best_separable_approximation(state,
     -------
     BsaResult
     """
-    rho = _state(state, "best_separable_approximation", parties=2, limit=PPT_DIM_LIMIT)
+    rho = _bipartite(state, "best_separable_approximation", PPT_DIM_LIMIT)
+    if isinstance(rho, PureState):
+        projector, empty = np.outer(rho.vector, rho.vector.conj()), np.zeros((rho.dim,) * 2, complex)
+        entangled = _schmidt_form(rho)[2]
+        part, remainder = (empty, projector) if entangled else (projector, empty)
+        return BsaResult(weight=float(entangled), separable_part=part, remainder=remainder,
+                         gap=0.0, status="exact", iterations=0)
     cfg = config or _DEFAULT_CONFIG
     sol = _base_norm_sdp(rho.matrix, rho.dims, ConeSpec("separable-outer"),
                          ConeSpec("negated-PSD", -1.0),
@@ -1020,16 +1131,33 @@ def geometric_measure(psi: PureState,
             work = np.tensordot(work, vectors[p], axes=([p], [0]))
         return work
 
-    def leading_singular(p):
-        flat = np.moveaxis(tensor, p, 0).reshape(dims[p], -1)
+    def amplitude(vectors):
+        return np.tensordot(overlap_vec(vectors, 0), vectors[0], axes=([0], [0]))
+
+    def leading_singular(flat):
         u = flat @ np.linalg.svd(flat, full_matrices=False)[2][0].conj()
         return u / np.linalg.norm(u)
+
+    def sequential():
+        """Party p's vector is the leading singular vector of psi contracted
+        with those of the parties before p, so the overlap is the product of
+        those leading singular values, never 0."""
+        work, vectors = tensor, []
+        for d in dims:
+            vectors.append(leading_singular(work.reshape(d, -1)))
+            work = np.tensordot(vectors[-1].conj(), work, axes=([0], [0]))
+        return vectors
 
     def draw(rng):
         vectors = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
         return [v / np.linalg.norm(v) for v in vectors]
 
     def ascend(vectors):
+        # at a tie the leading singular vectors of the flattenings can be
+        # orthogonal to psi, as for (|001> + |110>)/sqrt(2); from overlap 0
+        # the first contraction vanishes and the ascent cannot move
+        if amplitude(vectors) == 0.0:
+            vectors = sequential()
         prev = 0.0
         for sweeps in range(1, cfg.max_iterations + 1):
             for p in range(nparties):
@@ -1038,8 +1166,7 @@ def geometric_measure(psi: PureState,
                 if norm < 1e-300:
                     break
                 vectors[p] = w.conj() / norm
-            amp = np.tensordot(overlap_vec(vectors, 0), vectors[0], axes=([0], [0]))
-            sq = float(np.abs(amp)) ** 2
+            sq = float(np.abs(amplitude(vectors))) ** 2
             if sq - prev < 1e-12:
                 prev = sq
                 break
@@ -1047,8 +1174,9 @@ def geometric_measure(psi: PureState,
         return prev, sweeps, vectors
 
     best_sq, best_vectors, best_restart, sweeps_total = _multistart(
-        cfg, cfg.restarts, [leading_singular(p) for p in range(nparties)], draw, ascend,
-        maximize=True)
+        cfg, cfg.restarts,
+        [leading_singular(np.moveaxis(tensor, p, 0).reshape(dims[p], -1)) for p in range(nparties)],
+        draw, ascend, maximize=True)
     value = max(0.0, -math.log2(best_sq)) if best_sq > 0 else math.inf
     payload = {"max_overlap_sq": best_sq, "restarts": cfg.restarts,
                "best_restart": best_restart, "product_vectors": best_vectors}
@@ -1059,7 +1187,10 @@ def geometric_measure(psi: PureState,
 def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
     """Rains bound ``min S(rho || sigma)`` over ``sigma >= 0, ||sigma^Gamma||_1 <= 1``.
 
-    A convex problem (Rains, IEEE Trans. Inf. Theory 47, 2921 (2001)),
+    A ``PureState`` is answered in closed form, E(psi), as by
+    ``relative_entropy_of_entanglement``; a density operator takes no
+    shortcut but the PPT exit, since no continuity bound for the Rains
+    bound is cited here.  Otherwise it is a convex problem (Rains, IEEE Trans. Inf. Theory 47, 2921 (2001)),
     solved like the relative entropy of entanglement over sigma and N with
     ``P = sigma^Gamma + N`` on ``tr P + tr N = 1`` (which reaches every
     sigma of the set) and the barrier
@@ -1078,15 +1209,16 @@ def rains_bound(state, config: SolverConfig | None = None) -> MeasureResult:
     Returns
     -------
     MeasureResult
-        ``"converged"`` when the certified gap reached the configured
-        tolerance, otherwise ``"best_effort"``; ``iterations`` counts Newton
-        steps.  ``witness_payload["minimizing_state"]`` holds sigma (a PPT
-        input is its own, with value 0); ``"lower_bound"`` and
-        ``"certificate"`` are as for ``relative_entropy_of_entanglement``.
+        ``"exact"`` with gap 0 and 0 iterations for a ``PureState``;
+        otherwise ``"converged"`` when the certified gap reached the
+        configured tolerance, else ``"best_effort"``, with ``iterations``
+        counting Newton steps.  ``witness_payload["minimizing_state"]``
+        holds sigma (a PPT input is its own, with value 0);
+        ``"lower_bound"`` and ``"certificate"`` are as for
+        ``relative_entropy_of_entanglement``, never ``"continuity"``.
     """
-    rho = _state(state, "rains_bound", parties=2, limit=RAINS_DIM_LIMIT)
-    cfg = config or _DEFAULT_CONFIG
-    sigma, result = _barrier_newton(rho.matrix, rho.dims, _RAINS_SET, (1, 2), cfg)
+    state = _bipartite(state, "rains_bound", RAINS_DIM_LIMIT)
+    sigma, result = _distance(state, _RAINS_SET, (1, 2), config or _DEFAULT_CONFIG, continuity=False)
     result.witness_payload["minimizing_state"] = sigma
     return result
 
@@ -1113,6 +1245,11 @@ def witness_violation(state):
     transposed = partial_transpose(rho, 1)
     if _ppt_spectrum(transposed)[0]:
         return None, 0.0
+    return _witness(rho, transposed)
+
+
+def _witness(rho: DensityOperator, transposed: np.ndarray):
+    """``witness_violation`` of an NPT rho from its partial transpose."""
     eta = np.linalg.eigh(transposed)[1][:, 0]
     witness = partial_transpose(np.outer(eta, eta.conj()), 1, rho.dims)
     witness = (witness + witness.conj().T) / 2.0

@@ -351,3 +351,25 @@ class TestReportCertifiesWithoutSdp:
         rep = bounds_report(state, config=FAST)
         assert calls == []
         assert rep.notes["ree"] == rep.notes["rains"] == "converged"
+
+
+class TestOneSpectrumPerReport:
+    """A report decomposes the partial transpose once, by ``eigvalsh``, and
+    once more, by ``eigh``, only for the witness of an NPT state."""
+
+    @pytest.mark.parametrize("p, npt", [(0.3, False), (0.8, True)], ids=["ppt", "npt"])
+    def test_partial_transpose_is_decomposed_once(self, monkeypatch, p, npt):
+        rho = werner_state(2, p)
+        transposed = partial_transpose(rho, 1)
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            def counted(mat, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                if np.shape(mat) == transposed.shape and np.array_equal(mat, transposed):
+                    calls.append(_name)
+                return _original(mat, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = bounds_report(rho, skip=("ree", "rains"))
+        assert calls == ["eigvalsh"] + ["eigh"] * npt
+        assert report.ppt is not npt
+        assert report.upper["log_negativity"] == log_negativity(rho)

@@ -323,6 +323,13 @@ class TestGaussianCommand:
             assert json.loads(text) == {"ppt": ppt, "criterion": "necessary-condition"}
             assert results["logneg"][0] == 0
 
+    @pytest.mark.parametrize("op", ["ppt", "logneg"])
+    def test_one_mode_has_no_cut(self, op, tmp_path):
+        path = tmp_path / "vacuum1.json"
+        path.write_text(json.dumps(covariance_to_dict(vacuum(1))))
+        code, text = run(RunConfig(command="gaussian", cov=str(path), op=op, fmt="json"))
+        assert (code, text) == (2, "error: mode-cut: a cut needs at least two modes, got 1")
+
     def test_entropy_of_pure_state_is_zero(self, files, capsys):
         code, out = run_json(
             ["gaussian", "--cov", files["tms05"], "--op", "entropy"], capsys)

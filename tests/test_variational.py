@@ -656,6 +656,16 @@ class TestGeometricMeasure:
         assert res.value == 0.0
         assert res.witness_payload["max_overlap_sq"] == 1.0
 
+    def test_a_start_orthogonal_to_the_state_is_replaced(self):
+        """At the tie of (|001> + |110>)/sqrt(2) the leading singular vectors
+        of the flattenings are |0>, |0>, |0>, orthogonal to the state; the
+        sequential start takes their place."""
+        vec = np.zeros(8)
+        vec[[1, 6]] = 1.0 / math.sqrt(2.0)
+        res = geometric_measure(PureState(vec, (2, 2, 2)), config=SolverConfig(restarts=1))
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert res.witness_payload["max_overlap_sq"] == pytest.approx(0.5, abs=1e-12)
+
 
 class TestRainsBound:
     def test_ppt_input_is_zero(self):
