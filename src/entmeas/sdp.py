@@ -13,30 +13,23 @@ and is fully deterministic.
 Constraints come one at a time (``add_equality``) or as the n^2 rows of an
 operator equation between blocks (``add_operator_equation``), each term a
 block under the partial transpose of any set of its subsystems, the one
-index rule of ``states.partial_transpose``.  A constraint is stored, from
-the moment it is added, only as the sparse entries of its row-major
-flattened coefficients, the one form every consumer reads: ``A`` and its
-adjoint are one sum each over a block's entries (``_apply``, ``_adjoint``)
-for the solver, ``_verify`` and ``dual_bound`` alike.  The Schur matrix
-``M_ik = Re tr(A_i X A_k S^-1)`` is gathered over the entries (the
-structure-exploiting build of Fujisawa, Kojima & Nakata, Math. Prog. 79
-(1997)): each row's entries on a block are split into pair rows of at most
-two, so every ``S^-1 A_i X`` is one batched product of rank-2 factors, from
-which each column k picks its own entries.  The build costs O(P n^2 + P^2)
-for P pair rows and runs in a workspace allocated once per solve and shared
-by the blocks; the matrix is factored in place once per iteration for both
-the predictor and the corrector.  Each X and S block is factored by its
-eigendecomposition alone (``_eigen_blocks``, as in the barrier method of
-``variational``), for its positivity test, ``S^-1`` and the step whitening
-of ``_max_step``.  The iterates start at multiples of I, so the first Schur
-matrix is a multiple of the Gram matrix ``Re(A A^H)``: its Cholesky factor
-tests the rows for full rank, which makes the equalities consistent for any
-right-hand side; only rank-deficient rows go on to test that b lies in its
-range.  A returned ``"optimal"`` is rechecked against the problem data by
-``_verify``.  Each iteration wraps its iterate as one ``SdpSolution``; every
-ending short of the targets but a divergence (a stall, a block off the
-interior, a failed Schur factorization, the cap) leaves the loop for one
-judgement: the best iterate if it passes the recheck at 1e-7, else the last.
+index rule of ``states.partial_transpose``.  A constraint is stored only as
+the sparse entries of its row-major flattened coefficients, which every
+consumer, the solver, ``_verify`` and ``dual_bound`` alike, reads through
+``_Side``: ``A`` and its adjoint are one sum each over the entries of a
+block, or of a side group, the blocks of one side n held as one ``(k, n,
+n)`` stack.  An iteration makes one numpy call per side group and step:
+one ``eigh`` of all its X and S blocks (``_eigen_blocks``) for the
+positivity test, ``S^-1`` and the whitening of ``_max_step``, whose one
+``eigvalsh`` gives the primal and the dual step.  The Schur matrix ``M_ik
+= Re tr(A_i X A_k S^-1)`` is gathered over the entries (Fujisawa, Kojima &
+Nakata, Math. Prog. 79 (1997)): each row's entries on a block are split
+into pair rows of at most two, so every ``S^-1 A_i X`` is one batched
+product of rank-2 factors, in a workspace allocated once per solve; the
+matrix is factored in place once per iteration.  The first Schur matrix,
+at multiples of I, is a multiple of the Gram matrix ``Re(A A^H)``, whose
+Cholesky factor tests the rows for full rank.  A returned ``"optimal"`` is
+rechecked against the problem data by ``_verify`` (see ``sdp_solve``).
 """
 
 from __future__ import annotations
@@ -252,26 +245,55 @@ class SdpSolution:
     dual_blocks: tuple
 
 
-class _BlockOperator:
-    """The constraints of one block as pair rows for the Schur build, with
-    ``A`` and its adjoint.
+class _Side:
+    """One block (an int ``blocks``) as a matrix, or a side group, blocks of
+    one side n as one ``(k, n, n)`` stack: ``A`` and its adjoint are one sum
+    each over the stored entries, block k's column c at ``k n^2 + c``; the
+    adjoint sums the real and imaginary parts of the weighted entries into
+    the interleaved bins of ``_block_entries``, read back as complex."""
 
-    Like ``apply`` and ``adjoint`` (``_apply`` and ``_adjoint`` of the
-    block), the pair rows are read from the problem's stored entries, the
-    only form of the constraints.  They hold each row's entries on the block
-    as aligned slots ``(column, value)``, two per pair row, slot-major:
-    ``slot_cols[s, a]`` and ``slot_vals[s, a]``.  A row with k entries has
-    ceil(k/2) pair rows and pads an odd last slot with value 0; a row that
-    does not touch the block has none.  The first pair row of each touched
-    row comes first, in row order (row ``rows[r]`` at index r), then the
-    others, whose own rows ``rows[folds]`` the build folds them back onto.
+    def __init__(self, problem: SdpProblem, blocks):
+        self.blocks = tuple(np.atleast_1d(blocks).tolist())
+        self.n, self.m = problem.block_dims[self.blocks[0]], problem.num_constraints
+        self.shape = (len(self.blocks),) * np.ndim(blocks) + (self.n, self.n)
+        parts = [problem._block_entries(j) for j in self.blocks]
+        self.entries = tuple(
+            np.concatenate([part[i] + k * shift * self.n ** 2 for k, part in enumerate(parts)])
+            for i, shift in enumerate((0, 1, 0, 2)))
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """The vector ``Re tr(A_i Z)`` over all rows, summed over a stack."""
+        rows, cols, vals, _ = self.entries
+        flat = np.swapaxes(z, -1, -2).reshape(-1)
+        return np.bincount(rows, np.real(vals * flat[cols]), minlength=self.m)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """The matrix, or stack of matrices, ``sum_i y_i A_i``."""
+        rows, _, vals, bins = self.entries
+        parts = (vals * np.asarray(y, dtype=float)[rows]).view(float)
+        return np.bincount(bins, parts, minlength=2 * math.prod(self.shape)).view(
+            complex).reshape(self.shape)
+
+
+class _BlockOperator(_Side):
+    """The constraints of one block as pair rows for the Schur build, with
+    ``A`` and its adjoint (``_Side`` of the block).
+
+    Like ``apply`` and ``adjoint``, the pair rows are read from the
+    problem's stored entries, the only form of the constraints.  They hold
+    each row's entries on the block as aligned slots ``(column, value)``,
+    two per pair row, slot-major: ``slot_cols[s, a]`` and ``slot_vals[s,
+    a]``.  A row with k entries has ceil(k/2) pair rows and pads an odd last
+    slot with value 0; a row that does not touch the block has none.  The
+    first pair row of each touched row comes first, in row order (row
+    ``rows[r]`` at index r), then the others, whose own rows ``rows[folds]``
+    the build folds them back onto.
     """
 
     def __init__(self, problem: SdpProblem, block: int):
+        super().__init__(problem, block)
         self.problem, self.block = problem, block
-        self.n = problem.block_dims[block]
-        self.m = problem.num_constraints
-        rows, cols, vals, _ = problem._block_entries(block)
+        rows, cols, vals, _ = self.entries
         # entry `rank` of touched row `group` fills slot rank % 2 of the
         # row's pair row rank // 2: the first at index group, the others
         # after all first ones
@@ -295,17 +317,9 @@ class _BlockOperator:
                        if not touched or self.rows[-1] == lo + touched - 1
                        else np.ix_(self.rows, self.rows))
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        """The vector ``Re tr(A_i Z)`` over all rows."""
-        return _apply(self.problem, self.block, z)
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """The matrix ``sum_i y_i A_i``."""
-        return _adjoint(self.problem, self.block, y)
-
     def dense(self) -> np.ndarray:
         """The rows as a dense ``(m, n*n)`` matrix, one scatter of the entries."""
-        rows, cols, vals, _ = self.problem._block_entries(self.block)
+        rows, cols, vals, _ = self.entries
         mat = np.zeros((self.m, self.n * self.n), dtype=complex)
         mat[rows, cols] = vals
         return mat
@@ -326,11 +340,11 @@ class _SchurWorkspace:
     in place.  Folding the extra pair rows on both axes gives the block's
     rows, added into the ``(m, m)`` accumulator.
 
-    The rows of X and ``S^-T`` are gathered at once for all blocks of one
-    side; H and the gather are buffers shared by every block.  For P pair
-    rows on a side-n block they hold ``P n^2 + 2 P^2`` complex entries:
-    82 MB of the 112 MB a PPT-constrained minimum at side 36 (P = 1314 with
-    its trace row, m = 1297) allocates here.
+    The rows of X and ``S^-T`` are gathered at once for each side group,
+    whose ``_Side`` is in ``sides``; H and the gather are buffers shared by
+    every block.  For P pair rows on a side-n block they hold ``P n^2 + 2
+    P^2`` complex entries: 82 MB of the 112 MB a PPT-constrained minimum at
+    side 36 (P = 1314 with its trace row, m = 1297) allocates here.
     """
 
     def __init__(self, ops):
@@ -339,9 +353,10 @@ class _SchurWorkspace:
         half = np.empty(max(op.pairs * op.n ** 2 for op in ops), dtype=complex)
         gathered = np.empty(max(2 * op.pairs ** 2 for op in ops), dtype=complex)
         spill = np.empty(max(2 * op.rows.size * op.folds.size for op in ops), dtype=complex)
-        self._sides, self._views = [], [None] * len(ops)
+        self.sides, self._stacks, self._views = [], [], [None] * len(ops)
         for n in dict.fromkeys(op.n for op in ops):
             members = [j for j, op in enumerate(ops) if op.n == n]
+            self.sides.append(_Side(ops[0].problem, [ops[j].block for j in members]))
             # member k's entry (p, q) as column k n^2 + p n + q; one stack
             # holds Re X_k and Im X_k at rows 2kn and (2k + 1)n, another
             # S_k^-T at row kn
@@ -351,7 +366,7 @@ class _SchurWorkspace:
             x_rows, s_rows = 2 * n * (cols // (n * n)) + cols % n, cols // n
             left = np.empty((cols.shape[1], 4, n))
             right = np.empty((cols.shape[1], 4, n), dtype=complex)
-            self._sides.append((
+            self._stacks.append((
                 members, np.empty((2 * len(members) * n, n)),
                 np.empty((len(members) * n, n), dtype=complex),
                 np.stack([x_rows[0], x_rows[0] + n, x_rows[1], x_rows[1] + n], axis=1),
@@ -376,7 +391,7 @@ class _SchurWorkspace:
     def assemble(self, xs, sinvs) -> np.ndarray:
         """The accumulator, overwritten with the Schur matrix at ``X_j`` and
         ``S_j^-1``."""
-        for members, x_stack, s_stack, x_index, s_index, scale, left, right in self._sides:
+        for members, x_stack, s_stack, x_index, s_index, scale, left, right in self._stacks:
             np.concatenate([part for j in members for part in (xs[j].real, xs[j].imag)],
                            out=x_stack)
             np.concatenate([sinvs[j].T for j in members], out=s_stack)
@@ -406,12 +421,10 @@ class _SchurWorkspace:
 
 def _full_row_rank(gram: np.ndarray) -> bool:
     """True when the constraint rows, given a positive multiple of their
-    Gram matrix ``Re(A A^H)``, are linearly independent.
-
-    Full row rank makes ``A(X) = b`` consistent for every right-hand side.
-    The test is a Cholesky factor, written over a Fortran-ordered ``gram``,
-    with a reciprocal condition estimate well above round-off.
-    """
+    Gram matrix ``Re(A A^H)``, are linearly independent, which makes ``A(X)
+    = b`` consistent for every b: a Cholesky factor, written over a
+    Fortran-ordered ``gram``, with a reciprocal condition estimate well
+    above round-off."""
     from scipy.linalg import lapack
     norm = lapack.dlange("1", gram)
     factor, info = lapack.dpotrf(gram, lower=True, clean=False, overwrite_a=True)
@@ -441,22 +454,12 @@ def _linear_consistency(gram: np.ndarray, b: np.ndarray) -> bool:
 
 def _apply(problem: SdpProblem, block: int, x: np.ndarray) -> np.ndarray:
     """The vector ``Re tr(A_i X)`` over all rows, from the stored entries."""
-    rows, cols, vals, _ = problem._block_entries(block)
-    return np.bincount(rows, np.real(vals * x.T.reshape(-1)[cols]),
-                       minlength=problem.num_constraints)
+    return _Side(problem, block).apply(x)
 
 
 def _adjoint(problem: SdpProblem, block: int, y: np.ndarray) -> np.ndarray:
-    """The matrix ``sum_i y_i A_i``, from the stored entries.
-
-    ``np.bincount`` takes only real weights, so one pass sums the real and
-    imaginary parts of the weighted entries into interleaved bins, read back
-    as the complex matrix.
-    """
-    n = problem.block_dims[block]
-    rows, _, vals, bins = problem._block_entries(block)
-    parts = (vals * np.asarray(y, dtype=float)[rows]).view(float)
-    return np.bincount(bins, parts, minlength=2 * n * n).view(complex).reshape(n, n)
+    """The matrix ``sum_i y_i A_i``, from the stored entries."""
+    return _Side(problem, block).adjoint(y)
 
 
 def _verify(problem: SdpProblem, sol: SdpSolution,
@@ -473,20 +476,18 @@ def _verify(problem: SdpProblem, sol: SdpSolution,
     b = np.asarray(problem._rhs, dtype=float)
     xs, ss, y = sol.blocks, sol.dual_blocks, sol.y
     primal = sum(_apply(problem, j, x) for j, x in enumerate(xs))
-    adjoints = [_adjoint(problem, j, y) for j in range(len(xs))]
     cmats = problem._objective
     norm_b = float(np.linalg.norm(b))
     norm_c = max(float(np.linalg.norm(c)) for c in cmats)
     err_p = float(np.linalg.norm(b - primal)) / (1.0 + norm_b)
-    err_d = max(float(np.linalg.norm(c - ay - s))
-                for c, ay, s in zip(cmats, adjoints, ss)) / (1.0 + norm_c)
+    err_d = max(float(np.linalg.norm(c - _adjoint(problem, j, y) - s))
+                for j, (c, s) in enumerate(zip(cmats, ss))) / (1.0 + norm_c)
     pobj = sum(float(np.real(np.vdot(c, x))) for c, x in zip(cmats, xs))
     dobj = float(b @ y)
     scale = 1.0 + abs(pobj) + abs(dobj)
     rel_gap = sum(float(np.real(np.vdot(x, s))) for x, s in zip(xs, ss)) / scale
-    cone = all(
-        float(w[0]) >= -feasibility_tolerance * max(1.0, float(w[-1]))
-        for w in (np.linalg.eigvalsh(mat) for mat in (*xs, *ss)))
+    cone = all(float(w[0]) >= -feasibility_tolerance * max(1.0, float(w[-1]))
+               for w in (np.linalg.eigvalsh(mat) for mat in (*xs, *ss)))
     return (err_p <= feasibility_tolerance and err_d <= feasibility_tolerance
             and rel_gap <= gap_tolerance and cone
             and abs(sol.value - pobj) <= gap_tolerance * scale
@@ -502,34 +503,37 @@ def dual_bound(problem: SdpProblem, y: np.ndarray) -> float:
     """
     bound = float(np.dot(problem._rhs, y))
     for j, objective in enumerate(problem._objective):
-        slack = objective - _adjoint(problem, j, y)
-        bound += min(0.0, float(np.linalg.eigvalsh((slack + slack.conj().T) / 2.0)[0]))
+        slack = _herm(objective - _adjoint(problem, j, y))
+        bound += min(0.0, float(np.linalg.eigvalsh(slack)[0]))
     return bound
 
 
-def _eigen_blocks(mats):
-    """The ascending eigendecompositions ``(w, V)`` of Hermitian blocks, or
-    None when one is off the interior: its least eigenvalue is not positive,
-    or ``eigh`` fails."""
+def _herm(mat: np.ndarray) -> np.ndarray:
+    """The Hermitian part of a matrix or of each matrix of a stack."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _eigen_blocks(stacks):
+    """The ascending eigendecompositions ``(w, V)``, one ``eigh`` each, of
+    stacks of Hermitian blocks (or of matrices), or None when a block is off
+    the interior: its least eigenvalue is not positive, or ``eigh`` fails."""
     try:
-        eigs = [np.linalg.eigh(mat) for mat in mats]
+        eigs = [np.linalg.eigh(stack) for stack in stacks]
     except np.linalg.LinAlgError:
         return None
-    return eigs if all(w[0] > 0.0 for w, _ in eigs) else None
+    return eigs if all(np.all(w[..., 0] > 0.0) for w, _ in eigs) else None
 
 
-def _max_step(eig, direction: np.ndarray) -> float:
+def _max_step(eig, direction: np.ndarray):
     """Largest a with M + a*D >= 0, given the eigenpair ``(w, V)`` of M:
     ``-1 / lambda_min(W D W^H)`` for the whitening ``W = (V / sqrt(w))^H``,
-    or 10 when ``W D W^H >= 0``."""
+    or 10 when ``W D W^H >= 0``.  On a stack of blocks, the least step over
+    the block axis (third from last), one per index of the axes before it."""
     w, v = eig
-    whiten = (v / np.sqrt(w)).conj().T
-    w = whiten @ direction @ whiten.conj().T
-    w = (w + w.conj().T) / 2.0
-    lo = float(np.linalg.eigvalsh(w)[0])
-    if lo >= -1e-14:
-        return 10.0
-    return -1.0 / lo
+    whiten = v / np.sqrt(w)[..., None, :]
+    lo = np.linalg.eigvalsh(_herm(whiten.conj().swapaxes(-1, -2) @ direction @ whiten))[..., 0]
+    lo = lo.min(axis=-1) if direction.ndim > 2 else lo
+    return np.where(lo >= -1e-14, 10.0, -1.0 / np.minimum(lo, -1e-14))[()]
 
 
 def _checked(problem: SdpProblem, sol: SdpSolution, feas_tol: float,
@@ -574,48 +578,51 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         inconsistent dependent rows give ``"infeasible"`` with 0 iterations.
     """
     max_iterations = _count(max_iterations, "max_iterations", "solver-config", low=1)
-    dims = problem.block_dims
-    nblocks = len(dims)
     b = np.asarray(problem._rhs, dtype=float)
     cmats = problem._objective
     m = b.size
     if m == 0:
         raise ValidationError("constraint", detail="at least one constraint is required")
-    ops = [_BlockOperator(problem, j) for j in range(nblocks)]
 
     norm_b = float(np.linalg.norm(b))
     norm_c = max(float(np.linalg.norm(c)) for c in cmats)
-    xs = [np.eye(n, dtype=complex) * max(1.0, norm_b) for n in dims]
-    ss = [np.eye(n, dtype=complex) * max(1.0, norm_c) for n in dims]
-    y = np.zeros(m)
-    total_n = sum(dims)
 
     # the Schur build's buffers, then its symmetrized copy, which the
     # Cholesky factors overwrite; the iterations allocate nothing of size m^2
-    work = _SchurWorkspace(ops)
+    work = _SchurWorkspace([_BlockOperator(problem, j) for j in range(len(cmats))])
     schur = np.empty((m, m), order="F")
+    # per side group, the objectives as one (k, n, n) stack and the X and S
+    # blocks as one (2, k, n, n) stack, rebound, never written in place;
+    # unstack gives the blocks in block order from one stack per group
+    sides = work.sides
+    cs = [np.stack([cmats[j] for j in side.blocks]) for side in sides]
+    start = np.array([max(1.0, norm_b), max(1.0, norm_c)])[:, None, None, None]
+    zs = [start * np.broadcast_to(np.eye(side.n, dtype=complex), side.shape) for side in sides]
+    y = np.zeros(m)
+    order = sorted((j, g, k) for g, side in enumerate(sides) for k, j in enumerate(side.blocks))
+
+    def unstack(stacks):
+        return tuple(stacks[g][k] for _, g, k in order)
 
     # (merit, solution) of the best iterate by worst-of-three merit; lets the
     # solver return a certified answer even when the last steps stall in noise
-    best = None
-    stall = 0
+    best, stall = None, 0
 
     tau = 0.98
     # the pass at max_iterations + 1 only wraps the capped iterate
     for it in range(1, max_iterations + 2):
-        pobj = sum(float(np.real(np.vdot(x, c))) for c, x in zip(cmats, xs))
+        pobj = sum(float(np.real(np.vdot(z[0], c))) for c, z in zip(cs, zs))
         dobj = float(b @ y)
-        gap_abs = sum(float(np.real(np.vdot(x, s))) for x, s in zip(xs, ss))
-        # the iterates are rebound, never written in place, so need no copies
+        gap_abs = sum(float(np.real(np.vdot(z[0], z[1]))) for z in zs)
         last = SdpSolution("max-iterations", pobj, dobj, max(gap_abs, abs(pobj - dobj)),
-                           it - 1, tuple(xs), y, tuple(ss))
+                           it - 1, unstack([z[0] for z in zs]), y, unstack([z[1] for z in zs]))
         if it > max_iterations:
             break
-        adj_y = [op.adjoint(y) for op in ops]
-        rp = b - sum(op.apply(x) for op, x in zip(ops, xs))
-        rds = [c - ay - s for c, ay, s in zip(cmats, adj_y, ss)]
+        adj_y = [side.adjoint(y) for side in sides]
+        rp = b - sum(side.apply(z[0]) for side, z in zip(sides, zs))
+        rds = [c - ay - z[1] for c, ay, z in zip(cs, adj_y, zs)]
         err_p = float(np.linalg.norm(rp)) / (1.0 + norm_b)
-        err_d = max(float(np.linalg.norm(rd)) for rd in rds) / (1.0 + norm_c)
+        err_d = max(float(np.linalg.norm(rd, axis=(1, 2)).max()) for rd in rds) / (1.0 + norm_c)
         rel_gap = gap_abs / (1.0 + abs(pobj) + abs(dobj))
 
         merit = max(err_p, err_d, rel_gap)
@@ -636,20 +643,20 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         # a diverging primal objective signals unboundedness
         if dobj > _DIVERGE * (1.0 + norm_c) and err_d < _CERT_TOL:
             scale = float(np.linalg.norm(y))
-            lam = max(float(np.linalg.eigvalsh(ay)[-1]) for ay in adj_y)
+            lam = max(float(np.linalg.eigvalsh(ay)[:, -1].max()) for ay in adj_y)
             if b @ (y / scale) > 1e-12 and lam / scale < _CERT_TOL:
                 return _diverged(last, "infeasible", it)
         if pobj < -_DIVERGE * (1.0 + norm_b) and err_p < _CERT_TOL:
             return _diverged(last, "unbounded", it)
 
-        mu = gap_abs / total_n
-        eigs = _eigen_blocks([*xs, *ss])
+        mu = gap_abs / sum(problem.block_dims)
+        eigs = _eigen_blocks(zs)
         if eigs is None:
             break
-        sinvs = [(v / w) @ v.conj().T for w, v in eigs[nblocks:]]
-        sinvs = [(si + si.conj().T) / 2.0 for si in sinvs]
+        sinvs = [_herm((v[1] / w[1][..., None, :]) @ v[1].conj().swapaxes(-1, -2))
+                 for w, v in eigs]
 
-        acc = work.assemble(xs, sinvs)
+        acc = work.assemble(last.blocks, unstack(sinvs))
         np.add(acc, acc.T, out=schur)
         schur *= 0.5
         if it == 1:
@@ -665,38 +672,31 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         solve = _cholesky(schur)
         if solve is None:
             break
-        base = [x + x @ rd @ si for x, rd, si in zip(xs, rds, sinvs)]
+        base = [z[0] + z[0] @ rd @ si for z, rd, si in zip(zs, rds, sinvs)]
 
-        def directions(sigma_mu, corr_mats):
+        def directions(sigma_mu, corrs):
             # A(dX) = rp for dX = sigma_mu S^-1 - X - X dS S^-1 - corr and
-            # dS = rd - A^T(dy) is M dy = rp + A(X + X rd S^-1 - sigma_mu S^-1 + corr)
-            rhs = rp + sum(op.apply(bm - sigma_mu * si + cm)
-                           for op, bm, si, cm in zip(ops, base, sinvs, corr_mats))
+            # dS = rd - A^T(dy) is M dy = rp + A(X + X rd S^-1 - sigma_mu S^-1 + corr);
+            # per side group, the stack of dX over that of dS, then the
+            # primal and the dual step, each the least over all blocks
+            rhs = rp + sum(side.apply(bm - sigma_mu * si + cm)
+                           for side, bm, si, cm in zip(sides, base, sinvs, corrs))
             dy = solve(rhs)
-            dss = [rd - op.adjoint(dy) for rd, op in zip(rds, ops)]
-            dxs = [sigma_mu * si - x - x @ ds @ si - cm
-                   for x, ds, si, cm in zip(xs, dss, sinvs, corr_mats)]
-            return dy, [(dx + dx.conj().T) / 2.0 for dx in dxs], dss
+            dss = [rd - side.adjoint(dy) for rd, side in zip(rds, sides)]
+            dzs = [np.stack((_herm(sigma_mu * si - z[0] - z[0] @ ds @ si - cm), ds))
+                   for z, ds, si, cm in zip(zs, dss, sinvs, corrs)]
+            steps = np.min([_max_step(e, dz) for e, dz in zip(eigs, dzs)], axis=0)
+            return dy, dzs, np.minimum(1.0, tau * steps)
 
-        def step_lengths(dxs, dss):
-            ap = min(1.0, tau * min(_max_step(e, dx) for e, dx in zip(eigs, dxs)))
-            ad = min(1.0, tau * min(_max_step(e, ds) for e, ds in zip(eigs[nblocks:], dss)))
-            return ap, ad
-
-        dy_a, dxs_a, dss_a = directions(0.0, [0.0] * nblocks)
-        ap, ad = step_lengths(dxs_a, dss_a)
-        gap_aff = sum(
-            float(np.real(np.vdot(xs[j] + ap * dxs_a[j], ss[j] + ad * dss_a[j])))
-            for j in range(nblocks))
+        dy_a, dzs_a, (ap, ad) = directions(0.0, [0.0] * len(sides))
+        gap_aff = sum(float(np.real(np.vdot(z[0] + ap * dz[0], z[1] + ad * dz[1])))
+                      for z, dz in zip(zs, dzs_a))
         sigma = min(1.0, max(0.0, (gap_aff / gap_abs)) ** 3) if gap_abs > 0 else 0.1
 
-        corr_mats = [dxs_a[j] @ dss_a[j] @ sinvs[j] for j in range(nblocks)]
-        dy, dxs, dss = directions(sigma * mu, corr_mats)
-        ap, ad = step_lengths(dxs, dss)
-        for j in range(nblocks):
-            xs[j] = xs[j] + ap * dxs[j]
-            ss[j] = ss[j] + ad * dss[j]
-        y = y + ad * dy
+        corrs = [dz[0] @ dz[1] @ si for dz, si in zip(dzs_a, sinvs)]
+        dy, dzs, steps = directions(sigma * mu, corrs)
+        zs = [z + steps[:, None, None, None] * dz for z, dz in zip(zs, dzs)]
+        y = y + steps[1] * dy
 
     # every other ending short of the targets: the best iterate if it
     # passes the recheck at 1e-7, with the step count of the exit

@@ -13,7 +13,10 @@ On a ``PureState`` the REE, the Rains bound, both robustnesses and the
 best separable approximation take their closed forms in the Schmidt
 coefficients (``closed_form``), ``"exact"`` with no solver run; the REE
 of a density operator within the gap tolerance of a pure state takes a
-continuity bound instead of the barrier.
+continuity bound instead of the barrier.  On a PPT density operator the
+REE, the Rains bound, both robustnesses and the best separable
+approximation (when its partial transpose has no negative eigenvalue)
+answer with no solver run either.
 
 Separable-set constraints are realized over PPT operators throughout.  For
 dimensions (2, 2) and (2, 3) the two sets coincide, so the results are exact;
@@ -336,19 +339,20 @@ def _log_second_differences(w: np.ndarray, d1: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(rho: np.ndarray, mats):
-    """The blocks' eigendecompositions, ``f = -tr(rho log M_0)`` and the
-    barrier ``-sum_j log det M_j``; None off the interior."""
-    eigs = _eigen_blocks(mats)
+    """The eigendecomposition ``(w, V)`` of the stack of blocks ``mats``,
+    ``f = -tr(rho log M_0)`` and the barrier ``-sum_j log det M_j``; None
+    off the interior."""
+    eigs = _eigen_blocks([mats])
     if eigs is None:
         return None
     w, v = eigs[0]
-    weights = np.real(np.sum(v.conj() * (rho @ v), axis=0))
-    barrier = -sum(float(np.sum(np.log(wj))) for wj, _ in eigs)
-    return eigs, -float(weights @ np.log(w)), barrier
+    weights = np.real(np.sum(v[0].conj() * (rho @ v[0]), axis=0))
+    return eigs[0], -float(weights @ np.log(w[0])), -float(np.log(w).sum(axis=-1).sum())
 
 
 def _newton_system(rho: np.ndarray, ops, eigs, t: float, work=None):
-    """Gradient and Hessian of ``t f + barrier`` in the coordinates x.
+    """Gradient and Hessian of ``t f + barrier`` in the coordinates x, at the
+    ``(w, V)`` stack ``eigs`` of ``_evaluate``.
 
     Block j's barrier has gradient ``-A_j(M_j^-1)`` and Hessian
     ``tr(M_j^-1 A_a M_j^-1 A_b)``, the Schur matrix at ``X = S^-1 = M_j^-1``,
@@ -368,9 +372,10 @@ def _newton_system(rho: np.ndarray, ops, eigs, t: float, work=None):
     and ``Re T_ab = <Y_a, Re B_b + Im B_b>``, ``2 Y = Re C - Im C + (Re C +
     Im C)^T``, is one real product.
     """
-    invs = [(v / w) @ v.conj().T for w, v in eigs]
+    w, v = eigs
+    invs = (v / w[:, None, :]) @ v.conj().swapaxes(-1, -2)
     hess = (work or _SchurWorkspace(ops)).assemble(invs, invs)
-    w, v = eigs[0]
+    w, v = w[0], v[0]
     n = w.size
     g, d1, rho_t = _log_gradient(rho, w, v)
     op = ops[0]
@@ -399,7 +404,8 @@ def _tangent(rho: np.ndarray, ops, eigs, solve, equality: np.ndarray) -> np.ndar
     point (Boyd & Vandenberghe, Convex Optimization, sec. 11.3), H the
     Hessian of ``t f + barrier`` there, factored by ``solve``, and
     ``grad f = A_0(G)``."""
-    return _projected(solve, -ops[0].apply(_log_gradient(rho, *eigs[0])[0]), equality)
+    w, v = eigs
+    return _projected(solve, -ops[0].apply(_log_gradient(rho, w[0], v[0])[0]), equality)
 
 
 def _newton_step(rho: np.ndarray, ops, eigs, t: float, work, equality: np.ndarray):
@@ -477,11 +483,12 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
     prob = _equation_problem(n, dims, coordinates)
     ops = [_BlockOperator(prob, j) for j in range(len(prob.block_dims))]
     work = _SchurWorkspace(ops)
+    [side] = work.sides  # every block has side n
     equality = sum(ops[j].apply(np.eye(n)) for j in trace)
     # every variable at I on its own block, then scaled onto the trace row
     x = sum(ops[next(iter(terms))].apply(np.eye(n)) for terms in coordinates)
     x = x / (equality @ x)
-    mats = [op.adjoint(x) for op in ops]
+    mats = side.adjoint(x)
     eigs, f, barrier = _evaluate(rho, mats)
     # half the tolerance: the bound needs exact centering, and the SDP has its error
     t, t_end = 1.0, 2.0 * sum(op.n for op in ops) / (_LN2 * cfg.gap_tolerance)
@@ -499,10 +506,10 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
                 break
             steps += 1
             # cap the step at 0.99 of the way to the boundary, then backtrack (Armijo)
-            dirs = [op.adjoint(dx) for op in ops]
-            step = min(1.0, 0.99 * min(_max_step(eig, d) for d, eig in zip(dirs, eigs)))
+            dirs = side.adjoint(dx)
+            step = min(1.0, 0.99 * _max_step(eigs, dirs))
             while step >= 1e-10:
-                trial_mats = [mat + step * d for mat, d in zip(mats, dirs)]
+                trial_mats = mats + step * dirs
                 trial = _evaluate(rho, trial_mats)
                 if trial and t * trial[1] + trial[2] <= merit - 0.25 * step * decrement:
                     break
@@ -517,7 +524,7 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
                 newton = _newton_step(rho, ops, eigs, t, work, equality)
             if newton is None or newton[1] / 2.0 <= _POLISHED or steps >= cfg.max_iterations:
                 break
-            trial_mats = [op.adjoint(x + newton[0]) for op in ops]
+            trial_mats = side.adjoint(x + newton[0])
             trial = _evaluate(rho, trial_mats)
             if trial is None:
                 break
@@ -532,9 +539,9 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
         t_next = min(t * _T_GROWTH, t_end)
         if centered is not None:
             dx = (t_next - t) * _tangent(rho, ops, eigs, centered, equality)
-            dirs = [op.adjoint(dx) for op in ops]
-            step = min(1.0, 0.9 * min(_max_step(eig, d) for d, eig in zip(dirs, eigs)))
-            trial_mats = [mat + step * d for mat, d in zip(mats, dirs)]
+            dirs = side.adjoint(dx)
+            step = min(1.0, 0.9 * _max_step(eigs, dirs))
+            trial_mats = mats + step * dirs
             trial = _evaluate(rho, trial_mats)
             if trial:
                 x, mats = x + step * dx, trial_mats
@@ -542,7 +549,8 @@ def _barrier_newton(rho: np.ndarray, dims: tuple[int, int], equations, trace,
         t = t_next
     del work  # free the Newton buffers before the certificate
     _, x, t = best
-    [(w, v)], f, _ = _evaluate(rho, [ops[0].adjoint(x)])
+    (w, v), f, _ = _evaluate(rho, [ops[0].adjoint(x)])
+    w, v = w[0], v[0]
     sigma = (v * w) @ v.conj().T
     grad = _log_gradient(rho, w, v)[0]
     grad = (grad + grad.conj().T) / 2.0
@@ -762,6 +770,12 @@ def robustness(state, noise: str = "global",
       ``s_i^2`` on each ``|u_i v_i>`` and ``s_i s_j [[1, 1], [1, 1]] >= 0``
       on each pair ``|u_i v_j>, |u_j v_i>``.
 
+    A PPT ``DensityOperator`` (``_ppt_spectrum``, least eigenvalue lambda of
+    ``rho^Gamma``) takes no solve either: ``t = n max(0, -lambda)`` with the
+    same gap, the weight of the separable noise I/n that makes ``rho^Gamma``
+    positive, so the bracket ``[0, t]`` covers the ``PPT_TOL`` slack of the
+    rule; 0 iterations, status as for a solve.
+
     Any other input solves one ``_base_norm_sdp`` over PPT operators and the noise cone gives
     it, with dual slacks ``N = t sigma``, ``N^Gamma`` (separable noise
     only) and ``(rho + N)^Gamma``; ``rho + N >= 0`` holds already.  Both
@@ -783,7 +797,8 @@ def robustness(state, noise: str = "global",
     -------
     MeasureResult
         Value ``t`` with the solver's certified gap (``"exact"``, gap 0 and
-        0 iterations for a ``PureState``); ``witness_payload["noise_state"]``
+        0 iterations for a ``PureState``; gap ``t`` and 0 iterations for a
+        PPT density operator); ``witness_payload["noise_state"]``
         holds the optimal noise when ``t > 1e-10``, and
         ``witness_payload["relaxation"]`` is ``"exact"`` for a
         ``PureState`` and at dimensions (2, 2) and (2, 3), else
@@ -798,17 +813,20 @@ def robustness(state, noise: str = "global",
             "noise_state": noise_state if t > 1e-10 else None, "relaxation": "exact",
             "noise": noise})
     cfg = config or _DEFAULT_CONFIG
+    payload = {"noise_state": None, "noise": noise, "relaxation": "exact"
+               if tuple(sorted(rho.dims)) in _EXACT_PPT_DIMS else "ppt-outer"}
+    ppt, spectrum = _ppt_spectrum(partial_transpose(rho, 1))
+    if ppt:
+        t = rho.dim * max(0.0, -float(spectrum[0]))
+        status = "converged" if t <= cfg.gap_tolerance else "best_effort"
+        return MeasureResult(t, status, gap=t, witness_payload=payload)
     sol = _base_norm_sdp(rho.matrix, rho.dims, ConeSpec("PPT-operators"), _NOISE_CONES[noise],
                          max_iterations=min(cfg.max_iterations, 100))
     status = _solver_result_guard(sol, "robustness", cfg.gap_tolerance)
 
     t = max(0.0, -float(sol.dual_value))
-    payload = {
-        "noise_state": _clean_state(sol.dual_blocks[0]) if t > 1e-10 else None,
-        "relaxation": "exact" if tuple(sorted(rho.dims)) in _EXACT_PPT_DIMS
-        else "ppt-outer",
-        "noise": noise,
-    }
+    if t > 1e-10:
+        payload["noise_state"] = _clean_state(sol.dual_blocks[0])
     return MeasureResult(t, status, gap=float(sol.gap),
                          iterations=sol.iterations, witness_payload=payload)
 
@@ -830,6 +848,10 @@ class BaseNormResult:
         corresponding weight vanishes.
     gap : float
         Certified gap of ``r_value`` and of ``norm_value``, the larger.
+    status : str
+        ``"converged"`` when every solve ended ``optimal`` within the gap
+        tolerance, else ``"best_effort"``: the worse verdict of its one or
+        two solves.
     """
 
     r_value: float
@@ -839,6 +861,7 @@ class BaseNormResult:
     b: float
     delta: np.ndarray | None
     gap: float
+    status: str
 
 
 def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
@@ -865,6 +888,8 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
     Returns
     -------
     BaseNormResult
+        Its ``status`` is ``"best_effort"`` when either solve missed the
+        gap tolerance or ended short of ``optimal``.
     """
     if isinstance(h, (DensityOperator, PureState)):
         h = _state(h, "base_norm", parties=2, limit=PPT_DIM_LIMIT)
@@ -878,7 +903,7 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
     alpha_x, alpha_y = cone_x.normalization, cone_y.normalization
     tol = _DEFAULT_CONFIG.gap_tolerance
     sol = _base_norm_sdp(mat, dims, cone_x, cone_y)
-    _solver_result_guard(sol, "base_norm", tol)
+    verdicts = {_solver_result_guard(sol, "base_norm", tol)}
     b_val = max(0.0, -float(sol.dual_value))
     trace_part = float(np.real(np.trace(mat))) / alpha_x
     k = 1.0 + alpha_y / alpha_x
@@ -886,7 +911,7 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
         norm_value, gap = trace_part + k * b_val, max(1.0, k) * float(sol.gap)
     else:
         sol_n = _base_norm_sdp(mat, dims, cone_x, cone_y, scale=k)
-        _solver_result_guard(sol_n, "base_norm", tol)
+        verdicts.add(_solver_result_guard(sol_n, "base_norm", tol))
         norm_value = trace_part - float(sol_n.dual_value)
         gap = max(float(sol.gap), float(sol_n.gap))
 
@@ -897,7 +922,8 @@ def base_norm(h, cone_x: ConeSpec, cone_y: ConeSpec,
     delta = (n_mat + n_mat.conj().T) / (2.0 * b_val) if b_val > 1e-12 else None
     return BaseNormResult(
         r_value=b_val, norm_value=max(0.0, norm_value),
-        a=max(0.0, a_val), omega=omega, b=b_val, delta=delta, gap=gap)
+        a=max(0.0, a_val), omega=omega, b=b_val, delta=delta, gap=gap,
+        status="best_effort" if "best_effort" in verdicts else "converged")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -913,11 +939,12 @@ class BsaResult:
     remainder : ndarray
         ``rho - separable_part``; positive with trace ``weight``.
     gap : float
-        Certified duality gap of the solve; 0 for a ``PureState``.
+        Certified duality gap of the solve; 0 for a ``PureState`` and for
+        a density operator with ``rho^Gamma >= 0``.
     status : str
         ``"exact"`` for a ``PureState``, else as for ``robustness``.
     iterations : int
-        Interior-point iterations of the solve; 0 for a ``PureState``.
+        Interior-point iterations of the solve; 0 when none ran.
     """
 
     weight: float
@@ -943,7 +970,13 @@ def best_separable_approximation(state,
     1, separable part 0 and remainder ``psi psi^H``, and any other psi
     weight 0 and separable part ``psi psi^H``.
 
-    For a density operator, one ``_base_norm_sdp`` over separable-outer and
+    A density operator whose ``rho^Gamma`` has no negative eigenvalue takes
+    no solve: ``A = rho`` is feasible and removes nothing, so the weight is
+    0, the gap 0 and the remainder 0, ``"converged"`` with 0 iterations.
+    One PPT only within the ``PPT_TOL`` slack of ``_ppt_spectrum`` runs
+    the solve.
+
+    For any other density operator, one ``_base_norm_sdp`` over separable-outer and
     negated-PSD(-1) gives it, with dual slacks ``rho - A = -N``, ``A`` and ``A^Gamma``.  When rho
     is singular, ``0 <= A <= rho`` has no interior and the solve may end
     ``best_effort``.
@@ -965,6 +998,10 @@ def best_separable_approximation(state,
         part, remainder = (empty, projector) if entangled else (projector, empty)
         return BsaResult(weight=float(entangled), separable_part=part, remainder=remainder,
                          gap=0.0, status="exact", iterations=0)
+    if _ppt_spectrum(partial_transpose(rho, 1))[1][0] >= 0.0:
+        return BsaResult(weight=0.0, separable_part=rho.matrix.copy(),
+                         remainder=np.zeros_like(rho.matrix), gap=0.0, status="converged",
+                         iterations=0)
     cfg = config or _DEFAULT_CONFIG
     sol = _base_norm_sdp(rho.matrix, rho.dims, ConeSpec("separable-outer"),
                          ConeSpec("negated-PSD", -1.0),

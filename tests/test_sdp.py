@@ -709,3 +709,72 @@ class TestEigenFactorization:
         sol = sdp_solve(prob)
         assert sol.iterations == 5
         assert dual_bound(prob, sol.y) <= plain.value
+
+
+class TestSideGroups:
+    """The blocks of one side are one stack: one eigendecomposition of all
+    X and S blocks of a side group per iteration, one step-length call for
+    its primal and dual steps."""
+
+    @staticmethod
+    def two_side_problem(rng, order):
+        """Random objectives, three equalities met at ``I / 14`` and the trace
+        row, on blocks of sides 4, 6 and 4 placed in ``order``."""
+        sides = (4, 6, 4)
+        objectives = [herm(rng, n) for n in sides]
+        rows = [[herm(rng, n) for n in sides] for _ in range(3)]
+        prob = SdpProblem([sides[j] for j in order])
+        for slot, j in enumerate(order):
+            prob.set_objective(slot, objectives[j])
+        for row in rows:
+            prob.add_equality({slot: row[j] for slot, j in enumerate(order)},
+                              sum(float(np.trace(a).real) for a in row) / 14.0)
+        prob.add_equality({slot: np.eye(sides[j]) for slot, j in enumerate(order)}, 1.0)
+        return prob
+
+    def test_two_side_problem_is_certified(self, rng):
+        prob = self.two_side_problem(rng, (0, 1, 2))
+        sol = sdp_solve(prob)
+        assert sol.status == "optimal"
+        bound = dual_bound(prob, sol.y)
+        assert bound <= sol.value <= bound + sol.gap + 1e-9
+        assert [x.shape for x in sol.blocks] == [(4, 4), (6, 6), (4, 4)]
+        assert [s.shape for s in sol.dual_blocks] == [(4, 4), (6, 6), (4, 4)]
+
+    def test_block_order_does_not_move_the_optimum(self):
+        first = sdp_solve(self.two_side_problem(np.random.default_rng(3), (0, 1, 2)))
+        moved = sdp_solve(self.two_side_problem(np.random.default_rng(3), (1, 2, 0)))
+        assert first.status == moved.status == "optimal"
+        assert abs(first.value - moved.value) <= first.gap + moved.gap + 1e-9
+        for x, y in zip(first.blocks, (moved.blocks[2], moved.blocks[0], moved.blocks[1])):
+            assert np.linalg.norm(x - y) <= 1e-4
+
+    def test_one_eigendecomposition_per_iteration(self, rng, monkeypatch):
+        prob = ppt_problem((2, 3))
+        prob.set_objective(0, herm(rng, 6))
+        eigen_blocks, eigh, calls, shapes = sdp._eigen_blocks, np.linalg.eigh, [], []
+
+        def counting_blocks(stacks):
+            calls.append(None)
+            return eigen_blocks(stacks)
+
+        def counting_eigh(mats):
+            shapes.append(np.shape(mats))
+            return eigh(mats)
+
+        monkeypatch.setattr(sdp, "_eigen_blocks", counting_blocks)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        sol = sdp_solve(prob)
+        assert sol.status == "optimal"
+        assert len(calls) == sol.iterations
+        assert shapes == [(2, 2, 6, 6)] * sol.iterations
+
+    def test_max_step_is_the_least_over_the_block_axis(self, rng):
+        mats = np.array([[positive(rng, 3) for _ in range(4)] for _ in range(2)])
+        dirs = np.array([[herm(rng, 3) for _ in range(4)] for _ in range(2)])
+        steps = _max_step(np.linalg.eigh(mats), dirs)
+        assert steps.shape == (2,)
+        for got, side_mats, side_dirs in zip(steps, mats, dirs):
+            want = min(_max_step(np.linalg.eigh(m), d) for m, d in zip(side_mats, side_dirs))
+            assert got == pytest.approx(want, rel=1e-12)
+            assert _max_step(np.linalg.eigh(side_mats), side_dirs) == pytest.approx(want, rel=1e-12)

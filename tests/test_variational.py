@@ -1,5 +1,6 @@
 """Tests for the optimization-based measures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -1169,3 +1170,117 @@ class TestCertificatePaths:
             rho, config=SolverConfig(max_iterations=plain.iterations))
         assert capped.iterations == plain.iterations
         assert capped.value == plain.value
+
+
+def isotropic(dims, p):
+    """``p |Phi><Phi| + (1 - p) I / n``, Phi maximally entangled on the
+    smaller side: PPT exactly when ``p <= d / (n + d)``, d that side."""
+    d, n = min(dims), dims[0] * dims[1]
+    phi = np.zeros(n)
+    phi[np.arange(d) * dims[1] + np.arange(d)] = 1.0 / math.sqrt(d)
+    return DensityOperator(p * np.outer(phi, phi) + (1.0 - p) * np.eye(n) / n, dims)
+
+
+PPT_INPUTS = {
+    "werner-2x2": werner_state(2, 0.3),
+    "werner-3x3": werner_state(3, 0.4),
+    "isotropic-2x2": isotropic((2, 2), 0.25),
+    "isotropic-2x3": isotropic((2, 3), 0.2),
+    "isotropic-3x3": isotropic((3, 3), 0.2),
+}
+# on the PPT boundary, where rho^Gamma's least eigenvalue rounds to about 0
+BOUNDARY_INPUTS = {
+    "werner-2x2": werner_state(2, 0.5),
+    "werner-3x3": werner_state(3, 0.5),
+    "isotropic-2x3": isotropic((2, 3), 0.25),
+    "isotropic-3x3": isotropic((3, 3), 0.25),
+}
+
+
+class TestPptExits:
+    """Robustness and BSA answer a PPT density operator with no SDP."""
+
+    @pytest.fixture
+    def no_sdp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sdp_solve ran on a PPT input")
+
+        monkeypatch.setattr(variational, "sdp_solve", refuse)
+
+    @pytest.mark.parametrize("name", sorted(PPT_INPUTS))
+    def test_ppt_inputs_take_no_solve(self, no_sdp, name):
+        rho = PPT_INPUTS[name]
+        for noise in ("global", "separable"):
+            res = robustness(rho, noise)
+            assert 0.0 <= res.value <= res.gap <= 1e-10
+            assert (res.status, res.iterations) == ("converged", 0)
+            assert res.witness_payload["noise_state"] is None
+            assert res.witness_payload["relaxation"] == (
+                "exact" if rho.dims != (3, 3) else "ppt-outer")
+        bsa = best_separable_approximation(rho)
+        assert 0.0 <= bsa.weight <= bsa.gap <= 1e-10
+        assert (bsa.status, bsa.iterations) == ("converged", 0)
+        assert np.array_equal(bsa.separable_part, rho.matrix)
+        assert not bsa.remainder.any()
+
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_INPUTS))
+    def test_boundary_robustness_takes_no_solve(self, no_sdp, name):
+        for noise in ("global", "separable"):
+            res = robustness(BOUNDARY_INPUTS[name], noise)
+            assert 0.0 <= res.value <= res.gap <= 1e-10
+
+    def test_slack_below_zero_widens_the_gap_and_bsa_solves(self, monkeypatch):
+        # (1 - 3p) / 4 = -5e-13, inside the PPT_TOL slack of the PPT rule
+        rho = isotropic((2, 2), (1.0 + 2e-12) / 3.0)
+        lam = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
+        assert lam == pytest.approx(-5e-13, rel=1e-2)
+        for noise in ("global", "separable"):
+            res = robustness(rho, noise)
+            assert res.iterations == 0
+            assert res.value == res.gap >= 4 * 5e-13 * (1.0 - 1e-2)
+        problems = record_problems(monkeypatch)
+        bsa = best_separable_approximation(rho)
+        assert len(problems) == 1 and bsa.iterations > 0
+        assert bsa.weight <= 1e-6
+
+    def test_a_tolerance_below_the_slack_is_best_effort(self):
+        rho = isotropic((2, 2), (1.0 + 2e-12) / 3.0)
+        res = robustness(rho, config=SolverConfig(gap_tolerance=1e-13))
+        assert (res.status, res.iterations) == ("best_effort", 0)
+
+
+class TestBaseNormStatus:
+    PPT = ConeSpec("PPT-operators")
+
+    @staticmethod
+    def unfinished(monkeypatch, which):
+        """Patch ``variational.sdp_solve`` to report the solves numbered in
+        ``which`` (from 0) as ``max-iterations``."""
+        solve, calls = variational.sdp_solve, []
+
+        def capped(problem, **kwargs):
+            sol = solve(problem, **kwargs)
+            calls.append(None)
+            if len(calls) - 1 in which:
+                sol = dataclasses.replace(sol, status="max-iterations")
+            return sol
+
+        monkeypatch.setattr(variational, "sdp_solve", capped)
+        return calls
+
+    def test_certified_solve_is_converged(self):
+        assert base_norm(BELL, self.PPT, self.PPT).status == "converged"
+
+    def test_unfinished_solve_is_best_effort(self, monkeypatch):
+        calls = self.unfinished(monkeypatch, {0})
+        res = base_norm(BELL, self.PPT, self.PPT)
+        assert len(calls) == 1
+        assert res.status == "best_effort"
+        assert res.r_value == pytest.approx(0.5, abs=1e-6)
+
+    def test_the_second_solve_keeps_its_verdict(self, monkeypatch):
+        cones = ConeSpec("all-PSD"), ConeSpec("negated-PSD", normalization=-2.0)
+        assert base_norm(werner(0.8), *cones).status == "converged"
+        calls = self.unfinished(monkeypatch, {1})
+        assert base_norm(werner(0.8), *cones).status == "best_effort"
+        assert len(calls) == 2
