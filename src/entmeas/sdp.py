@@ -25,8 +25,11 @@ positivity test, ``S^-1`` and the whitening of ``_max_step``, whose one
 = Re tr(A_i X A_k S^-1)`` is gathered over the entries (Fujisawa, Kojima &
 Nakata, Math. Prog. 79 (1997)): each row's entries on a block are split
 into pair rows of at most two, so every ``S^-1 A_i X`` is one batched
-product of rank-2 factors, in a workspace allocated once per solve; the
-matrix is factored in place once per iteration.  The first Schur matrix,
+product of rank-2 factors, in a workspace allocated once per solve.  Every
+slot of a pair row holds a real or an imaginary value, so each entry of M
+is gathered as one real number of that product times a real weight, in
+real buffers; the matrix is symmetrized in one contiguous pass and
+factored in place once per iteration.  The first Schur matrix,
 at multiples of I, is a multiple of the Gram matrix ``Re(A A^H)``, whose
 Cholesky factor tests the rows for full rank.  A returned ``"optimal"`` is
 rechecked against the problem data by ``_verify`` (see ``sdp_solve``).
@@ -44,9 +47,9 @@ from .errors import ValidationError
 from .states import (_check_dims, _count, _hermitian, _is_finite_real, _is_integer,
                      _shown, partial_transpose)
 
-# the largest block side: a solve's Schur workspace holds about n^4 complex
-# entries for the pair rows and m^2 reals for the Schur matrix, 126 MB for
-# a PPT-constrained minimum at side 36 and over 50 GB at side 200
+# the largest block side: a solve's Schur workspace holds about 4 n^4 reals
+# for the pair rows and m^2 reals for the Schur matrix, 98 MB for a
+# PPT-constrained minimum at side 36 and over 50 GB at side 200
 MAX_BLOCK_DIM = 36
 MAX_TOTAL_DIM = 400
 _GAP_TOL = 1e-9
@@ -288,12 +291,26 @@ class _BlockOperator(_Side):
     first pair row of each touched row comes first, in row order (row
     ``rows[r]`` at index r), then the others, whose own rows ``rows[folds]``
     the build folds them back onto.
+
+    Every slot value v is real or imaginary: the rows of an operator
+    equation and the trace row have no other, and an entry with both parts
+    fills two slots on its column.  So a slot is also real: ``Re(v h)`` for
+    a complex h at column c is one real product, ``slot_weights = Re v``
+    times the real part of h, at ``slot_bins = 2c`` of the real view, or
+    ``-Im v`` times its imaginary part, at ``2c + 1``.
     """
 
     def __init__(self, problem: SdpProblem, block: int):
         super().__init__(problem, block)
         self.problem, self.block = problem, block
         rows, cols, vals, _ = self.entries
+        # an entry with both parts fills two slots on its column, the real
+        # part first, so that every slot value is real or imaginary
+        both = (vals.real != 0.0) & (vals.imag != 0.0)
+        index = np.arange(vals.size).repeat(1 + both)
+        second = np.diff(index, prepend=-1) == 0
+        rows, cols, vals = rows[index], cols[index], vals[index]
+        vals = np.where(second, 1j * vals.imag, np.where(both[index], vals.real, vals))
         # entry `rank` of touched row `group` fills slot rank % 2 of the
         # row's pair row rank // 2: the first at index group, the others
         # after all first ones
@@ -312,6 +329,9 @@ class _BlockOperator(_Side):
         self.slot_vals = np.zeros((2, self.pairs), dtype=complex)
         self.slot_cols[rank % 2, pair] = cols
         self.slot_vals[rank % 2, pair] = vals
+        imag = self.slot_vals.imag != 0.0
+        self.slot_bins = 2 * self.slot_cols + imag
+        self.slot_weights = np.where(imag, -self.slot_vals.imag, self.slot_vals.real)
         lo = int(self.rows[0]) if touched else 0
         self.target = ((slice(lo, lo + touched),) * 2
                        if not touched or self.rows[-1] == lo + touched - 1
@@ -334,25 +354,26 @@ class _SchurWorkspace:
     is, read as real numbers, the product of the ``(n, 4)`` matrix of the
     real and imaginary parts of the rows ``X[q_s, :]`` by the ``(4, 2n)``
     matrix of the rows ``v_s S^-T[p_s, :]`` and ``i v_s S^-T[p_s, :]``, read
-    as real numbers: one batched real product over the pair rows.  Then
-    ``M_ab = Re sum_t v_t H_a[c_t]`` over the slots ``(c_t, v_t)`` of pair
-    row b is one gather of the flattened H over both slots' columns, scaled
-    in place.  Folding the extra pair rows on both axes gives the block's
-    rows, added into the ``(m, m)`` accumulator.
+    as real numbers: one batched real product over the pair rows, written
+    as the real view of H.  Then ``M_ab = Re sum_t v_t H_a[c_t]`` over the
+    slots ``(c_t, v_t)`` of pair row b is, by the real slots of
+    ``_BlockOperator``, one gather of that real view at both slots' bins,
+    scaled in place by their real weights.  Folding the extra pair rows on
+    both axes gives the block's rows, added into the ``(m, m)`` accumulator.
 
     The rows of X and ``S^-T`` are gathered at once for each side group,
-    whose ``_Side`` is in ``sides``; H and the gather are buffers shared by
-    every block.  For P pair rows on a side-n block they hold ``P n^2 + 2
-    P^2`` complex entries: 82 MB of the 112 MB a PPT-constrained minimum at
+    whose ``_Side`` is in ``sides``; H and the gather are real buffers
+    shared by every block.  For P pair rows on a side-n block they hold ``2
+    P n^2 + 2 P^2`` reals: 55 MB of the 84 MB a PPT-constrained minimum at
     side 36 (P = 1314 with its trace row, m = 1297) allocates here.
     """
 
     def __init__(self, ops):
         self.ops = ops
         self.acc = np.empty((ops[0].m, ops[0].m))
-        half = np.empty(max(op.pairs * op.n ** 2 for op in ops), dtype=complex)
-        gathered = np.empty(max(2 * op.pairs ** 2 for op in ops), dtype=complex)
-        spill = np.empty(max(2 * op.rows.size * op.folds.size for op in ops), dtype=complex)
+        half = np.empty(max(2 * op.pairs * op.n ** 2 for op in ops))
+        gathered = np.empty(max(2 * op.pairs ** 2 for op in ops))
+        spill = np.empty(max(2 * op.rows.size * op.folds.size for op in ops))
         self.sides, self._stacks, self._views = [], [], [None] * len(ops)
         for n in dict.fromkeys(op.n for op in ops):
             members = [j for j, op in enumerate(ops) if op.n == n]
@@ -380,12 +401,12 @@ class _SchurWorkspace:
                 flat = gathered[:2 * p * p].reshape(p, 2, p)
                 self._views[j] = (left[start:start + p].transpose(0, 2, 1),
                                   right[start:start + p].view(float),
-                                  half[:p * n * n].view(float).reshape(p, n, 2 * n),
-                                  half[:p * n * n].reshape(p, n * n),
-                                  op.slot_cols.ravel(), op.slot_vals.ravel(),
+                                  half[:2 * p * n * n].reshape(p, n, 2 * n),
+                                  half[:2 * p * n * n].reshape(p, 2 * n * n),
+                                  op.slot_bins.ravel(), op.slot_weights.ravel(),
                                   flat.reshape(p, 2 * p), flat[:r], flat[r:],
                                   spill[:2 * r * (p - r)].reshape(r, 2, p - r),
-                                  flat[:r, 0, :r].real, flat[:r, 1, :r].real)
+                                  flat[:r, 0, :r], flat[:r, 1, :r])
                 start += p
 
     def assemble(self, xs, sinvs) -> np.ndarray:
@@ -401,12 +422,12 @@ class _SchurWorkspace:
         acc = self.acc
         acc.fill(0.0)
         for op, views in zip(self.ops, self._views):
-            (left, right, real_half, half, cols, weights, gathered, fold, extra, spill,
+            (left, right, half, flat_half, bins, weights, gathered, fold, extra, spill,
              first, second) = views
             if not op.pairs:
                 continue
-            np.matmul(left, right, out=real_half)
-            np.take(half, cols, axis=1, out=gathered, mode="clip")
+            np.matmul(left, right, out=half)
+            np.take(flat_half, bins, axis=1, out=gathered, mode="clip")
             gathered *= weights
             if op.folds.size:
                 # the columns go through a copy: ufunc.at copies an operand
@@ -656,14 +677,16 @@ def sdp_solve(problem: SdpProblem, max_iterations: int = 100) -> SdpSolution:
         sinvs = [_herm((v[1] / w[1][..., None, :]) @ v[1].conj().swapaxes(-1, -2))
                  for w, v in eigs]
 
+        # written through the C-ordered view, a contiguous pass: a + b is
+        # b + a, so the Fortran-ordered schur holds the same bits
         acc = work.assemble(last.blocks, unstack(sinvs))
-        np.add(acc, acc.T, out=schur)
+        np.add(acc, acc.T, out=schur.T)
         schur *= 0.5
         if it == 1:
             # X and S are multiples of I, so this is a multiple of the Gram
             # matrix; the diagonal shift below would hide a dependence
             independent = _full_row_rank(schur)
-            np.add(acc, acc.T, out=schur)
+            np.add(acc, acc.T, out=schur.T)
             schur *= 0.5
             if not independent and not _linear_consistency(schur, b):
                 return _diverged(last, "infeasible", 0)

@@ -20,6 +20,7 @@ from entmeas.sdp import (
     dual_bound,
     sdp_solve,
 )
+from entmeas.variational import _CONE_BLOCKS
 from conftest import rand_unitary
 
 
@@ -483,6 +484,96 @@ class TestSchurWorkspace:
         assert np.array_equal(a.y, b.y)
         for one, two in zip(a.blocks + a.dual_blocks, b.blocks + b.dual_blocks):
             assert np.array_equal(one, two)
+
+
+def complex_schur(work, xs, sinvs):
+    """The Schur matrix of ``work`` in complex arithmetic: ``Re sum_t v_t
+    H_a[c_t]`` from the complex products H of the workspace's own batched
+    product, then both folds and the two slots added as the build adds them."""
+    work.assemble(xs, sinvs)  # fills the rows of X and S^-T the products read
+    ref = np.zeros_like(work.acc)
+    for op, (left, right, half, *_) in zip(work.ops, work._views):
+        if not op.pairs:
+            continue
+        np.matmul(left, right, out=half)
+        h = half.copy().view(complex).reshape(op.pairs, -1)
+        r, p = op.rows.size, op.pairs
+        flat = (h[:, op.slot_cols.ravel()] * op.slot_vals.ravel()).reshape(p, 2, p)
+        fold = flat[:r].copy()
+        np.add.at(fold, op.folds, flat[r:])
+        np.add.at(fold, (slice(None), slice(None), op.folds), fold[:, :, r:].copy())
+        ref[op.target] += fold[:, 0, :r].real
+        ref[op.target] += fold[:, 1, :r].real
+    return ref
+
+
+def cone_problem(dims, x_cone, y_cone):
+    """The blocks and operator equation of ``_base_norm_sdp`` for one pairing."""
+    n = dims[0] * dims[1]
+    y_blocks, x_blocks = _CONE_BLOCKS[y_cone], _CONE_BLOCKS[x_cone]
+    prob = SdpProblem((n,) * (len(y_blocks) + len(x_blocks)))
+    prob.add_operator_equation(dict(enumerate(y_blocks + x_blocks)), np.eye(n), dims)
+    return prob
+
+
+class TestRealSlots:
+    """Every slot value is real or imaginary, so the build's real gather
+    gives the bits of the complex one."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: ppt_problem((2, 2)),
+        lambda: ppt_problem((3, 3)),
+        lambda: cone_problem((2, 3), "PPT-operators", "all-PSD"),
+        lambda: cone_problem((2, 3), "PPT-operators", "separable-outer"),
+        lambda: cone_problem((2, 3), "separable-outer", "negated-PSD"),
+    ], ids=["ppt-2x2", "ppt-3x3", "global", "separable", "bsa"])
+    def test_build_is_bit_identical_to_complex_arithmetic(self, rng, make):
+        prob = make()
+        ops = [_BlockOperator(prob, j) for j in range(len(prob.block_dims))]
+        for op in ops:
+            assert not np.any((op.slot_vals.real != 0) & (op.slot_vals.imag != 0))
+        work = sdp._SchurWorkspace(ops)
+        xs = [positive(rng, n) for n in prob.block_dims]
+        sinvs = [positive(rng, n) for n in prob.block_dims]
+        got = work.assemble(xs, sinvs).copy()
+        assert got.any()
+        assert got.tobytes() == complex_schur(work, xs, sinvs).tobytes()
+
+    def test_entries_with_both_parts_fill_two_slots(self, rng):
+        n = 3
+        prob = SdpProblem((n, n))
+        coefficient = herm(rng, n)
+        prob.add_equality({0: coefficient, 1: np.eye(n)}, 1.0)
+        prob.add_equality({1: herm(rng, n)}, 0.0)
+        vals = prob._block_entries(0)[2]
+        both = np.count_nonzero((vals.real != 0) & (vals.imag != 0))
+        assert both == n * (n - 1)
+        op = _BlockOperator(prob, 0)
+        slots = op.slot_vals.ravel()
+        assert np.count_nonzero(slots) == vals.size + both
+        assert not np.any((slots.real != 0) & (slots.imag != 0))
+        assert np.array_equal(op.dense()[0].reshape(n, n), coefficient)
+        for block in range(2):
+            x, sinv = positive(rng, n), positive(rng, n)
+            got = sdp._SchurWorkspace([_BlockOperator(prob, block)]).assemble([x], [sinv])
+            ref = dense_schur(prob, block, x, sinv)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestSymmetrizedSchur:
+    def test_factored_matrix_is_fortran_ordered_and_exactly_symmetric(self, rng, monkeypatch):
+        prob = mixed_problem(rng, (2, 3))
+        cholesky, seen = sdp._cholesky, []
+
+        def spy(mat):
+            seen.append((mat.flags.f_contiguous, np.array_equal(mat, mat.T)))
+            return cholesky(mat)
+
+        monkeypatch.setattr(sdp, "_cholesky", spy)
+        sol = sdp_solve(prob)
+        assert sol.iterations >= 2
+        assert len(seen) == sol.iterations
+        assert seen == [(True, True)] * len(seen)
 
 
 class TestEntryAdjoint:
